@@ -6,7 +6,8 @@ checking the continuity and semicontinuity properties of the diagrams),
 and `convert` (re-emit a diagram file in another format).
 
 Exit codes: 0 success; 1 a stability trial violated a theorem; 2 parse
-or validation errors; 3 unsupported group/category combination.
+or validation errors, or a file that cannot be read or written; 3
+unsupported group/category combination.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .categories import CategoryError
-from .diagram import DiagramError, diagram_leq, type_A_diagram, type_B_diagram
+from .diagram import DiagramError, diagram_leq, type_A_diagram, type_B_diagram, type_B_from_A
 from .exact import NonSplitError
 from .grothendieck import NoBGroupError
 from .homology import (
@@ -59,11 +60,19 @@ def _read(path: str) -> str:
 
 
 def _write_out(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot write {out}: {exc}") from exc
+
+
+def _emit(d, args):
+    emit = {"json": diagram_to_json, "svg": diagram_to_svg, "tsv": diagram_to_tsv}[args.format]
+    _write_out(emit(d), args.out)
 
 
 def _rational(text: str) -> Fraction:
@@ -96,18 +105,7 @@ def _module_from_config(args):
 
 def cmd_diagram(args) -> int:
     F = _module_from_config(args)
-    if args.type == "A":
-        d = type_A_diagram(F)
-    else:
-        if args.category == "finset":
-            raise CliError(EXIT_UNSUPPORTED, "finite sets have no type B diagram")
-        d = type_B_diagram(F)
-    if args.format == "json":
-        _write_out(diagram_to_json(d), args.out)
-    elif args.format == "svg":
-        _write_out(diagram_to_svg(d), args.out)
-    else:
-        _write_out(diagram_to_tsv(d), args.out)
+    _emit(type_A_diagram(F) if args.type == "A" else type_B_diagram(F), args)
     return EXIT_OK
 
 
@@ -130,13 +128,15 @@ def cmd_stability(args) -> int:
     eps = _rational(args.epsilon)
     if eps < 0:
         raise CliError(EXIT_INPUT, "epsilon must be nonnegative")
+    if args.trials <= 0:
+        raise CliError(EXIT_INPUT, "trials must be positive")
     coeffs = args.coeff
     F = persistent_module(K, args.degree, coeffs)
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]
     rho = min(gaps) / 4 if gaps else None
     in_hypothesis = rho is not None and eps < rho
     YA_F = type_A_diagram(F)
-    YB_F = type_B_diagram(F)
+    YB_F = type_B_from_A(YA_F)
 
     lines = ["trial\tinterleaving\tcontinuity\tsemicontinuity"]
     ok_all = True
@@ -144,10 +144,11 @@ def cmd_stability(args) -> int:
         K2 = perturb(K, eps, seed=args.seed + trial)
         Fm, G, pair = interleaving_from_perturbation(K, K2, args.degree, coeffs, eps)
         inter_ok = check_interleaving(Fm, G, pair)
-        dist = erosion_distance(YB_F, type_B_diagram(G)).distance
+        YA_G = type_A_diagram(G)
+        dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
         if in_hypothesis:
-            semi_ok = diagram_leq(erode(YA_F, eps), type_A_diagram(G))
+            semi_ok = diagram_leq(erode(YA_F, eps), YA_G)
             semi_txt = "pass" if semi_ok else "FAIL"
         else:
             semi_ok, semi_txt = True, "skipped"
@@ -159,13 +160,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    d = diagram_from_json(_read(args.input))
-    if args.format == "json":
-        _write_out(diagram_to_json(d), args.out)
-    elif args.format == "svg":
-        _write_out(diagram_to_svg(d), args.out)
-    else:
-        _write_out(diagram_to_tsv(d), args.out)
+    _emit(diagram_from_json(_read(args.input)), args)
     return EXIT_OK
 
 

@@ -6,6 +6,10 @@ encodes the unbounded interval [s_i, infinity).  The same container
 holds both the 'constructible' function X (interval -> class of the
 image) and its Moebius inversion Y (the diagram proper); the two are
 related by an exact inclusion-exclusion bijection implemented here.
+
+Only the type A diagram is computed from a module.  The quotient group
+B is a quotient of A, and the quotient map pi is linear, as is the
+inversion, so Y_B = pi(Y_A) cell by cell (`type_B_from_A`).
 """
 
 from __future__ import annotations
@@ -13,20 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .categories import AB, FINAB, FINSET, REPN, VECT, ab_relations, obj_ngens
+from .categories import AB, FINAB, FINSET, REPN, VECT, ab_relations
 from .exact import (
     column_space_basis,
     field_kernel,
     field_rank,
     field_solve,
-    jordan_type,
     lattice_basis,
     lattice_intersection,
     preimage_lattice,
     quotient_invariants,
 )
-from .grothendieck import GroupElem, add, b_class, leq, sub, zero_elem
-from .categories import iso_from_invariants
+from .grothendieck import GroupElem, NoBGroupError, a_class, add, b_class, leq, sub, zero_elem
+from .categories import iso_class, iso_from_invariants, make_obj
 from .matrix import Mat
 
 
@@ -145,21 +148,16 @@ def cumulative_at(Y: DiagramGrid, p, q=None) -> GroupElem:
     """
     from bisect import bisect_left, bisect_right
 
-    n = Y.n
     i = bisect_right(Y.grid, p)
     if i == 0:
         return _zero(Y)
     if q is None:
-        j = n + 1
+        j = Y.n + 1
     else:
         if q <= p:
             raise DiagramError("empty interval")
         j = bisect_left(Y.grid, q) + 1
-    total = _zero(Y)
-    for (h, k), val in Y.cells:
-        if h <= i and k >= j:
-            total = add(total, val)
-    return total
+    return cumulative_at_cell(Y, i, j)
 
 
 def type_A_diagram(F) -> DiagramGrid:
@@ -168,10 +166,24 @@ def type_A_diagram(F) -> DiagramGrid:
     return mobius_invert(dX_A(F))
 
 
-def type_B_diagram(F) -> DiagramGrid:
-    from .pmodule import dX_B
+def type_B_from_A(Y: DiagramGrid) -> DiagramGrid:
+    """Apply the quotient map pi: A -> B to every cell of a type A grid.
 
-    return mobius_invert(dX_B(F))
+    pi is a group homomorphism and Moebius inversion is a signed sum of
+    cells, so the two commute: pi of the type A diagram is the type B
+    diagram, and pi of X_A is X_B.  Cells whose class dies in B are
+    dropped.  Finite sets have no quotient group, whatever the cells.
+    """
+    if Y.group != "A":
+        raise DiagramError("the quotient map acts on type A grids")
+    if not Y.cat.abelian:
+        raise NoBGroupError("finite sets have no exact-sequence Grothendieck group")
+    return DiagramGrid.make("B", Y.cat, Y.grid, {k: b_class(v) for k, v in Y.cells},
+                            role=Y.role)
+
+
+def type_B_diagram(F) -> DiagramGrid:
+    return type_B_from_A(type_A_diagram(F))
 
 
 def diagram_add(d1: DiagramGrid, d2: DiagramGrid) -> DiagramGrid:
@@ -271,7 +283,7 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
             L1 = lattice_intersection(L1, Kl)
             L0 = lattice_intersection(L0, Kl)
         rank, invs = quotient_invariants(L1, L0)
-        return b_class(iso_from_invariants(cat, rank, invs))
+        return b_class(a_class(iso_from_invariants(cat, rank, invs)))
     if kind == REPN:
         Fld = cat.field
         A = obj.data  # the endomorphism on the ambient object
@@ -282,14 +294,13 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
             K = field_kernel(Fld, nxt.payload)
             W1 = _intersection_basis(Fld, m1.payload, K)
             W0 = _intersection_basis(Fld, m0.payload, K)
-        counter: dict = {}
-        for lam, m in jordan_type(_restrict_endo(Fld, A, W1), Fld):
-            counter[lam] = counter.get(lam, 0) + m
-        for lam, m in jordan_type(_restrict_endo(Fld, A, W0), Fld):
-            counter[lam] = counter.get(lam, 0) - m
-        items = tuple(sorted((k, v) for k, v in counter.items() if v))
-        return GroupElem("B", cat, items)
+        return sub(_endo_class(cat, _restrict_endo(Fld, A, W1)),
+                   _endo_class(cat, _restrict_endo(Fld, A, W0)))
     raise DiagramError(f"unknown category kind {kind!r}")
+
+
+def _endo_class(cat, C: Mat) -> GroupElem:
+    return b_class(a_class(iso_class(make_obj(cat, C))))
 
 
 def _intersection_basis(Fld, U: Mat, W: Mat) -> Mat:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .matrix import Mat
 
@@ -516,13 +515,6 @@ def jordan_type(A: Mat, F=QQ) -> tuple:
             blocks.extend([(lam, k)] * count)
     blocks.sort()
     return tuple(blocks)
-
-
-def gcd_list(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
 
 
 # ---------------------------------------------------------------------------

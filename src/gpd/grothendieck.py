@@ -1,9 +1,11 @@
 """Grothendieck groups of the category backends.
 
-The split group (free on indecomposable classes) and the exact-sequence
-quotient group are both represented in explicit free bases, so group
-elements are finitely supported integer maps and the translation
-invariant order is componentwise nonnegativity of the difference.
+The split group A (free on indecomposable classes) and the
+exact-sequence quotient group B are both represented in explicit free
+bases, so group elements are finitely supported integer maps and the
+translation invariant order is componentwise nonnegativity of the
+difference.  B is a quotient of A, and `b_class` is the quotient map
+pi: A -> B; isomorphism classes reach B only through it.
 """
 
 from __future__ import annotations
@@ -55,19 +57,23 @@ def a_class(c: IsoClass) -> GroupElem:
     return _make_elem("A", c.cat, dict(c.items))
 
 
-def b_class(c: IsoClass) -> GroupElem:
-    """Image of an isomorphism class under the exact-sequence quotient map.
+def b_class(x: GroupElem) -> GroupElem:
+    """The quotient homomorphism pi: A(C) -> B(C) on a split-group element.
 
-    Vector spaces keep their dimension, finitely generated abelian
-    groups keep only their free rank, finite abelian groups record the
-    total p-power length per prime, and endomorphisms record total
-    Jordan block size per eigenvalue.
+    B(C) is A(C) modulo the relations [middle] = [sub] + [quotient] of
+    short exact sequences, so pi sends each indecomposable to its
+    quotient class and extends linearly (negative coefficients
+    included): a line keeps its dimension, Z its free rank, Z/p^m the
+    length m at p (zero in fgab, where torsion dies), and a Jordan
+    block of size m the length m at its eigenvalue.
     """
-    cat = c.cat
+    if x.group != "A":
+        raise ValueError("the quotient map acts on split-group elements")
+    cat = x.cat
     if cat.kind == FINSET:
         raise NoBGroupError("finite sets have no exact-sequence Grothendieck group")
     counter: dict = {}
-    for d, cnt in c.items:
+    for d, cnt in x.coeffs:
         if d == "line":
             counter["dim"] = counter.get("dim", 0) + cnt
         elif d == "Z":
@@ -76,7 +82,6 @@ def b_class(c: IsoClass) -> GroupElem:
             if cat.kind == "finab":
                 _, p, m = d
                 counter[p] = counter.get(p, 0) + m * cnt
-            # in fgab the torsion classes die in the quotient
         else:
             _, lam, m = d
             counter[lam] = counter.get(lam, 0) + m * cnt

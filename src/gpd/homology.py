@@ -26,7 +26,7 @@ from .exact import (
     preimage_lattice,
 )
 from .matrix import Mat
-from .pmodule import ConstructibleModule, InterleavingPair, expected_phi_grid
+from .pmodule import ConstructibleModule, InterleavingPair, expected_phi_grid, segment_reps
 
 
 class FiltrationError(ValueError):
@@ -386,7 +386,7 @@ def interleaving_from_perturbation(K: FilteredComplex, K2: FilteredComplex,
     def family(src_K, tgt_K, src_M, tgt_M):
         grid = expected_phi_grid(src_M, tgt_M, eps)
         mors = []
-        for r in (grid[0] - 1,) + grid:
+        for r in segment_reps(grid):
             a = _stage_at(src_K, k, coeffs, at=r)
             b = _stage_at(tgt_K, k, coeffs, at=r + eps)
             mors.append(make_mor(src_M.object_at(r), tgt_M.object_at(r + eps),

@@ -60,9 +60,6 @@ class Mat:
     def columns(self) -> list[tuple]:
         return [self.col(j) for j in range(self.cols)]
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
-
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -118,17 +115,6 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}, {self.to_lists()})"
-
-
-def mat_from_vec(v: Sequence) -> Mat:
-    """Column vector as an n x 1 matrix."""
-    return Mat.from_cols([tuple(v)], nrows=len(v))
-
-
-def vec_from_mat(m: Mat) -> tuple:
-    if m.cols != 1:
-        raise ValueError("expected a column vector")
-    return m.col(0)
 
 
 def frac(x) -> Fraction:

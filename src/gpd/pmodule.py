@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .categories import (
     Category,
-    IsoClass,
     Mor,
     Obj,
     compose,
@@ -24,9 +23,8 @@ from .categories import (
     identity_mor,
     identity_obj,
     image_iso_class,
-    make_mor,
 )
-from .grothendieck import GroupElem, a_class, b_class
+from .grothendieck import a_class
 
 
 class ModuleError(ValueError):
@@ -126,39 +124,18 @@ def module_direct_sum(F: ConstructibleModule, G: ConstructibleModule) -> Constru
 # The image-class map on grid intervals
 # ---------------------------------------------------------------------------
 
-def dX_cell(F: ConstructibleModule, i: int, j: int) -> IsoClass:
-    """Image class for the grid cell [s_i, s_j), with j = n + 1 meaning infinity.
+def dX_A(F: ConstructibleModule):
+    """The image-class function X_A of F: one split-group class per grid cell.
 
-    'Just before s_j' is realized as segment j - 1, and anything beyond
-    s_n as segment n, which eliminates the small offset in the interval
-    casework.
+    The cell [s_i, s_j), with j = n + 1 meaning infinity, is the image
+    of F(s_i) -> F(s_j - 0); 'just before s_j' is realized as segment
+    j - 1, and anything beyond s_n as segment n, which eliminates the
+    small offset in the interval casework.  Each row composes its
+    connecting morphisms incrementally.  This is the only image-class
+    pass: type B data is its image under the quotient map.
     """
-    n = F.n
-    if not 1 <= i < j <= n + 1:
-        raise ModuleError(f"bad grid cell ({i}, {j})")
-    b = n if j == n + 1 else j - 1
-    return image_iso_class(composite_mor(F, i, b))
+    from .diagram import DiagramGrid
 
-
-def dX_iso(F: ConstructibleModule, p, q=None) -> IsoClass:
-    """Image class of the interval [p, q), q None meaning infinity.
-
-    Intervals meeting the critical set in the same subset give the same
-    class, so arbitrary rational endpoints snap onto the grid casework.
-    """
-    a = F.segment(p)
-    if q is None:
-        b = F.n
-    else:
-        if q <= p:
-            raise ModuleError("empty interval")
-        b = F.segment(q) - 1 if q in F.values else F.segment(q)
-        b = max(b, a)
-    return image_iso_class(composite_mor(F, a, b))
-
-
-def _dX_cells(F: ConstructibleModule, classify) -> dict:
-    """classify(image class) over all grid cells, composing incrementally."""
     cells = {}
     n = F.n
     for i in range(1, n + 1):
@@ -169,22 +146,8 @@ def _dX_cells(F: ConstructibleModule, classify) -> dict:
             while at < b:
                 comp = compose(F.morphisms[at], comp)
                 at += 1
-            cells[(i, j)] = classify(image_iso_class(comp))
-    return cells
-
-
-def dX_A(F: ConstructibleModule):
-    from .diagram import DiagramGrid
-
-    return DiagramGrid.make("A", F.cat, F.values, _dX_cells(F, a_class),
-                            role="constructible")
-
-
-def dX_B(F: ConstructibleModule):
-    from .diagram import DiagramGrid
-
-    return DiagramGrid.make("B", F.cat, F.values, _dX_cells(F, b_class),
-                            role="constructible")
+            cells[(i, j)] = a_class(image_iso_class(comp))
+    return DiagramGrid.make("A", F.cat, F.values, cells, role="constructible")
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +181,16 @@ def expected_phi_grid(F, G, eps) -> tuple:
     return tuple(sorted(set(F.values) | {v - eps for v in G.values}))
 
 
+def segment_reps(grid: tuple) -> tuple:
+    """One parameter in each segment of a breakpoint grid: one below the
+    first breakpoint, then the breakpoints themselves.  An empty grid has
+    the single segment of all reals."""
+    return (grid[0] - 1,) + grid if grid else (Fraction(0),)
+
+
 def identity_interleaving(F: ConstructibleModule) -> InterleavingPair:
     grid = expected_phi_grid(F, F, Fraction(0))
-    mors = tuple(identity_mor(F.object_at(t)) for t in (grid[0] - 1,) + grid)
+    mors = tuple(identity_mor(F.object_at(t)) for t in segment_reps(grid))
     return InterleavingPair(Fraction(0), grid, mors, grid, mors)
 
 
@@ -245,8 +215,7 @@ def check_interleaving(F: ConstructibleModule, G: ConstructibleModule,
     points = set()
     for s in list(F.values) + list(G.values):
         points.update((s, s - eps, s - 2 * eps))
-    reps = sorted(points)
-    reps = [reps[0] - 1] + reps
+    reps = segment_reps(tuple(sorted(points)))
 
     for r in reps:
         if pair.phi_at(r).src != F.object_at(r) or pair.phi_at(r).tgt != G.object_at(r + eps):

@@ -12,7 +12,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
+from gpd.categories import image_iso_class
+from gpd.diagram import DiagramGrid, mobius_invert
+from gpd.grothendieck import GroupElem
 from gpd.matrix import Mat
+from gpd.pmodule import composite_mor
 
 
 # --- Smith normal form: d_1 * ... * d_k = gcd of all k x k minors -----------
@@ -250,3 +254,37 @@ def bottleneck_distance(pts1, pts2):
                         cost = max(cost, abs(a[0] - b[0]), abs(a[1] - b[1]))
                     best = min(best, cost)
     return max(best, best_inf)
+
+
+# --- Type B diagram by classifying each cell straight into B -----------------
+
+def _b_label(c) -> dict:
+    """Quotient-group label of an isomorphism class, read off its
+    indecomposables: dimension, free rank, p-power length per prime
+    (torsion dies over Z), total Jordan block size per eigenvalue."""
+    label: dict = {}
+    for d, cnt in c.items:
+        if d == "line":
+            key, amount = "dim", cnt
+        elif d == "Z":
+            key, amount = "rank", cnt
+        elif d[0] == "t" and c.cat.kind == "ab":
+            continue
+        else:
+            key, amount = d[1], d[2] * cnt
+        label[key] = label.get(key, 0) + amount
+    return label
+
+
+def type_B_oracle(F) -> DiagramGrid:
+    """Type B diagram of a module without the split group: each cell's
+    image is recomposed from scratch, its class labelled directly in the
+    quotient group, and the cumulative data inverted."""
+    n = F.n
+    cells = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 2):
+            b = n if j == n + 1 else j - 1
+            label = _b_label(image_iso_class(composite_mor(F, i, b)))
+            cells[(i, j)] = GroupElem("B", F.cat, tuple(sorted((k, v) for k, v in label.items() if v)))
+    return mobius_invert(DiagramGrid.make("B", F.cat, F.values, cells, role="constructible"))

@@ -77,6 +77,15 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "--input", "/nonexistent.flt")
         assert code == 2 and err.strip()
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "d.json"
+        code, out, err = run(capsys, "diagram", "--input", str(DATA / "triangle.flt"),
+                             "--coeff", "Q", "--out", str(dest))
+        assert code == 2 and out == "" and "cannot write" in err
+        code, _, err = run(capsys, "convert", "--input", str(DATA / "sample_a.json"),
+                           "--out", str(dest))
+        assert code == 2 and "cannot write" in err
+
 
 class TestErosion:
     def test_self_distance_zero(self, capsys):
@@ -121,6 +130,22 @@ class TestStability:
                            "--epsilon", "1/2", "--trials", "2", "--seed", "0")
         assert code == 0
         assert all(r.endswith("skipped") for r in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_2(self, capsys, trials):
+        code, out, err = run(capsys, "stability", "--input", str(DATA / "triangle.flt"),
+                             "--epsilon", "1/8", "--trials", trials)
+        assert code == 2 and out == "" and "trials" in err
+
+    def test_empty_filtration_passes(self, capsys, tmp_path):
+        src = tmp_path / "empty.flt"
+        src.write_text("# nothing here\n")
+        code, out, _ = run(capsys, "stability", "--input", str(src),
+                           "--epsilon", "1/8", "--trials", "2")
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == 3
+        assert all(r.split("\t")[1:3] == ["pass", "pass"] for r in rows[1:])
 
     def test_negative_epsilon_exit_2(self, capsys):
         code, _, err = run(capsys, "stability", "--input", str(DATA / "triangle.flt"),

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
-from gpd.categories import ab, finab, make_mor, make_obj, repn, vect
+from gpd.categories import ab, finab, finset, identity_obj, make_mor, make_obj, repn, vect
 from gpd.diagram import (
     DiagramError,
     DiagramGrid,
@@ -17,14 +18,18 @@ from gpd.diagram import (
     positivity_check,
     type_A_diagram,
     type_B_diagram,
+    type_B_from_A,
 )
 from gpd.exact import QQ, PrimeField
-from gpd.grothendieck import GroupElem, zero_elem
+from gpd.grothendieck import GroupElem, NoBGroupError, zero_elem
+from gpd.homology import parse_filtration, persistent_module
 from gpd.matrix import Mat
-from gpd.pmodule import ConstructibleModule, dX_A, dX_B, module_direct_sum
+from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
 
-from generators import random_interval_sum_module, random_module
-from oracles import classical_diagram_gf2
+from generators import ALL_CATS, random_interval_sum_module, random_module
+from oracles import classical_diagram_gf2, type_B_oracle
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
 GF2 = PrimeField(2)
 
@@ -120,6 +125,37 @@ def test_cumulative_at_snaps_rational_endpoints():
     # endpoints strictly inside a segment snap to the surrounding cell
     mid = (F.values[0] + F.values[1]) / 2
     assert cumulative_at(Y, mid, None) == X.get(1, n + 1)
+
+
+@pytest.mark.parametrize("cat", [c for c in ALL_CATS if c.abelian],
+                         ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
+def test_type_B_is_quotient_of_type_A(cat):
+    """Y_B = pi(Y_A) agrees with classifying every cell directly into B."""
+    rng = random.Random(67)
+    for _ in range(8):
+        F = random_module(cat, rng, max_values=4, max_size=3)
+        assert type_B_diagram(F) == type_B_oracle(F)
+        assert type_B_from_A(dX_A(F)) == cumulate(type_B_oracle(F))
+
+
+@pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt"])
+def test_type_B_of_bundled_filtrations_matches_oracle(name):
+    K = parse_filtration((DATA / name).read_text())
+    for coeffs in ["Z", "Q", "Fp:2", "Zm:4"]:
+        for k in range(3):
+            F = persistent_module(K, k, coeffs)
+            assert type_B_diagram(F) == type_B_oracle(F), (name, coeffs, k)
+
+
+def test_quotient_map_rejects_finset_and_type_B_grids():
+    def zero_module(cat):
+        return ConstructibleModule(cat, (), (identity_obj(cat),), ())
+
+    # finite sets have no quotient group, even for a module with no cells
+    with pytest.raises(NoBGroupError):
+        type_B_diagram(zero_module(finset()))
+    with pytest.raises(DiagramError):
+        type_B_from_A(type_B_diagram(zero_module(vect(QQ))))
 
 
 def test_quotient_group_diagram_positive_where_split_diagram_is_not():

@@ -5,7 +5,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from gpd.categories import identity_mor, make_mor, make_obj, vect
+from gpd.categories import identity_mor, identity_obj, make_mor, make_obj, vect
+from gpd.diagram import cumulative_at, type_A_diagram
 from gpd.exact import QQ
 from gpd.matrix import Mat, frac
 from gpd.pmodule import (
@@ -16,8 +17,7 @@ from gpd.pmodule import (
     check_interleaving,
     common_refinement,
     composite_mor,
-    dX_cell,
-    dX_iso,
+    dX_A,
     evaluate,
     expected_phi_grid,
     identity_interleaving,
@@ -98,21 +98,23 @@ def test_direct_sum_of_intervals():
     assert S.morphisms[1].payload.is_zero()
 
 
-def test_dX_cell_of_interval_module():
+def test_dX_A_of_interval_module():
     F = interval_module(QQ, [0, 1, 2], 1, 3)  # alive on [0, 2)
-    assert dX_cell(F, 1, 2).mult() == {"line": 1}
-    assert dX_cell(F, 1, 3).mult() == {"line": 1}
-    assert dX_cell(F, 1, 4).mult() == {}
-    assert dX_cell(F, 2, 3).mult() == {"line": 1}
-    assert dX_cell(F, 3, 4).mult() == {}
+    X = dX_A(F)
+    assert X.get(1, 2).mult() == {"line": 1}
+    assert X.get(1, 3).mult() == {"line": 1}
+    assert X.get(1, 4).mult() == {}
+    assert X.get(2, 3).mult() == {"line": 1}
+    assert X.get(3, 4).mult() == {}
 
 
-def test_dX_iso_snaps_rational_endpoints():
+def test_image_classes_snap_rational_endpoints():
     F = interval_module(QQ, [0, 1, 2], 1, 3)
-    assert dX_iso(F, Fr(1, 2), Fr(3, 2)).mult() == {"line": 1}
-    assert dX_iso(F, Fr(0), Fr(2)).mult() == {"line": 1}  # [0, 2) excludes 2
-    assert dX_iso(F, Fr(0), Fr(5, 2)).mult() == {}
-    assert dX_iso(F, Fr(0)).mult() == {}  # unbounded interval dies at 2
+    Y = type_A_diagram(F)
+    assert cumulative_at(Y, Fr(1, 2), Fr(3, 2)).mult() == {"line": 1}
+    assert cumulative_at(Y, Fr(0), Fr(2)).mult() == {"line": 1}  # [0, 2) excludes 2
+    assert cumulative_at(Y, Fr(0), Fr(5, 2)).mult() == {}
+    assert cumulative_at(Y, Fr(0)).mult() == {}  # unbounded interval dies at 2
 
 
 def test_identity_interleaving_checks():
@@ -120,6 +122,9 @@ def test_identity_interleaving_checks():
     for cat in ALL_CATS:
         F = random_module(cat, rng)
         assert check_interleaving(F, F, identity_interleaving(F))
+        # the zero module: no critical values, a single segment
+        Z = ConstructibleModule(cat, (), (identity_obj(cat),), ())
+        assert check_interleaving(Z, Z, identity_interleaving(Z))
 
 
 def test_interleaving_of_shifted_intervals():
