@@ -7,7 +7,8 @@ and `convert` (re-emit a diagram file in another format).
 
 Exit codes: 0 success; 1 a stability trial violated a theorem; 2 parse
 or validation errors, or a file that cannot be read or written; 3
-unsupported group/category combination.
+unsupported group/category combination; 4 any other exception, which is
+a bug in gpd and is reported without a traceback.
 """
 
 from __future__ import annotations
@@ -16,22 +17,20 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .categories import CategoryError
 from .diagram import DiagramError, diagram_leq, type_A_diagram, type_B_diagram, type_B_from_A
-from .exact import NonSplitError
+from .exact import NonSplitError, parse_rational
 from .grothendieck import NoBGroupError
 from .homology import (
-    FiltrationError,
     component_module,
     interleaving_from_perturbation,
     parse_filtration,
+    persistent_homology,
     persistent_module,
     perturb,
 )
 from .metrics import erode, erosion_distance
 from .pmodule import check_interleaving
 from .serialize import (
-    SerializeError,
     diagram_from_json,
     diagram_to_json,
     diagram_to_svg,
@@ -43,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -77,7 +77,7 @@ def _emit(d, args):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(EXIT_INPUT, f"bad rational {text!r}") from None
 
@@ -130,8 +130,8 @@ def cmd_stability(args) -> int:
         raise CliError(EXIT_INPUT, "epsilon must be nonnegative")
     if args.trials <= 0:
         raise CliError(EXIT_INPUT, "trials must be positive")
-    coeffs = args.coeff
-    F = persistent_module(K, args.degree, coeffs)
+    H = persistent_homology(K, args.degree, args.coeff)
+    F = H.module
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]
     rho = min(gaps) / 4 if gaps else None
     in_hypothesis = rho is not None and eps < rho
@@ -142,8 +142,9 @@ def cmd_stability(args) -> int:
     ok_all = True
     for trial in range(args.trials):
         K2 = perturb(K, eps, seed=args.seed + trial)
-        Fm, G, pair = interleaving_from_perturbation(K, K2, args.degree, coeffs, eps)
-        inter_ok = check_interleaving(Fm, G, pair)
+        H2 = persistent_homology(K2, args.degree, args.coeff)
+        G = H2.module
+        inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
         YA_G = type_A_diagram(G)
         dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
@@ -222,9 +223,12 @@ def main(argv=None) -> int:
     except (NoBGroupError, NonSplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FiltrationError, SerializeError, DiagramError, CategoryError, ValueError) as exc:
+    except ValueError as exc:  # FiltrationError, SerializeError, DiagramError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug in gpd, never a theorem violation
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -293,6 +293,19 @@ def quotient_invariants(L_gens: Mat, B_gens: Mat) -> tuple[int, list[int]]:
 # Fields and row reduction
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 4300  # Python's own limit on the digits of an int read from text
+
+
+def parse_rational(text) -> Fraction:
+    """`Fraction(text)`, but a decimal exponent beyond MAX_EXPONENT raises
+    ValueError: `Fraction("1e999999999")` would build 10**999999999."""
+    exp = str(text).lower().partition("e")[2].replace("_", "").strip()
+    exp = exp.lstrip("+-").lstrip("0")
+    if exp.isdigit() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
+        raise ValueError(f"exponent of {str(text)[:40]!r} exceeds {MAX_EXPONENT}")
+    return Fraction(text)
+
+
 class RationalField:
     """The field Q; elements are Fractions (ints are coerced)."""
 

@@ -23,6 +23,7 @@ from .exact import (
     field_rref,
     field_solve,
     int_kernel,
+    parse_rational,
     preimage_lattice,
 )
 from .matrix import Mat
@@ -39,17 +40,21 @@ class FiltrationParseError(FiltrationError):
         self.line_no = line_no
 
 
-class MissingFaceError(FiltrationError):
-    def __init__(self, line_no: int, simplex, face):
-        super().__init__(f"line {line_no}: simplex {simplex} is missing its face {face}")
-        self.line_no = line_no
+class _FaceError(FiltrationError):
+    problem = ""  # what is wrong between `simplex` and `face`
+
+    def __init__(self, simplex, face, line_no=None):
+        where = "" if line_no is None else f"line {line_no}: "
+        super().__init__(f"{where}simplex {simplex} {self.problem} {face}")
+        self.simplex, self.face, self.line_no = simplex, face, line_no
 
 
-class ValueInversionError(FiltrationError):
-    def __init__(self, line_no: int, simplex, face):
-        super().__init__(
-            f"line {line_no}: simplex {simplex} appears before its face {face}")
-        self.line_no = line_no
+class MissingFaceError(_FaceError):
+    problem = "is missing its face"
+
+
+class ValueInversionError(_FaceError):
+    problem = "appears before its face"
 
 
 @dataclass(frozen=True)
@@ -66,13 +71,13 @@ class FilteredComplex:
             raise FiltrationError("duplicate simplex")
         verts = {v for s in self.simplices for v in s}
         if verts != set(range(len(verts))):
-            raise FiltrationError("vertex indices must be dense from 0")
+            raise FiltrationError(f"vertex indices must be dense from 0, got {sorted(verts)}")
         for s, v in zip(self.simplices, self.values):
             for f in facets(s):
                 if f not in index:
-                    raise FiltrationError(f"simplex {s} is missing its face {f}")
+                    raise MissingFaceError(s, f)
                 if self.values[index[f]] > v:
-                    raise FiltrationError(f"simplex {s} appears before its face {f}")
+                    raise ValueInversionError(s, f)
 
     @property
     def critical_values(self) -> tuple:
@@ -104,10 +109,10 @@ def parse_filtration(text: str) -> FilteredComplex:
     """Parse `v0 v1 ... vk : value` lines; `#` starts a comment.
 
     Values are decimals or `p/q` rationals; lines may come in any
-    order.  Errors carry the offending 1-based line number.
+    order.  Errors carry the offending 1-based line number, except that
+    vertex indices must be dense from 0 across the whole file.
     """
-    entries = []
-    lines = {}
+    values, lines = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,28 +128,17 @@ def parse_filtration(text: str) -> FilteredComplex:
             raise FiltrationParseError(line_no, "empty vertex list")
         if len(set(verts)) != len(verts):
             raise FiltrationParseError(line_no, f"repeated vertex in {verts}")
-        if any(v < 0 for v in verts):
-            raise FiltrationParseError(line_no, "negative vertex index")
         try:
-            value = Fraction(right.strip())
+            value = parse_rational(right.strip())
         except (ValueError, ZeroDivisionError):
             raise FiltrationParseError(line_no, f"bad value {right.strip()!r}") from None
         if verts in lines:
             raise FiltrationParseError(line_no, f"duplicate simplex {verts}")
-        lines[verts] = line_no
-        entries.append((verts, value))
-
-    index = {s: v for s, v in entries}
-    verts = {v for s in index for v in s}
-    if verts != set(range(len(verts))):
-        raise FiltrationParseError(0, f"vertex indices must be dense from 0, got {sorted(verts)}")
-    for s, v in entries:
-        for f in facets(s):
-            if f not in index:
-                raise MissingFaceError(lines[s], s, f)
-            if index[f] > v:
-                raise ValueInversionError(lines[s], s, f)
-    return make_complex(entries)
+        lines[verts], values[verts] = line_no, value
+    try:
+        return make_complex(values.items())
+    except _FaceError as exc:
+        raise type(exc)(exc.simplex, exc.face, lines[exc.simplex]) from None
 
 
 def boundary_matrix(rows: list, cols: list) -> Mat:
@@ -187,8 +181,8 @@ class _Stage:
     and `coords` to express any cycle of the stage in those generators.
     """
 
-    def __init__(self, K: FilteredComplex, k: int, coeffs: str, at):
-        kind, arg = parse_coeffs(coeffs)
+    def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
+        kind, arg = ring  # parsed coefficients, see parse_coeffs
         self.k_simplices = K.simplices_of_dim(k, at=at)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
@@ -238,19 +232,6 @@ class _Stage:
         return self._lq.coords(chain)
 
 
-_stage_cache: dict = {}
-
-
-def _stage_at(K: FilteredComplex, k: int, coeffs: str, at) -> _Stage:
-    """Stages keyed by the sublevel subset: different thresholds that
-    admit the same simplices share one homology computation."""
-    mask = tuple(v <= at for v in K.values)
-    key = (K, k, coeffs, mask)
-    if key not in _stage_cache:
-        _stage_cache[key] = _Stage(K, k, coeffs, at)
-    return _stage_cache[key]
-
-
 def _induced_payload(src: _Stage, tgt: _Stage):
     """Matrix of the inclusion-induced map in canonical coordinates."""
     pos = {s: i for i, s in enumerate(tgt.k_simplices)}
@@ -260,39 +241,48 @@ def _induced_payload(src: _Stage, tgt: _Stage):
         for i, s in enumerate(src.k_simplices):
             chain[pos[s]] = src.gen_reps[i, j]
         cols.append(tgt.coords(chain))
-    return Mat.from_cols(cols, nrows=_ngens(tgt))
+    return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
 
 
-def _ngens(stage: _Stage) -> int:
-    return stage.gen_reps.cols
+@dataclass(frozen=True, eq=False)
+class PersistentHomology:
+    """Persistent homology with the stages its module was computed from:
+    `stages[i]` is the stage of segment i (`stages[0]` the empty complex),
+    so further induced maps, such as an interleaving, reuse them.  Only
+    the caller holds them."""
+
+    complex: FilteredComplex
+    k: int
+    coeffs: str
+    stages: tuple
+    module: ConstructibleModule
+
+    def stage_at(self, r) -> _Stage:
+        return self.stages[self.module.segment(r)]
 
 
-def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleModule:
+def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHomology:
     """Degree-k persistent homology of the sublevel filtration.
 
     Field coefficients give vector-space objects, 'Z' gives finitely
     generated abelian groups, 'Zm:<m>' gives finite abelian groups.
-    Degrees above the complex dimension give zero modules.
+    Degrees above the complex dimension give zero modules.  Each stage
+    is built once, below the first critical value and at every one.
     """
     if k < 0:
         raise FiltrationError("homology degree must be nonnegative")
-    kind, arg = parse_coeffs(coeffs)
-    values = K.critical_values
-    cat = vect(arg) if kind == "F" else (ab() if kind == "Z" else finab())
-    stages = [_stage_at(K, k, coeffs, at=t) for t in values]
-    objs = [make_obj(cat, 0 if kind == "F" else (0, ()))]
-    mors = []
-    prev = None
-    for st in stages:
-        objs.append(st.obj)
-        if prev is None:
-            zero = Mat.zero(_ngens(st), 0,
-                            zero=arg.zero if kind == "F" else 0)
-            mors.append(make_mor(objs[0], st.obj, zero))
-        else:
-            mors.append(make_mor(prev.obj, st.obj, _induced_payload(prev, st)))
-        prev = st
-    return ConstructibleModule(cat, values, tuple(objs), tuple(mors))
+    ring = parse_coeffs(coeffs)
+    stages = tuple(_Stage(K, k, ring, at=t) for t in segment_reps(K.critical_values))
+    mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
+                 for a, b in zip(stages, stages[1:]))
+    module = ConstructibleModule(stages[0].obj.cat, K.critical_values,
+                                 tuple(st.obj for st in stages), mors)
+    return PersistentHomology(K, k, coeffs, stages, module)
+
+
+def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleModule:
+    """The module of `persistent_homology(K, k, coeffs)`."""
+    return persistent_homology(K, k, coeffs).module
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +315,11 @@ def component_module(K: FilteredComplex) -> ConstructibleModule:
             groups.setdefault(find(v), []).append(v)
         return sorted(min(g) for g in groups.values()), {v: min(groups[find(v)]) for v in verts}
 
-    objs = [make_obj(cat, 0)]
-    mors = []
-    prev_reps = None
-    for t in values:
-        reps, root_of = components(t)
-        obj = make_obj(cat, len(reps))
-        objs.append(obj)
-        if prev_reps is None:
-            mors.append(make_mor(objs[0], obj, ()))
-        else:
-            table = tuple(reps.index(root_of[r]) for r in prev_reps)
-            mors.append(make_mor(objs[-2], obj, table))
-        prev_reps = reps
-    return ConstructibleModule(cat, values, tuple(objs), tuple(mors))
+    comps = [components(t) for t in segment_reps(values)]
+    objs = tuple(make_obj(cat, len(reps)) for reps, _ in comps)
+    mors = tuple(make_mor(objs[i], objs[i + 1], tuple(b.index(root_of[r]) for r in a))
+                 for i, ((a, _), (b, root_of)) in enumerate(zip(comps, comps[1:])))
+    return ConstructibleModule(cat, values, objs, mors)
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +347,35 @@ def perturb(K: FilteredComplex, eps, seed: int) -> FilteredComplex:
     return make_complex(index.items())
 
 
-def interleaving_from_perturbation(K: FilteredComplex, K2: FilteredComplex,
-                                   k: int, coeffs: str, eps):
-    """(F, G, pair): the two homology modules of filtrations of the same
-    complex whose values differ by at most eps, with their canonical
-    eps-interleaving.
+def interleaving_from_perturbation(H: PersistentHomology, H2: PersistentHomology,
+                                   eps) -> InterleavingPair:
+    """The canonical eps-interleaving of H.module and H2.module, for
+    filtrations of the same complex whose values differ by at most eps,
+    in the same degree and with the same coefficients.
 
     Both directions are inclusions of sublevel complexes, so the
-    morphism families are the induced maps in homology coordinates.
+    morphism families are the induced maps between the stages of H and
+    H2 in homology coordinates.
     """
     eps = Fraction(eps)
-    if K.simplices != K2.simplices:
+    if (H.k, H.coeffs) != (H2.k, H2.coeffs):
+        raise FiltrationError("interleaving needs the same degree and coefficients")
+    if H.complex.simplices != H2.complex.simplices:
         raise FiltrationError("interleaving needs the same underlying complex")
-    if any(abs(a - b) > eps for a, b in zip(K.values, K2.values)):
+    if any(abs(a - b) > eps for a, b in zip(H.complex.values, H2.complex.values)):
         raise FiltrationError("filtration values differ by more than eps")
-    F = persistent_module(K, k, coeffs)
-    G = persistent_module(K2, k, coeffs)
 
-    def family(src_K, tgt_K, src_M, tgt_M):
-        grid = expected_phi_grid(src_M, tgt_M, eps)
+    def family(src: PersistentHomology, tgt: PersistentHomology):
+        grid = expected_phi_grid(src.module, tgt.module, eps)
         mors = []
         for r in segment_reps(grid):
-            a = _stage_at(src_K, k, coeffs, at=r)
-            b = _stage_at(tgt_K, k, coeffs, at=r + eps)
-            mors.append(make_mor(src_M.object_at(r), tgt_M.object_at(r + eps),
-                                 _induced_payload(a, b)))
+            a, b = src.stage_at(r), tgt.stage_at(r + eps)
+            mors.append(make_mor(a.obj, b.obj, _induced_payload(a, b)))
         return grid, tuple(mors)
 
-    pg, phi = family(K, K2, F, G)
-    sg, psi = family(K2, K, G, F)
-    return F, G, InterleavingPair(eps, pg, phi, sg, psi)
+    pg, phi = family(H, H2)
+    sg, psi = family(H2, H)
+    return InterleavingPair(eps, pg, phi, sg, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .categories import ab, finab, finset, repn, vect
 from .diagram import DiagramGrid
-from .exact import QQ, PrimeField, RationalField
+from .exact import QQ, PrimeField, RationalField, parse_rational
 from .grothendieck import GroupElem, _make_elem
 
 
@@ -63,7 +63,7 @@ def _scalar_str(x) -> str:
 
 
 def _scalar_from_str(s: str, field):
-    return Fraction(s) if isinstance(field, RationalField) else int(s)
+    return parse_rational(s) if isinstance(field, RationalField) else int(s)
 
 
 def _label_key_str(group: str, cat, key) -> str:
@@ -121,7 +121,7 @@ def diagram_from_json(text: str) -> DiagramGrid:
         group = doc["group"]["tag"]
         cat = _cat_from_json(doc["group"])
         role = doc["group"].get("role", "diagram")
-        grid = tuple(Fraction(t) for t in doc["grid"])
+        grid = tuple(parse_rational(t) for t in doc["grid"])
         n = len(grid)
         cells = {}
         for c in doc["cells"]:
@@ -129,7 +129,7 @@ def diagram_from_json(text: str) -> DiagramGrid:
             coeffs = {_label_key_parse(group, cat, k): int(v) for k, v in c["label"].items()}
             cells[(int(c["i"]), j)] = _make_elem(group, cat, coeffs)
         return DiagramGrid.make(group, cat, grid, cells, role=role)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise SerializeError(f"bad diagram file: {exc}") from exc
 
 

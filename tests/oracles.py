@@ -12,11 +12,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from gpd.categories import image_iso_class
+from gpd.categories import image_iso_class, make_mor
 from gpd.diagram import DiagramGrid, mobius_invert
 from gpd.grothendieck import GroupElem
+from gpd.homology import _induced_payload, _Stage, parse_coeffs, persistent_module
 from gpd.matrix import Mat
-from gpd.pmodule import composite_mor
+from gpd.pmodule import InterleavingPair, composite_mor, expected_phi_grid, segment_reps
 
 
 # --- Smith normal form: d_1 * ... * d_k = gcd of all k x k minors -----------
@@ -288,3 +289,23 @@ def type_B_oracle(F) -> DiagramGrid:
             label = _b_label(image_iso_class(composite_mor(F, i, b)))
             cells[(i, j)] = GroupElem("B", F.cat, tuple(sorted((k, v) for k, v in label.items() if v)))
     return mobius_invert(DiagramGrid.make("B", F.cat, F.values, cells, role="constructible"))
+
+
+# --- Interleaving of a perturbation from freshly built stages ----------------
+
+def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
+    """The canonical eps-interleaving of the degree-k homology of K and K2,
+    with every morphism computed between two homology stages built
+    afresh at r and r + eps, sharing nothing with the modules' stages."""
+    ring = parse_coeffs(coeffs)
+    F, G = persistent_module(K, k, coeffs), persistent_module(K2, k, coeffs)
+
+    def family(src, tgt, M, N):
+        grid = expected_phi_grid(M, N, eps)
+        mors = tuple(make_mor(M.object_at(r), N.object_at(r + eps),
+                              _induced_payload(_Stage(src, k, ring, at=r),
+                                               _Stage(tgt, k, ring, at=r + eps)))
+                     for r in segment_reps(grid))
+        return grid, mors
+
+    return InterleavingPair(eps, *family(K, K2, F, G), *family(K2, K, G, F))

@@ -37,6 +37,7 @@ from gpd.grothendieck import _make_elem
 from gpd.homology import (
     interleaving_from_perturbation,
     parse_filtration,
+    persistent_homology,
     persistent_module,
     perturb,
 )
@@ -140,7 +141,8 @@ def test_5_continuity():
     ok = True
     for name in ["klein_bottle.flt", "torus.flt"]:
         K = parse_filtration((DATA / name).read_text())
-        F = persistent_module(K, 1, "Z")
+        H = persistent_homology(K, 1, "Z")
+        F = H.module
         gap = min(b - a for a, b in zip(F.values, F.values[1:]))
         YA_F = type_A_diagram(F)
         YB_F = type_B_diagram(F)
@@ -148,9 +150,9 @@ def test_5_continuity():
         rho = gap / 4
         for trial in range(50):
             eps = eps_menu[trial % 3]
-            K2 = perturb(K, eps, seed=1000 + trial)
-            Fm, G, pair = interleaving_from_perturbation(K, K2, 1, "Z", eps)
-            inter_ok = check_interleaving(Fm, G, pair)
+            H2 = persistent_homology(perturb(K, eps, seed=1000 + trial), 1, "Z")
+            G = H2.module
+            inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
             dist = erosion_distance(YB_F, type_B_diagram(G)).distance
             cont_ok = dist is not None and dist <= eps
             ok = ok and inter_ok and cont_ok

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from gpd import cli
 from gpd.cli import main
+from gpd.serialize import SerializeError, diagram_from_json
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -66,6 +68,13 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "--input", str(DATA / "triangle.flt"),
                            "--category", "vect", "--coeff", "Z")
         assert code == 2 and err.strip()
+
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_value_exit_2(self, capsys, tmp_path, value):
+        src = tmp_path / "huge.flt"
+        src.write_text(f"0 : {value}\n")
+        code, out, err = run(capsys, "diagram", "--input", str(src))
+        assert code == 2 and out == "" and "line 1" in err
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         src = tmp_path / "bad.flt"
@@ -152,6 +161,21 @@ class TestStability:
                            "--epsilon", "-1", "--trials", "1")
         assert code == 2 and err.strip()
 
+    @pytest.mark.parametrize("eps", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_epsilon_exit_2(self, capsys, eps):
+        code, out, err = run(capsys, "stability", "--input", str(DATA / "triangle.flt"),
+                             "--epsilon", eps, "--trials", "1")
+        assert code == 2 and out == "" and "bad rational" in err
+
+    def test_one_persistent_homology_per_filtration(self, capsys, monkeypatch):
+        calls = []
+        real = cli.persistent_homology
+        monkeypatch.setattr(cli, "persistent_homology",
+                            lambda *args: calls.append(args) or real(*args))
+        code, _, _ = run(capsys, "stability", "--input", str(DATA / "torus.flt"),
+                         "--degree", "1", "--epsilon", "1/8", "--trials", "3")
+        assert code == 0 and len(calls) == 4
+
 
 class TestConvert:
     def test_json_round_trip_byte_identical(self, capsys):
@@ -174,9 +198,47 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--input", str(src))
         assert code == 2 and err.strip()
 
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+    @pytest.mark.parametrize("where", ["grid", "label"])
+    def test_huge_exponent_in_diagram_exit_2(self, capsys, tmp_path, value, where):
+        doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {"j:1:1": 1}}],
+               "group": {"tag": "A", "category": "repn", "field": "Q", "role": "diagram"}}
+        if where == "grid":
+            doc["grid"] = [value]
+        else:
+            doc["cells"][0]["label"] = {f"j:{value}:1": 1}
+        text = json.dumps(doc)
+        with pytest.raises(SerializeError):
+            diagram_from_json(text)
+        src = tmp_path / "huge.json"
+        src.write_text(text)
+        code, out, err = run(capsys, "convert", "--input", str(src))
+        assert code == 2 and out == "" and "exceeds" in err
+
+    @pytest.mark.parametrize("grid", [["1/0"], ["Infinity"]])
+    def test_arithmetic_errors_in_diagram_exit_2(self, capsys, tmp_path, grid):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"grid": grid, "cells": [],
+                                   "group": {"tag": "B", "category": "ab"}})
+                       .replace('"Infinity"', "Infinity"))
+        code, _, err = run(capsys, "convert", "--input", str(src))
+        assert code == 2 and err.strip()
+
     def test_pipeline_diagram_then_convert(self, capsys, tmp_path):
         dest = tmp_path / "k.json"
         run(capsys, "diagram", "--input", str(DATA / "klein_bottle.flt"),
             "--coeff", "Z", "--degree", "1", "--out", str(dest))
         code, out, _ = run(capsys, "convert", "--input", str(dest), "--format", "json")
         assert code == 0 and out == dest.read_text()
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_convert", broken)
+        code, out, err = run(capsys, "convert", "--input", str(DATA / "sample_a.json"))
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == "" and "internal error" in err and "boom" in err
+        assert "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd.exact import (
+    MAX_EXPONENT,
     QQ,
     LatticeContainmentError,
     NonSplitError,
@@ -21,6 +22,7 @@ from gpd.exact import (
     lattice_basis,
     lattice_contains,
     lattice_intersection,
+    parse_rational,
     preimage_lattice,
     quotient_invariants,
     smith_normal_form,
@@ -268,3 +270,14 @@ def test_det_int():
     assert det_int(Mat.identity(3)) == 1
     assert det_int(Mat.from_rows([[2, 1], [1, 1]])) == 1
     assert det_int(Mat.from_rows([[2, 4], [1, 2]])) == 0
+
+
+def test_parse_rational_caps_the_exponent():
+    assert parse_rational("3/4") == Fraction(3, 4)
+    assert parse_rational(" 1.5E+2 ") == 150
+    assert parse_rational(f"1e-{MAX_EXPONENT}") == Fraction(1, 10 ** MAX_EXPONENT)
+    for text in (f"1e{MAX_EXPONENT + 1}", "1e10000000", "1e-10000000", "2.5E+0010000000"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_rational("1e")

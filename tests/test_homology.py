@@ -1,14 +1,19 @@
 """Filtration parsing, exact homology, perturbation, and interleavings."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
+    FilteredComplex,
     FiltrationError,
     FiltrationParseError,
     MissingFaceError,
@@ -17,14 +22,19 @@ from gpd.homology import (
     component_module,
     interleaving_from_perturbation,
     make_complex,
+    parse_coeffs,
     parse_filtration,
+    persistent_homology,
     persistent_module,
     perturb,
     rips_filtration,
-    _stage_at,
+    _induced_payload,
+    _Stage,
 )
 from gpd.matrix import Mat
 from gpd.pmodule import check_interleaving, evaluate
+
+from oracles import interleaving_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -103,6 +113,61 @@ class TestParsing:
             parse_filtration("0 : 0\n1 : 2\n0 1 : 1")
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_rejected(self, value):
+        with pytest.raises(FiltrationParseError) as exc:
+            parse_filtration(f"0 : 0\n1 : {value}")
+        assert exc.value.line_no == 2
+
+    def test_complex_errors_name_the_simplex(self):
+        with pytest.raises(MissingFaceError) as exc:
+            make_complex([((0,), 0), ((1,), 0), ((2,), 0), ((0, 1, 2), 1)])
+        assert exc.value.simplex == (0, 1, 2) and exc.value.line_no is None
+        with pytest.raises(FiltrationError, match="dense") as exc:
+            parse_filtration("0 : 0\n2 : 0")
+        assert "line" not in str(exc.value)
+
+
+_value = st.sampled_from(["0", "1/2", "1", "2", "0.5", "1e0"] * 3 + ["x", "1e9999"])
+_noise = st.one_of(st.text(max_size=12), st.just("# comment"), st.just(""))
+
+
+@st.composite
+def _filtration_texts(draw):
+    """Face-closed vertex lists with values from a small alphabet, shuffled,
+    maybe missing one line, with arbitrary text lines mixed in."""
+    tops = draw(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+                         max_size=4))
+    dense = {v: i for i, v in enumerate(sorted({v for t in tops for v in t}))}
+    closure = {f for t in tops for r in range(1, len(t) + 1)
+               for f in itertools.combinations(sorted(dense[v] for v in t), r)}
+    monotone = draw(st.booleans())  # values by dimension: no inversions
+    lines = [f"{' '.join(map(str, s))} : {len(s) if monotone else draw(_value)}"
+             f"{draw(st.sampled_from(['', ' # c']))}" for s in sorted(closure)]
+    lines = draw(st.permutations(lines))
+    if lines and draw(st.booleans()):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_noise))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filtration_texts())
+def test_parse_filtration_raises_only_filtration_errors(text):
+    try:
+        K = parse_filtration(text)
+    except (MissingFaceError, ValueInversionError) as exc:
+        # the line number points at the non-comment line of the simplex
+        assert exc.line_no >= 1
+        line = text.splitlines()[exc.line_no - 1].split("#", 1)[0].strip()
+        assert line
+        assert tuple(sorted(int(t) for t in line.partition(":")[0].split())) == exc.simplex
+    except FiltrationError:
+        pass
+    else:
+        assert isinstance(K, FilteredComplex)
+
 
 class TestHomology:
     def test_single_vertex_module(self):
@@ -177,9 +242,9 @@ class TestHomology:
             for coeffs in ["Z", "Q", "Zm:4", "Fp:2"]:
                 F = persistent_module(K, 1, coeffs)
                 two_step = evaluate(F, F.values[0], F.values[2])
-                from gpd.homology import _induced_payload
-                direct = _induced_payload(_stage_at(K, 1, coeffs, F.values[0]),
-                                          _stage_at(K, 1, coeffs, F.values[2]))
+                ring = parse_coeffs(coeffs)
+                direct = _induced_payload(_Stage(K, 1, ring, F.values[0]),
+                                          _Stage(K, 1, ring, F.values[2]))
                 assert two_step.payload == direct
 
 
@@ -219,9 +284,48 @@ class TestPerturbation:
         K = parse_filtration((DATA / "klein_bottle.flt").read_text())
         for seed, eps, coeffs in [(1, Fr(1, 8), "Z"), (2, Fr(1, 2), "Q"),
                                   (3, Fr(1, 4), "Zm:2")]:
-            K2 = perturb(K, eps, seed=seed)
-            F, G, pair = interleaving_from_perturbation(K, K2, 1, coeffs, eps)
-            assert check_interleaving(F, G, pair)
+            H = persistent_homology(K, 1, coeffs)
+            H2 = persistent_homology(perturb(K, eps, seed=seed), 1, coeffs)
+            pair = interleaving_from_perturbation(H, H2, eps)
+            assert check_interleaving(H.module, H2.module, pair)
+
+    @pytest.mark.parametrize("coeffs", ["Z", "Q", "Zm:2", "Fp:2"])
+    @pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt", "empty"])
+    def test_interleaving_matches_fresh_stage_oracle(self, name, coeffs):
+        K = parse_filtration("" if name == "empty" else (DATA / name).read_text())
+        eps = Fr(1, 4)
+        K2 = perturb(K, eps, seed=7)
+        H, H2 = persistent_homology(K, 1, coeffs), persistent_homology(K2, 1, coeffs)
+        assert interleaving_from_perturbation(H, H2, eps) == \
+            interleaving_oracle(K, K2, 1, coeffs, eps)
+
+    def test_interleaving_rejects_mismatched_inputs(self):
+        K = parse_filtration(TRIANGLE)
+        H = persistent_homology(K, 1, "Z")
+        shifted = make_complex((s, v + 1) for s, v in zip(K.simplices, K.values))
+        for other in (persistent_homology(K, 0, "Z"), persistent_homology(K, 1, "Q"),
+                      persistent_homology(parse_filtration("0 : 0"), 1, "Z"),
+                      persistent_homology(shifted, 1, "Z")):
+            with pytest.raises(FiltrationError):
+                interleaving_from_perturbation(H, other, Fr(1, 2))
+
+
+class TestPersistentHomology:
+    def test_one_stage_per_segment(self):
+        H = persistent_homology(parse_filtration(TRIANGLE), 1, "Q")
+        assert (H.k, H.coeffs) == (1, "Q")
+        assert [st.obj for st in H.stages] == list(H.module.objects)
+        assert H.stages[0].k_simplices == []
+        assert H.stage_at(Fr(-5)) is H.stages[0]
+        assert H.stage_at(Fr(1, 2)) is H.stages[1] and H.stage_at(Fr(9)) is H.stages[2]
+        assert persistent_module(H.complex, 1, "Q") == H.module
+
+    def test_stages_are_owned_by_the_caller(self):
+        H = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
+        ref = weakref.ref(H.stages[-1])
+        del H
+        gc.collect()
+        assert ref() is None
 
 
 def test_rips_filtration():
