@@ -19,14 +19,13 @@ from fractions import Fraction
 
 from .categories import AB, FINAB, FINSET, REPN, VECT, ab_relations
 from .exact import (
+    LatticeQuotient,
     column_space_basis,
     field_kernel,
     field_rank,
     field_solve,
-    lattice_basis,
     lattice_intersection,
     preimage_lattice,
-    quotient_invariants,
 )
 from .grothendieck import GroupElem, NoBGroupError, a_class, add, b_class, leq, sub, zero_elem
 from .categories import iso_class, iso_from_invariants, make_obj
@@ -276,13 +275,13 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
         return GroupElem("B", cat, (("dim", val),) if val else ())
     if kind in (AB, FINAB):
         R = ab_relations(obj)
-        L1 = lattice_basis(m1.payload.hstack(R))
-        L0 = lattice_basis(m0.payload.hstack(R))
+        L1 = m1.payload.hstack(R)
+        L0 = m0.payload.hstack(R)
         if nxt is not None:
             Kl = preimage_lattice(nxt.payload, ab_relations(nxt.tgt))
             L1 = lattice_intersection(L1, Kl)
             L0 = lattice_intersection(L0, Kl)
-        rank, invs = quotient_invariants(L1, L0)
+        rank, invs = LatticeQuotient(L1, L0).iso()
         return b_class(a_class(iso_from_invariants(cat, rank, invs)))
     if kind == REPN:
         Fld = cat.field

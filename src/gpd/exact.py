@@ -34,7 +34,6 @@ class SnfResult:
     D: Mat
     V: Mat
     Uinv: Mat
-    Vinv: Mat
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -46,19 +45,38 @@ class SnfResult:
         return len(self.invariant_factors)
 
 
+def _elimination(a: int, b: int) -> tuple[int, int, int, int]:
+    """(x, y, u, v) with x v - y u = 1 and u a + v b = 0: the unimodular step
+    (a, b) -> (x a + y b, 0).  The pivot a stays when it divides b; else
+    x a + y b = +-gcd(a, b), by the extended Euclidean algorithm."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, -b // r0, a // r0
+
+
 def smith_normal_form(M: Mat) -> SnfResult:
-    """Smith normal form over Z with both transforms and their inverses.
+    """Smith normal form over Z with both transforms and the inverse of U.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which keeps entry growth tame at the scales this library
-    targets.
+    block.  An entry of the pivot's row or column that the pivot does
+    not divide is combined with it by a 2x2 unimodular step whose
+    coefficients come from their extended gcd (`_elimination`), and the
+    divisibility chain is made on the diagonal at the end.  Chains of
+    Euclidean remainders with row swaps, and forcing divisibility by
+    adding a whole row to the pivot row, can grow the entries of a 10x10
+    matrix with entries below 7000 past 10^100.
     """
     m, n = M.rows, M.cols
     D = [list(r) for r in M.data]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(a, b):
         if a != b:
@@ -73,21 +91,24 @@ def smith_normal_form(M: Mat) -> SnfResult:
                 r[a], r[b] = r[b], r[a]
             for r in V:
                 r[a], r[b] = r[b], r[a]
-            Vi[a], Vi[b] = Vi[b], Vi[a]
 
-    def add_row(dst, src, c):
-        # row_dst += c * row_src;  inverse op on Ui columns
-        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+    def mix_rows(a, b, x, y, u, v):
+        # (row_a, row_b) <- (x row_a + y row_b, u row_a + v row_b), x v - y u = 1;
+        # the inverse operation on the columns of Ui
+        for T in (D, U):
+            ra, rb = T[a], T[b]
+            T[a] = [x * p + y * q for p, q in zip(ra, rb)]
+            T[b] = [u * p + v * q for p, q in zip(ra, rb)]
         for r in Ui:
-            r[src] -= c * r[dst]
+            p, q = r[a], r[b]
+            r[a], r[b] = v * p - u * q, x * q - y * p
 
-    def add_col(dst, src, c):
-        for r in D:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-        Vi[src] = [x - c * y for x, y in zip(Vi[src], Vi[dst])]
+    def mix_cols(a, b, x, y, u, v):
+        # (col_a, col_b) <- (x col_a + y col_b, u col_a + v col_b), x v - y u = 1
+        for T in (D, V):
+            for r in T:
+                p, q = r[a], r[b]
+                r[a], r[b] = x * p + y * q, u * p + v * q
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
@@ -110,43 +131,31 @@ def smith_normal_form(M: Mat) -> SnfResult:
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
 
-        while True:
-            # clear column t
+        dirty = True
+        while dirty:
+            # clear column t, then row t; a gcd step on row t refills column t
             dirty = False
             for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, -q)
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                if D[i][t]:
+                    mix_rows(t, i, *_elimination(D[t][t], D[i][t]))
             for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, -q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # force divisibility of the remaining block by the pivot
-            stuck = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        stuck = i
-                        break
-                if stuck is not None:
-                    break
-            if stuck is None:
-                break
-            add_row(t, stuck, 1)
-        if D[t][t] < 0:
-            negate_row(t)
+                if D[t][j]:
+                    dirty = dirty or D[t][j] % D[t][t] != 0
+                    mix_cols(t, j, *_elimination(D[t][t], D[t][j]))
         t += 1
 
+    # diag(a, b) -> diag(gcd, lcm) until each entry divides the next
+    for i in range(t):
+        for j in range(i + 1, t):
+            if D[j][j] % D[i][i]:
+                mix_cols(i, j, 1, 1, 0, 1)  # column i now reads (a, b) in rows i, j
+                mix_rows(i, j, *_elimination(D[i][i], D[j][i]))
+                mix_cols(j, i, 1, -(D[i][j] // D[i][i]), 0, 1)
+        if D[i][i] < 0:
+            negate_row(i)
+
     return SnfResult(Mat.from_rows(U, m), Mat.from_rows(D, n),
-                     Mat.from_rows(V, n), Mat.from_rows(Ui, m), Mat.from_rows(Vi, n))
+                     Mat.from_rows(V, n), Mat.from_rows(Ui, m))
 
 
 def det_int(M: Mat) -> int:
@@ -217,13 +226,7 @@ def solve_int(M: Mat, B: Mat) -> Mat | None:
 
 def lattice_basis(gens: Mat) -> Mat:
     """Independent basis (columns) of the lattice spanned by the columns of gens."""
-    s = smith_normal_form(gens)
-    r = s.rank
-    cols = []
-    for i in range(r):
-        d = s.D[i, i]
-        cols.append(tuple(s.Uinv[k, i] * d for k in range(gens.rows)))
-    return Mat.from_cols(cols, nrows=gens.rows)
+    return LatticeQuotient(gens, Mat.zero(gens.rows, 0)).basis
 
 
 def lattice_contains(gens: Mat, B: Mat) -> bool:
@@ -258,52 +261,30 @@ class LatticeContainmentError(ValueError):
         super().__init__(f"generator column {index} is not contained in the ambient lattice")
 
 
-def quotient_invariants(L_gens: Mat, B_gens: Mat) -> tuple[int, list[int]]:
-    """Free rank and invariant factors of L/B for column lattices B <= L <= Z^n.
-
-    Containment of B in L is checked; a violation reports the offending
-    generator column of B_gens.
-    """
-    if L_gens.rows != B_gens.rows:
-        raise ValueError("ambient rank mismatch")
-    s = smith_normal_form(L_gens)
-    r = s.rank
-    # coordinates of B in a basis of L
-    W = s.U @ B_gens
-    coords = []
-    for j in range(B_gens.cols):
-        c = []
-        for i in range(r):
-            w = W[i, j]
-            d = s.D[i, i]
-            if w % d != 0:
-                raise LatticeContainmentError(j)
-            c.append(w // d)
-        for i in range(r, L_gens.rows):
-            if W[i, j] != 0:
-                raise LatticeContainmentError(j)
-        coords.append(c)
-    C = Mat.from_cols(coords, nrows=r)
-    sc = smith_normal_form(C)
-    invs = [d for d in sc.invariant_factors if d >= 2]
-    return r - sc.rank, invs
-
-
 # ---------------------------------------------------------------------------
 # Fields and row reduction
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 4300  # Python's own limit on the digits of an int read from text
+_TOO_MANY_DIGITS = 10 ** MAX_EXPONENT
+# Largest prime p of F_p and modulus m of Z/m: primality and primary
+# decomposition use trial division, about sqrt(p) steps.
+MAX_MODULUS = 2 ** 31
 
 
 def parse_rational(text) -> Fraction:
     """`Fraction(text)`, but a decimal exponent beyond MAX_EXPONENT raises
-    ValueError: `Fraction("1e999999999")` would build 10**999999999."""
+    ValueError: `Fraction("1e999999999")` would build 10**999999999.  So
+    does a numerator or denominator of more than MAX_EXPONENT digits,
+    which `str` could not print."""
     exp = str(text).lower().partition("e")[2].replace("_", "").strip()
     exp = exp.lstrip("+-").lstrip("0")
     if exp.isdigit() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
         raise ValueError(f"exponent of {str(text)[:40]!r} exceeds {MAX_EXPONENT}")
-    return Fraction(text)
+    value = Fraction(text)
+    if abs(value.numerator) >= _TOO_MANY_DIGITS or value.denominator >= _TOO_MANY_DIGITS:
+        raise ValueError(f"{str(text)[:40]!r} has more than {MAX_EXPONENT} digits")
+    return value
 
 
 class RationalField:
@@ -346,6 +327,8 @@ class PrimeField:
     """The field F_p; elements are int residues in [0, p)."""
 
     def __init__(self, p: int):
+        if p > MAX_MODULUS:
+            raise ValueError(f"prime {p} exceeds {MAX_MODULUS}")
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -541,44 +524,50 @@ class LatticeQuotient:
     generators whose orders form the invariant-factor chain.  `coords`
     expresses any element of L in these generators; `generator_reps`
     are ambient representatives of the generators.
+
+    One Smith normal form U L V = D of L_gens gives both the basis of L
+    (`basis`, the columns d_i * Uinv[:, i]) and coordinates in it: x lies
+    in L iff d_i divides (U x)_i for i < rank and (U x)_i = 0 beyond, and
+    then its coordinates are (U x)_i / d_i.  A second one, of the
+    coordinates of B, gives the canonical generators.  Containment of B
+    in L is checked; a violation reports the offending column of B_gens.
     """
 
     def __init__(self, L_gens: Mat, B_gens: Mat):
         if L_gens.rows != B_gens.rows:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
-        self.basis = lattice_basis(L_gens)
-        self._basis_snf = smith_normal_form(self.basis)
-        z = self.basis.cols
-        # coordinates of B in the basis of L
-        C_cols = []
-        for j in range(B_gens.cols):
-            c = self._basis_coords(B_gens.col(j), which=j)
-            C_cols.append(c)
-        C = Mat.from_cols(C_cols, nrows=z)
+        s = smith_normal_form(L_gens)
+        self._U = s.U
+        self._d = s.invariant_factors
+        self.basis = Mat.from_cols([tuple(s.Uinv[k, i] * d for k in range(self.ambient))
+                                    for i, d in enumerate(self._d)], nrows=self.ambient)
+        W = s.U @ B_gens
+        C = Mat.from_cols([self._divide(W.col(j), j) for j in range(B_gens.cols)],
+                          nrows=len(self._d))
         s = smith_normal_form(C)
         self._P = s.U
         self._Pinv = s.Uinv
         rho = s.rank
         ds = list(s.invariant_factors)
+        z = self.basis.cols
         self.free_rows = list(range(rho, z))
         self.torsion_rows = [i for i in range(rho) if ds[i] >= 2]
         self.torsion_orders = [ds[i] for i in self.torsion_rows]
         self.free_rank = len(self.free_rows)
 
-    def _basis_coords(self, x, which=None):
-        s = self._basis_snf
-        w = [sum(s.U[i, k] * x[k] for k in range(len(x))) for i in range(s.U.rows)]
-        z = self.basis.cols
+    def _divide(self, w, which: int) -> list[int]:
+        """Coordinates in `basis` of the x with U x = w, or
+        LatticeContainmentError(which) if that x is not in L."""
+        d = self._d
+        if any(w[len(d):]):
+            raise LatticeContainmentError(which)
         u = []
-        for i in range(z):
-            d = s.D[i, i]
-            if w[i] % d != 0:
-                raise LatticeContainmentError(which if which is not None else -1)
-            u.append(w[i] // d)
-        for i in range(z, self.ambient):
-            if w[i] != 0:
-                raise LatticeContainmentError(which if which is not None else -1)
+        for wi, di in zip(w, d):
+            q, rem = divmod(wi, di)
+            if rem:
+                raise LatticeContainmentError(which)
+            u.append(q)
         return u
 
     def iso(self) -> tuple[int, list[int]]:
@@ -590,17 +579,13 @@ class LatticeQuotient:
 
     def coords(self, x) -> list[int]:
         """Coordinates of an ambient vector x of L in the canonical generators."""
-        u = self._basis_coords(tuple(x))
-        s = [sum(self._P[i, k] * u[k] for k in range(len(u))) for i in range(self._P.rows)]
+        nonzero = [(k, v) for k, v in enumerate(x) if v]
+        u = self._divide([sum(row[k] * v for k, v in nonzero) for row in self._U.data], -1)
+        s = [sum(a * b for a, b in zip(row, u)) for row in self._P.data]
         out = [s[i] for i in self.free_rows]
         out += [s[i] % d for i, d in zip(self.torsion_rows, self.torsion_orders)]
         return out
 
     def generator_reps(self) -> Mat:
         """Ambient representative of each canonical generator, as columns."""
-        cols = []
-        for i in self.free_rows + self.torsion_rows:
-            u = self._Pinv.col(i)
-            cols.append(tuple(sum(self.basis[r, k] * u[k] for k in range(len(u)))
-                              for r in range(self.ambient)))
-        return Mat.from_cols(cols, nrows=self.ambient)
+        return (self.basis @ self._Pinv).take_cols(self.free_rows + self.torsion_rows)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .categories import ab, finab, finset, make_mor, make_obj, vect
 from .exact import (
+    MAX_MODULUS,
     QQ,
     LatticeQuotient,
     PrimeField,
@@ -167,8 +168,8 @@ def parse_coeffs(token: str):
         return ("F", PrimeField(int(token[3:])))
     if token.startswith("Zm:"):
         m = int(token[3:])
-        if m < 2:
-            raise FiltrationError("Z/m coefficients need m >= 2")
+        if not 2 <= m <= MAX_MODULUS:
+            raise FiltrationError(f"Z/m coefficients need 2 <= m <= {MAX_MODULUS}")
         return ("Zm", m)
     raise FiltrationError(f"unknown coefficient token {token!r}")
 

@@ -119,6 +119,8 @@ def diagram_from_json(text: str) -> DiagramGrid:
     try:
         doc = json.loads(text)
         group = doc["group"]["tag"]
+        if group not in ("A", "B"):
+            raise SerializeError(f"unknown group tag {group!r}")
         cat = _cat_from_json(doc["group"])
         role = doc["group"].get("role", "diagram")
         grid = tuple(parse_rational(t) for t in doc["grid"])
@@ -129,7 +131,8 @@ def diagram_from_json(text: str) -> DiagramGrid:
             coeffs = {_label_key_parse(group, cat, k): int(v) for k, v in c["label"].items()}
             cells[(int(c["i"]), j)] = _make_elem(group, cat, coeffs)
         return DiagramGrid.make(group, cat, grid, cells, role=role)
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError,
+            RecursionError) as exc:
         raise SerializeError(f"bad diagram file: {exc}") from exc
 
 

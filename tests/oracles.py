@@ -14,6 +14,7 @@ from math import gcd
 
 from gpd.categories import image_iso_class, make_mor
 from gpd.diagram import DiagramGrid, mobius_invert
+from gpd.exact import LatticeContainmentError, smith_normal_form
 from gpd.grothendieck import GroupElem
 from gpd.homology import _induced_payload, _Stage, parse_coeffs, persistent_module
 from gpd.matrix import Mat
@@ -255,6 +256,61 @@ def bottleneck_distance(pts1, pts2):
                         cost = max(cost, abs(a[0] - b[0]), abs(a[1] - b[1]))
                     best = min(best, cost)
     return max(best, best_inf)
+
+
+# --- Lattice quotient with a second Smith normal form for coordinates -------
+
+class lattice_quotient_oracle:
+    """L/B without sharing a Smith normal form: a basis d_i Uinv[:, i] of L
+    from one Smith normal form of L_gens, a second Smith normal form
+    U_b basis V_b = D_b of that basis to read the coordinates
+    V_b ((U_b x)_i / d_i) of each column x of B one at a time, and a third
+    of those coordinates for the canonical generators."""
+
+    def __init__(self, L_gens: Mat, B_gens: Mat):
+        self.ambient = L_gens.rows
+        s = smith_normal_form(L_gens)
+        self.basis = Mat.from_cols([[s.Uinv[k, i] * s.D[i, i] for k in range(self.ambient)]
+                                    for i in range(s.rank)], nrows=self.ambient)
+        self._basis_snf = smith_normal_form(self.basis)
+        C = Mat.from_cols([self._basis_coords(B_gens.col(j), which=j)
+                           for j in range(B_gens.cols)], nrows=self.basis.cols)
+        s = smith_normal_form(C)
+        self._P = s.U
+        self._Pinv = s.Uinv
+        ds = list(s.invariant_factors)
+        self.free_rows = list(range(s.rank, self.basis.cols))
+        self.torsion_rows = [i for i in range(s.rank) if ds[i] >= 2]
+        self.torsion_orders = [ds[i] for i in self.torsion_rows]
+
+    def _basis_coords(self, x, which=-1):
+        s = self._basis_snf
+        w = [sum(s.U[i, k] * x[k] for k in range(len(x))) for i in range(s.U.rows)]
+        y = []
+        for i in range(self.basis.cols):
+            if w[i] % s.D[i, i] != 0:
+                raise LatticeContainmentError(which)
+            y.append(w[i] // s.D[i, i])
+        if any(w[i] != 0 for i in range(self.basis.cols, self.ambient)):
+            raise LatticeContainmentError(which)
+        return [sum(s.V[i, k] * y[k] for k in range(len(y))) for i in range(s.V.rows)]
+
+    def iso(self) -> tuple[int, list[int]]:
+        return len(self.free_rows), list(self.torsion_orders)
+
+    def coords(self, x) -> list[int]:
+        u = self._basis_coords(tuple(x))
+        s = [sum(self._P[i, k] * u[k] for k in range(len(u))) for i in range(self._P.rows)]
+        return [s[i] for i in self.free_rows] + \
+            [s[i] % d for i, d in zip(self.torsion_rows, self.torsion_orders)]
+
+    def generator_reps(self) -> Mat:
+        cols = []
+        for i in self.free_rows + self.torsion_rows:
+            u = self._Pinv.col(i)
+            cols.append(tuple(sum(self.basis[r, k] * u[k] for k in range(len(u)))
+                              for r in range(self.ambient)))
+        return Mat.from_cols(cols, nrows=self.ambient)
 
 
 # --- Type B diagram by classifying each cell straight into B -----------------

@@ -4,9 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpd import cli
 from gpd.cli import main
+from gpd.diagram import DiagramGrid
 from gpd.serialize import SerializeError, diagram_from_json
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
@@ -75,6 +78,18 @@ class TestDiagram:
         src.write_text(f"0 : {value}\n")
         code, out, err = run(capsys, "diagram", "--input", str(src))
         assert code == 2 and out == "" and "line 1" in err
+
+    def test_too_many_digits_value_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "digits.flt"
+        src.write_text("0 : 1e4300\n")
+        code, out, err = run(capsys, "diagram", "--input", str(src), "--coeff", "Q")
+        assert code == 2 and out == "" and "line 1" in err
+
+    @pytest.mark.parametrize("coeff", ["Fp:1000000000000000003", "Zm:1000000000000000003"])
+    def test_huge_modulus_exit_2(self, capsys, coeff):
+        code, out, err = run(capsys, "diagram", "--input", str(DATA / "triangle.flt"),
+                             "--coeff", coeff)
+        assert code == 2 and out == "" and "2147483648" in err
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         src = tmp_path / "bad.flt"
@@ -215,6 +230,31 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "--input", str(src))
         assert code == 2 and out == "" and "exceeds" in err
 
+    @pytest.mark.parametrize("field, where, value", [
+        ("F1000000000000000003", "field", "F1000000000000000003"),
+        ("Q", "label", [1]),
+        ("Q", "label", "dim"),
+        ("Q", "field", 5),
+        ("Q", "tag", "C"),
+    ])
+    def test_malformed_diagram_exit_2(self, capsys, tmp_path, field, where, value):
+        doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {"dim": 1}}],
+               "group": {"tag": "B", "category": "vect", "field": field, "role": "diagram"}}
+        if where == "label":
+            doc["cells"][0]["label"] = value
+        else:
+            doc["group"][where] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "convert", "--input", str(src))
+        assert code == 2 and out == "" and err.startswith("error: bad diagram file")
+
+    def test_deeply_nested_diagram_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100000)
+        code, _, err = run(capsys, "convert", "--input", str(src))
+        assert code == 2 and err.startswith("error: bad diagram file")
+
     @pytest.mark.parametrize("grid", [["1/0"], ["Infinity"]])
     def test_arithmetic_errors_in_diagram_exit_2(self, capsys, tmp_path, grid):
         src = tmp_path / "bad.json"
@@ -230,6 +270,54 @@ class TestConvert:
             "--coeff", "Z", "--degree", "1", "--out", str(dest))
         code, out, _ = run(capsys, "convert", "--input", str(dest), "--format", "json")
         assert code == 0 and out == dest.read_text()
+
+
+_KEYS = ["grid", "cells", "group", "tag", "category", "field", "role", "i", "j_or_inf", "label"]
+_TOKENS = ["A", "B", "ab", "finab", "vect", "repn", "finset", "Q", "F2", "F4", "inf", "0", "1/2",
+           "Z", "dim", "rank", "t:2:1", "p:2", "j:1:1", "ev:1", "diagram", "constructible"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=5)
+    | st.sampled_from(_TOKENS),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS + _TOKENS) | st.text(max_size=5), kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _mutated_diagram_docs(draw):
+    """A bundled diagram file with one to three entries replaced, deleted or added."""
+    doc = json.loads((DATA / draw(st.sampled_from(["sample_a.json", "sample_b.json"]))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []
+
+        def collect(node):
+            keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+            for key in list(keys):
+                slots.append((node, key))
+                collect(node[key])
+
+        collect(doc)
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = draw(_json_values)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = draw(_json_values)
+        else:
+            node.append(draw(_json_values))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutated_diagram_docs(), _json_values.map(json.dumps), st.text(max_size=30)))
+def test_diagram_from_json_raises_only_serialize_errors(text):
+    try:
+        d = diagram_from_json(text)
+    except SerializeError:
+        return
+    assert isinstance(d, DiagramGrid)
 
 
 class TestInternalErrors:

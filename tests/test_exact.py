@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpd import exact
 from gpd.exact import (
     MAX_EXPONENT,
     QQ,
     LatticeContainmentError,
+    LatticeQuotient,
     NonSplitError,
     PrimeField,
     det_int,
@@ -24,13 +26,12 @@ from gpd.exact import (
     lattice_intersection,
     parse_rational,
     preimage_lattice,
-    quotient_invariants,
     smith_normal_form,
     solve_int,
 )
 from gpd.matrix import Mat
 
-from oracles import FiniteGroupTable, invariants_from_minor_gcds
+from oracles import FiniteGroupTable, invariants_from_minor_gcds, lattice_quotient_oracle
 
 small_matrices = st.integers(0, 4).flatmap(
     lambda m: st.integers(0, 4).flatmap(
@@ -65,7 +66,6 @@ class TestSmithNormalForm:
         assert s.U @ M @ s.V == s.D
         assert is_unimodular(s.U) and is_unimodular(s.V)
         assert s.U @ s.Uinv == Mat.identity(M.rows)
-        assert s.V @ s.Vinv == Mat.identity(M.cols)
         # divisibility chain
         invs = s.invariant_factors
         for a, b in zip(invs, invs[1:]):
@@ -76,6 +76,25 @@ class TestSmithNormalForm:
     def test_invariants_match_minor_gcd_oracle(self, M):
         s = smith_normal_form(M)
         assert list(s.invariant_factors) == invariants_from_minor_gcds(M)
+
+    def test_entries_stay_small(self):
+        # coordinates of 4 Z^10 in a basis of an image lattice over Z/4 (torus H1,
+        # perturbed); Euclidean remainder chains grew its entries past 10**100
+        C = Mat.from_rows([
+            [4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [-12, 4, 0, 0, 0, 0, 0, 0, 0, 0],
+            [12, -4, 4, 0, 0, 0, 0, 0, 0, 0],
+            [-12, 4, -4, 4, 0, 0, 0, 0, 0, 0],
+            [44, -16, 12, -12, 4, 0, 0, 0, 0, 0],
+            [-24, 4, -4, 0, 0, 4, 0, 0, 0, 0],
+            [-12, 4, -4, 0, 0, 4, -4, 0, 0, 0],
+            [0, 0, 4, 0, -4, -4, 4, 0, 4, 0],
+            [0, 0, 4, 44, -4, -68, 68, 16, -12, 4],
+            [0, 0, -397, -4359, 397, 6737, -6737, -1585, 1188, -396],
+        ])
+        s = smith_normal_form(C)
+        assert s.U @ C @ s.V == s.D and s.invariant_factors == (1,) + (4,) * 9
+        assert max(abs(v) for T in (s.U, s.V) for r in T.data for v in r) < 10 ** 4
 
 
 class TestIntegerSolving:
@@ -127,17 +146,17 @@ class TestQuotientInvariants:
     def test_free_quotient(self):
         L = Mat.identity(2)
         B = Mat.zero(2, 0)
-        assert quotient_invariants(L, B) == (2, [])
+        assert LatticeQuotient(L, B).iso() == (2, [])
 
     def test_cyclic_quotient(self):
         L = Mat.from_cols([[1]])
         B = Mat.from_cols([[4]])
-        assert quotient_invariants(L, B) == (0, [4])
+        assert LatticeQuotient(L, B).iso() == (0, [4])
 
     def test_small_index_matches_coset_count(self):
         L = Mat.from_cols([[2, 0], [0, 3]])
         B = Mat.from_cols([[4, 0], [0, 3]])
-        rank, invs = quotient_invariants(L, B)
+        rank, invs = LatticeQuotient(L, B).iso()
         assert (rank, invs) == (0, [2])
         # coset-enumeration oracle: index of B in L equals product of invariants
         table = FiniteGroupTable([4, 3])  # L / (2L') ~ ambient big enough: enumerate directly
@@ -148,7 +167,7 @@ class TestQuotientInvariants:
         L = Mat.from_cols([[2]])
         B = Mat.from_cols([[2], [3]])
         with pytest.raises(LatticeContainmentError) as ei:
-            quotient_invariants(L, B)
+            LatticeQuotient(L, B).iso()
         assert ei.value.index == 1
 
     @settings(max_examples=60, deadline=None)
@@ -164,7 +183,7 @@ class TestQuotientInvariants:
         ks = [rng.choice([1, 2, orders[j]]) for j in range(n)]
         gen_cols = [[ks[j] if i == j else 0 for i in range(n)] for j in range(n)]
         B = Mat.from_cols(gen_cols + cols + extra, nrows=n)
-        rank, invs = quotient_invariants(L, B)
+        rank, invs = LatticeQuotient(L, B).iso()
         assert rank == 0
         table = FiniteGroupTable(orders)
         sub = table.subgroup_generated([tuple(c[i] % orders[i] for i in range(n))
@@ -174,6 +193,43 @@ class TestQuotientInvariants:
             order *= d
         # |Z^n / B| equals |ambient| / |image subgroup| in Z/orders
         assert order == len(table.elements) // len(sub)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.integers(0, 10 ** 6))
+    def test_matches_two_snf_oracle(self, L, seed):
+        rng = random.Random(seed)
+
+        def members(k):
+            return L @ Mat.from_cols([[rng.randint(-3, 3) for _ in range(L.cols)]
+                                      for _ in range(k)], nrows=L.cols)
+
+        B = members(rng.randint(0, 3))
+        q, o = LatticeQuotient(L, B), lattice_quotient_oracle(L, B)
+        assert q.iso() == o.iso()
+        assert q.generator_reps() == o.generator_reps()
+        for x in members(3).columns():
+            assert q.coords(x) == o.coords(x)
+        assert [q.coords(g) for g in q.generator_reps().columns()] == \
+            [[int(i == j) for j in range(q.ngens)] for i in range(q.ngens)]
+        # a random column, often outside L, among the generators of B
+        cols = B.columns()
+        cols.insert(rng.randint(0, len(cols)), [rng.randint(-3, 3) for _ in range(L.rows)])
+        outcomes = []
+        for quotient in (LatticeQuotient, lattice_quotient_oracle):
+            try:
+                outcomes.append(quotient(L, Mat.from_cols(cols, nrows=L.rows)).iso())
+            except LatticeContainmentError as exc:
+                outcomes.append(exc.index)
+        assert outcomes[0] == outcomes[1]
+
+    def test_runs_two_smith_normal_forms(self, monkeypatch):
+        calls = []
+        real = exact.smith_normal_form
+        monkeypatch.setattr(exact, "smith_normal_form", lambda M: calls.append(M) or real(M))
+        L = Mat.from_cols([[2, 0], [0, 3]])
+        B = Mat.from_cols([[4, 0]])
+        assert LatticeQuotient(L, B).iso() == (1, [2])
+        assert len(calls) == 2
 
 
 class TestFieldAlgebra:
@@ -275,9 +331,13 @@ def test_det_int():
 def test_parse_rational_caps_the_exponent():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(" 1.5E+2 ") == 150
-    assert parse_rational(f"1e-{MAX_EXPONENT}") == Fraction(1, 10 ** MAX_EXPONENT)
+    assert parse_rational(f"1e-{MAX_EXPONENT - 1}") == Fraction(1, 10 ** (MAX_EXPONENT - 1))
     for text in (f"1e{MAX_EXPONENT + 1}", "1e10000000", "1e-10000000", "2.5E+0010000000"):
         with pytest.raises(ValueError, match="exceeds"):
+            parse_rational(text)
+    # 10**MAX_EXPONENT has one digit more than str() prints
+    for text in (f"1e{MAX_EXPONENT}", f"1e-{MAX_EXPONENT}", f"-{'9' * MAX_EXPONENT}e1"):
+        with pytest.raises(ValueError, match=f"more than {MAX_EXPONENT} digits"):
             parse_rational(text)
     with pytest.raises(ValueError):
         parse_rational("1e")

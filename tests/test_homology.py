@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpd import exact
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
@@ -326,6 +327,14 @@ class TestPersistentHomology:
         del H
         gc.collect()
         assert ref() is None
+
+    def test_smith_normal_forms_of_klein_bottle_h1(self, monkeypatch):
+        calls = []
+        real = exact.smith_normal_form
+        monkeypatch.setattr(exact, "smith_normal_form", lambda M: calls.append(M) or real(M))
+        persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
+        # four stages, each one integer kernel and a two-SNF lattice quotient
+        assert len(calls) == 12
 
 
 def test_rips_filtration():
