@@ -14,8 +14,10 @@ inversion, so Y_B = pi(Y_A) cell by cell (`type_B_from_A`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .categories import AB, FINAB, FINSET, REPN, VECT, ab_relations
 from .exact import (
@@ -82,6 +84,26 @@ class DiagramGrid:
     def as_dict(self) -> dict:
         return dict(self.cells)
 
+    @cached_property
+    def cumulative(self) -> tuple:
+        """Table C with C[i][j] the sum of the cells (h, k) with h <= i and
+        k >= j, for 1 <= i < j <= n + 1; row 0 is zero.
+
+        Built once per grid by the suffix-sum recurrence
+        C(i, j) = Y(i, j) + C(i - 1, j) + C(i, j + 1) - C(i - 1, j + 1),
+        three group additions per cell.  Entries with j <= i are None.
+        """
+        n = self.n
+        z = zero_elem(self.group, self.cat)
+        y = self.as_dict()
+        rows = [[z] * (n + 3)]
+        for i in range(1, n + 1):
+            above, row = rows[-1], [None] * (n + 2) + [z]
+            for j in range(n + 1, i, -1):
+                row[j] = sub(add(add(y.get((i, j), z), above[j]), row[j + 1]), above[j + 1])
+            rows.append(row)
+        return tuple(map(tuple, rows))
+
 
 def _zero(d: DiagramGrid) -> GroupElem:
     return zero_elem(d.group, d.cat)
@@ -120,43 +142,45 @@ def cumulate(Y: DiagramGrid) -> DiagramGrid:
     """Inverse of mobius_invert: sum the diagram over the upper-left cone."""
     if Y.role != "diagram":
         raise DiagramError("cumulation expects a diagram")
-    n = Y.n
-    cells = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 2):
-            cells[(i, j)] = cumulative_at_cell(Y, i, j)
+    n, C = Y.n, Y.cumulative
+    cells = {(i, j): C[i][j] for i in range(1, n + 1) for j in range(i + 1, n + 2)}
     return DiagramGrid.make(Y.group, Y.cat, Y.grid, cells, role="constructible")
 
 
 def cumulative_at_cell(Y: DiagramGrid, i: int, j: int) -> GroupElem:
-    """Sum of Y over cells (h, k) with h <= i and k >= j."""
-    total = _zero(Y)
-    for (h, k), val in Y.cells:
-        if h <= i and k >= j:
-            total = add(total, val)
-    return total
+    """Sum of Y over cells (h, k) with h <= i and k >= j.
+
+    Row i = 0, below the grid, sums nothing; any other cell must lie in
+    1 <= i < j <= n + 1.
+    """
+    if i == 0:
+        return _zero(Y)
+    if not 1 <= i < j <= Y.n + 1:
+        raise DiagramError(f"cell ({i}, {j}) is outside the grid")
+    return Y.cumulative[i][j]
+
+
+def _snap(grid, p, q=None) -> tuple:
+    """Snap [p, q) onto `grid` as the cell (i, j) such that the grid cells
+    [s_h, s_k) containing [p, q) are those with h <= i and k >= j (i = 0
+    below the grid, j = n + 1 for q None).  Works on any grid whose values
+    compare with p and q."""
+    i = bisect_right(grid, p)
+    if q is None:
+        return i, len(grid) + 1
+    if q <= p:
+        raise DiagramError("empty interval")
+    return i, bisect_left(grid, q) + 1
 
 
 def cumulative_at(Y: DiagramGrid, p, q=None) -> GroupElem:
     """Cumulative value on the interval [p, q), q None meaning infinity.
 
     The sum runs over diagram cells [s_h, s_k) containing [p, q), which
-    snaps arbitrary rational endpoints onto the grid: h is largest with
-    s_h <= p and k smallest with s_k >= q.  Returns zero when p lies
-    below the grid.
+    snaps arbitrary rational endpoints onto the grid (`_snap`).  Returns
+    zero when p lies below the grid.
     """
-    from bisect import bisect_left, bisect_right
-
-    i = bisect_right(Y.grid, p)
-    if i == 0:
-        return _zero(Y)
-    if q is None:
-        j = Y.n + 1
-    else:
-        if q <= p:
-            raise DiagramError("empty interval")
-        j = bisect_left(Y.grid, q) + 1
-    return cumulative_at_cell(Y, i, j)
+    return cumulative_at_cell(Y, *_snap(Y.grid, p, q))
 
 
 def type_A_diagram(F) -> DiagramGrid:

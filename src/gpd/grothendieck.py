@@ -95,6 +95,10 @@ def _check_compatible(x: GroupElem, y: GroupElem):
 
 def add(x: GroupElem, y: GroupElem) -> GroupElem:
     _check_compatible(x, y)
+    if not y.coeffs:
+        return x
+    if not x.coeffs:
+        return y
     counter = dict(x.coeffs)
     for k, v in y.coeffs:
         counter[k] = counter.get(k, 0) + v
@@ -114,7 +118,12 @@ def leq(x: GroupElem, y: GroupElem) -> bool:
 
     In every supported backend the positive cone of the group is exactly
     the nonnegative orthant of the chosen free basis, so the order
-    induced by effective classes reduces to this componentwise test.
+    induced by effective classes reduces to this componentwise test,
+    read off the two coefficient maps without forming y - x.
     """
     _check_compatible(x, y)
-    return all(v >= 0 for _, v in sub(y, x).coeffs)
+    rest = dict(y.coeffs)
+    for k, v in x.coeffs:
+        if rest.pop(k, 0) < v:
+            return False
+    return all(v >= 0 for v in rest.values())

@@ -5,14 +5,23 @@ Eroding a diagram by eps >= 0 precomposes it with interval growth
 eps on each side and disappears once its width drops to zero.  The
 erosion distance between two diagrams is the least eps at which eroded
 morphisms exist in both directions.
+
+The check at eps runs in integers.  Both grids, and eps, are scaled
+once by a common denominator, so every candidate eps and every shifted
+endpoint s +- eps is an int.  A checked cell then costs at most two
+bisections on an integer grid, one lookup in the other diagram's
+cumulative table (`DiagramGrid.cumulative`, built once per diagram) and
+one order test; Fractions are built only for the eps values and failing
+intervals reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell
+from .diagram import DiagramError, DiagramGrid, _snap
 from .grothendieck import leq
 
 
@@ -43,25 +52,45 @@ def erode(Y: DiagramGrid, eps) -> DiagramGrid:
     return DiagramGrid.make(Y.group, Y.cat, tuple(grid), cells, role=Y.role)
 
 
-def _eroded_leq(Ye: DiagramGrid, eps, Yt: DiagramGrid):
-    """Morphism erode(Ye, eps) -> Yt, reported as (ok, failing interval).
+def _scale(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> int:
+    """4 * lcm of the denominators of both grids and of eps: at this scale
+    every grid value, difference, half difference and midpoint of two of
+    those is an integer."""
+    return 4 * lcm(*(t.denominator for t in Y1.grid + Y2.grid), Fraction(eps).denominator)
 
-    Cumulative values of the eroded diagram are read off directly: at
-    the shrunken cell [t_i + eps, t_j - eps) they equal the cumulative
-    value of Ye at [t_i, t_j), so no re-inversion is needed.
+
+def _scaled(Y: DiagramGrid, D: int) -> tuple:
+    """Y's grid times D as ints, its support cells as (start, end or None
+    for infinity, cumulative value) in the same units, and its table."""
+    grid = [t.numerator * (D // t.denominator) for t in Y.grid]
+    n, C = Y.n, Y.cumulative
+    cells = [(grid[i - 1], None if j == n + 1 else grid[j - 1], C[i][j]) for (i, j), _ in Y.cells]
+    return grid, cells, C
+
+
+def _check(S1: tuple, S2: tuple, D: int, eps: int):
+    """Eroded morphisms both ways at eps / D, as (ok, failing direction,
+    failing interval), for Y1 and Y2 scaled by D.
+
+    The eroded diagram's cumulative value at the shrunken cell
+    [s_i + eps, s_j - eps) is its own at [s_i, s_j), so no re-inversion
+    is needed.
     """
-    n = Ye.n
-    for (i, j), _ in Ye.cells:
-        p = Ye.grid[i - 1] + eps
-        if j == n + 1:
-            q = None
-        else:
-            q = Ye.grid[j - 1] - eps
-            if q <= p:
+    for direction, (_, cells, _), (grid, _, table) in (("2->1", S2, S1), ("1->2", S1, S2)):
+        for start, end, val in cells:
+            p = start + eps
+            q = None if end is None else end - eps
+            if q is not None and q <= p:
                 continue  # the cell has disappeared into the diagonal
-        if not leq(cumulative_at_cell(Ye, i, j), cumulative_at(Yt, p, q)):
-            return False, (p, q)
-    return True, None
+            i, j = _snap(grid, p, q)
+            if not leq(val, table[i][j]):
+                return False, direction, (Fraction(p, D), None if q is None else Fraction(q, D))
+    return True, None, None
+
+
+def _check_pair(Y1: DiagramGrid, Y2: DiagramGrid):
+    if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
+        raise DiagramError("erosion compares diagrams in the same group")
 
 
 def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
@@ -71,19 +100,14 @@ def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
 
 
 def erosion_witness(Y1: DiagramGrid, Y2: DiagramGrid, eps):
-    """(ok, failing direction, failing interval) of the two-sided check."""
-    if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
-        raise DiagramError("erosion compares diagrams in the same group")
+    """(ok, failing direction, failing interval) of the two-sided check,
+    run at the common scale of both grids and eps."""
+    _check_pair(Y1, Y2)
     eps = Fraction(eps)
     if eps < 0:
         raise DiagramError("erosion needs eps >= 0")
-    ok, cell = _eroded_leq(Y2, eps, Y1)
-    if not ok:
-        return False, "2->1", cell
-    ok, cell = _eroded_leq(Y1, eps, Y2)
-    if not ok:
-        return False, "1->2", cell
-    return True, None, None
+    D = _scale(Y1, Y2, eps)
+    return _check(_scaled(Y1, D), _scaled(Y2, D), D, eps.numerator * (D // eps.denominator))
 
 
 def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
@@ -93,21 +117,19 @@ def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
     past the maximum) catch every endpoint crossing, half-differences
     catch cells vanishing into the diagonal, and midpoints of
     consecutive values catch open-interval behavior where endpoint
-    inclusion flips asymmetrically.
+    inclusion flips asymmetrically.  They are computed in integers at
+    the common scale D of both grids, where the padding is D.
     """
-    T = sorted(set(Y1.grid) | set(Y2.grid))
-    if not T:
-        return (Fraction(0),)
-    T = T + [T[-1] + 1]
-    base = {Fraction(0)}
-    for a in T:
-        for b in T:
-            if a < b:
-                base.add(b - a)
-                base.add((b - a) / 2)
+    D = _scale(Y1, Y2)
+    T = sorted({t.numerator * (D // t.denominator) for t in Y1.grid + Y2.grid})
+    T = T + [T[-1] + D] if T else []
+    base = {0}
+    for k, a in enumerate(T):
+        for b in T[k + 1:]:
+            base.update((b - a, (b - a) // 2))
     cands = sorted(base)
-    mids = [(x + y) / 2 for x, y in zip(cands, cands[1:])]
-    return tuple(sorted(set(cands) | set(mids)))
+    cands = sorted(base.union((x + y) // 2 for x, y in zip(cands, cands[1:])))
+    return tuple(Fraction(c, D) for c in cands)
 
 
 @dataclass(frozen=True)
@@ -134,13 +156,17 @@ def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
 
     Candidates are evaluated in ascending order with no monotonicity
     assumption; the first success is therefore the least one.  If none
-    succeeds the distance is infinite.
+    succeeds the distance is infinite.  Both diagrams are scaled once,
+    and each candidate is checked in integers with no group additions.
     """
+    _check_pair(Y1, Y2)
+    D = _scale(Y1, Y2)
+    S1, S2 = _scaled(Y1, D), _scaled(Y2, D)
     table = []
     failures = []
     distance = None
     for eps in erosion_candidates(Y1, Y2):
-        ok, direction, cell = erosion_witness(Y1, Y2, eps)
+        ok, direction, cell = _check(S1, S2, D, eps.numerator * (D // eps.denominator))
         table.append((eps, ok))
         if ok:
             distance = eps

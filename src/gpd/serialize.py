@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import log10
 
 from .categories import ab, finab, finset, repn, vect
 from .diagram import DiagramGrid
-from .exact import QQ, PrimeField, RationalField, parse_rational
+from .exact import MAX_EXPONENT, MAX_MODULUS, QQ, PrimeField, RationalField, parse_rational
 from .grothendieck import GroupElem, _make_elem
 
 
@@ -85,8 +86,13 @@ def _label_key_parse(group: str, cat, tok: str):
         if tok in ("pt", "line", "Z"):
             return tok
         head, a, b = tok.split(":")
-        if head == "t":
-            return ("t", int(a), int(b))
+        if head == "t":  # Z/p**m, which TSV and SVG print in full
+            p, m = int(a), int(b)
+            if not (2 <= p <= MAX_MODULUS and m >= 1 and m * log10(p) <= MAX_EXPONENT + 1
+                    and p ** m < 10 ** MAX_EXPONENT):
+                raise SerializeError(f"label {tok[:40]!r} needs 2 <= p <= {MAX_MODULUS}, "
+                                     f"m >= 1 and p**m of at most {MAX_EXPONENT} digits")
+            return ("t", p, m)
         if head == "j":
             return ("j", _scalar_from_str(a, cat.field), int(b))
     else:

@@ -13,9 +13,10 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 from gpd.categories import image_iso_class, make_mor
-from gpd.diagram import DiagramGrid, mobius_invert
+from gpd.diagram import DiagramError, DiagramGrid, mobius_invert
 from gpd.exact import LatticeContainmentError, smith_normal_form
-from gpd.grothendieck import GroupElem
+from gpd.grothendieck import GroupElem, add, sub, zero_elem
+from gpd.metrics import ErosionReport
 from gpd.homology import _induced_payload, _Stage, parse_coeffs, persistent_module
 from gpd.matrix import Mat
 from gpd.pmodule import InterleavingPair, composite_mor, expected_phi_grid, segment_reps
@@ -365,3 +366,86 @@ def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
         return grid, mors
 
     return InterleavingPair(eps, *family(K, K2, F, G), *family(K2, K, G, F))
+
+
+# --- Cumulative values and the erosion scan, cell by cell in Fractions ------
+
+def cumulative_oracle(Y: DiagramGrid, i: int, j: int) -> GroupElem:
+    """Sum of Y over the cells (h, k) with h <= i and k >= j, one cell at
+    a time (no table)."""
+    total = zero_elem(Y.group, Y.cat)
+    for (h, k), val in Y.cells:
+        if h <= i and k >= j:
+            total = add(total, val)
+    return total
+
+
+def cumulative_at_oracle(Y: DiagramGrid, p, q=None) -> GroupElem:
+    """Cumulative value on [p, q), snapped onto the grid by counting."""
+    i = sum(1 for t in Y.grid if t <= p)
+    j = Y.n + 1 if q is None else sum(1 for t in Y.grid if t < q) + 1
+    return cumulative_oracle(Y, i, j)
+
+
+def _leq_oracle(x: GroupElem, y: GroupElem) -> bool:
+    return all(v >= 0 for _, v in sub(y, x).coeffs)
+
+
+def _eroded_leq_oracle(Ye: DiagramGrid, eps, Yt: DiagramGrid):
+    n = Ye.n
+    for (i, j), _ in Ye.cells:
+        p = Ye.grid[i - 1] + eps
+        if j == n + 1:
+            q = None
+        else:
+            q = Ye.grid[j - 1] - eps
+            if q <= p:
+                continue
+        if not _leq_oracle(cumulative_oracle(Ye, i, j), cumulative_at_oracle(Yt, p, q)):
+            return False, (p, q)
+    return True, None
+
+
+def erosion_witness_oracle(Y1: DiagramGrid, Y2: DiagramGrid, eps):
+    """(ok, failing direction, failing interval) at eps, in Fractions."""
+    if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
+        raise DiagramError("erosion compares diagrams in the same group")
+    eps = Fraction(eps)
+    ok, cell = _eroded_leq_oracle(Y2, eps, Y1)
+    if not ok:
+        return False, "2->1", cell
+    ok, cell = _eroded_leq_oracle(Y1, eps, Y2)
+    if not ok:
+        return False, "1->2", cell
+    return True, None, None
+
+
+def erosion_candidates_oracle(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
+    """Differences, half-differences and midpoints, in Fractions."""
+    T = sorted(set(Y1.grid) | set(Y2.grid))
+    if not T:
+        return (Fraction(0),)
+    T = T + [T[-1] + 1]
+    base = {Fraction(0)}
+    for a in T:
+        for b in T:
+            if a < b:
+                base.add(b - a)
+                base.add((b - a) / 2)
+    cands = sorted(base)
+    mids = [(x + y) / 2 for x, y in zip(cands, cands[1:])]
+    return tuple(sorted(set(cands) | set(mids)))
+
+
+def erosion_oracle(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
+    """The whole erosion scan in Fractions, with cumulative values summed
+    cell by cell."""
+    table, failures, distance = [], [], None
+    for eps in erosion_candidates_oracle(Y1, Y2):
+        ok, direction, cell = erosion_witness_oracle(Y1, Y2, eps)
+        table.append((eps, ok))
+        if ok:
+            distance = eps
+            break
+        failures.append((eps, direction, cell))
+    return ErosionReport(distance=distance, table=tuple(table), failures=tuple(failures))

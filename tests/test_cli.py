@@ -249,6 +249,27 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "--input", str(src))
         assert code == 2 and out == "" and err.startswith("error: bad diagram file")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "svg"])
+    @pytest.mark.parametrize("label", ["t:3:100000000", "t:2:14285", "t:1:5", "t:0:1", "t:-3:2",
+                                       "t:2147483659:1", "t:2:0", "t:3:-1"])
+    def test_prime_power_label_out_of_bounds_exit_2(self, capsys, tmp_path, fmt, label):
+        doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {label: 1}}],
+               "group": {"tag": "A", "category": "ab", "role": "diagram"}}
+        src = tmp_path / "power.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "convert", "--input", str(src), "--format", fmt)
+        assert code == 2 and out == "" and err.startswith("error: bad diagram file")
+
+    def test_prime_power_label_at_the_digit_bound(self, capsys, tmp_path):
+        m = 14284  # 2**14284 has 4300 digits, 2**14285 has 4301
+        assert len(str(2 ** m)) == 4300
+        doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {f"t:2:{m}": 1}}],
+               "group": {"tag": "A", "category": "ab", "role": "diagram"}}
+        src = tmp_path / "power.json"
+        src.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "convert", "--input", str(src), "--format", "tsv")
+        assert code == 0 and f"[Z/{2 ** m}]" in out
+
     def test_deeply_nested_diagram_exit_2(self, capsys, tmp_path):
         src = tmp_path / "deep.json"
         src.write_text("[" * 100000)
@@ -330,3 +351,45 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == "" and "internal error" in err and "boom" in err
         assert "Traceback" not in err
+
+
+def _raise_boom(*args):
+    raise RuntimeError("boom")
+
+
+# One case per exit-code clause of the README: (clause, code, argv, a
+# name in gpd.cli replaced for the case or None).
+_EXIT_CASES = [
+    ("success", 0, ["convert", "--input", "{data}/sample_a.json"], None),
+    ("stability check failed", 1, ["stability", "--input", "{data}/triangle.flt",
+                                   "--epsilon", "1/8", "--trials", "1"],
+     ("check_interleaving", lambda *args: False)),
+    ("malformed filtration", 2, ["diagram", "--input", "{tmp}/bad.flt"], None),
+    ("malformed diagram", 2, ["convert", "--input", "{tmp}/bad.json"], None),
+    ("unreadable input", 2, ["erosion", "{tmp}/missing.json", "{data}/sample_a.json"], None),
+    ("unwritable out", 2, ["convert", "--input", "{data}/sample_a.json",
+                           "--out", "{tmp}/missing/a.json"], None),
+    ("nonpositive trials", 2, ["stability", "--input", "{data}/triangle.flt",
+                               "--epsilon", "1/8", "--trials", "0"], None),
+    ("type B with finset", 3, ["diagram", "--input", "{data}/triangle.flt",
+                               "--category", "finset", "--type", "B"], None),
+    ("category repn", 3, ["diagram", "--input", "{data}/triangle.flt", "--category", "repn"],
+     None),
+    ("internal error", 4, ["erosion", "{data}/sample_a.json", "{data}/sample_b.json"],
+     ("erosion_distance", _raise_boom)),
+]
+
+
+@pytest.mark.parametrize("clause, code, argv, patch", _EXIT_CASES,
+                         ids=[case[0] for case in _EXIT_CASES])
+def test_exit_code_per_readme_clause(capsys, monkeypatch, tmp_path, clause, code, argv, patch):
+    (tmp_path / "bad.flt").write_text("0 : 0\n1 : 2\n0 1 : 1\n")
+    (tmp_path / "bad.json").write_text("{not json")
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    got, out, err = run(capsys, *[a.format(data=DATA, tmp=tmp_path) for a in argv])
+    assert got == code
+    if code >= 2:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert out and err == ""

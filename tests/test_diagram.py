@@ -5,6 +5,8 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpd.categories import ab, finab, finset, identity_obj, make_mor, make_obj, repn, vect
 from gpd.diagram import (
@@ -12,6 +14,7 @@ from gpd.diagram import (
     DiagramGrid,
     cumulate,
     cumulative_at,
+    cumulative_at_cell,
     diagram_add,
     diagram_leq,
     mobius_invert,
@@ -21,13 +24,13 @@ from gpd.diagram import (
     type_B_from_A,
 )
 from gpd.exact import QQ, PrimeField
-from gpd.grothendieck import GroupElem, NoBGroupError, zero_elem
+from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, zero_elem
 from gpd.homology import parse_filtration, persistent_module
 from gpd.matrix import Mat
 from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
 
 from generators import ALL_CATS, random_interval_sum_module, random_module
-from oracles import classical_diagram_gf2, type_B_oracle
+from oracles import classical_diagram_gf2, cumulative_at_oracle, cumulative_oracle, type_B_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -47,6 +50,73 @@ def random_B_diagram(cat, rng, nvals=4):
             if rng.random() < 0.6:
                 cells[(i, j)] = elem("B", cat, dim=rng.randint(-2, 3))
     return DiagramGrid.make("B", cat, grid, cells, role="diagram")
+
+
+# (group, category, basis keys) of the groups random diagrams live in
+DIAGRAM_GROUPS = [
+    ("B", vect(QQ), ["dim"]),
+    ("B", finab(), [2, 3]),
+    ("A", finab(), [("t", 2, 1), ("t", 3, 2)]),
+    ("A", ab(), ["Z", ("t", 2, 1)]),
+    ("A", vect(GF2), ["line"]),
+]
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def diagram_grids(draw, group, cat, keys, denominators):
+    """A diagram on grid values with the given denominators (repeats
+    collapse) and random signed labels on a random subset of its cells."""
+    grid = sorted({Fr(draw(st.integers(0, 5)) * d + draw(st.integers(1, d - 1)) if d > 1
+                      else draw(st.integers(0, 5)), d) for d in denominators})
+    n = len(grid)
+    coeffs = st.dictionaries(st.sampled_from(keys), st.integers(-2, 3), max_size=len(keys))
+    cells = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 2):
+            if draw(st.booleans()):
+                cells[(i, j)] = _make_elem(group, cat, draw(coeffs))
+    return DiagramGrid.make(group, cat, grid, cells, role="diagram")
+
+
+@st.composite
+def diagram_pairs(draw):
+    """Two diagrams in one group on up to five grid values each, with
+    small mixed denominators or pairwise coprime ones across both grids."""
+    group, cat, keys = draw(st.sampled_from(DIAGRAM_GROUPS))
+    n1, n2 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        dens = draw(st.permutations(PRIMES))[:n1 + n2]
+    else:
+        dens = draw(st.lists(st.integers(1, 6), min_size=n1 + n2, max_size=n1 + n2))
+    return (draw(diagram_grids(group, cat, keys, dens[:n1])),
+            draw(diagram_grids(group, cat, keys, dens[n1:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_pairs(), st.data())
+def test_cumulative_table_matches_cell_by_cell_oracle(pair, data):
+    Y = pair[0]
+    n = Y.n
+    expected = {(i, j): cumulative_oracle(Y, i, j) for i in range(1, n + 1)
+                for j in range(i + 1, n + 2)}
+    for (i, j), val in expected.items():
+        assert cumulative_at_cell(Y, i, j) == val
+    assert cumulate(Y).as_dict() == {k: v for k, v in expected.items() if not v.is_zero()}
+    rationals = st.fractions(min_value=-1, max_value=6, max_denominator=12)
+    p = data.draw(rationals)
+    q = data.draw(st.none() | rationals.filter(lambda q: q > p))
+    assert cumulative_at(Y, p, q) == cumulative_at_oracle(Y, p, q)
+
+
+def test_cumulative_at_cell_domain():
+    Y = random_B_diagram(vect(QQ), random.Random(5), nvals=3)
+    for j in range(1, 5):
+        assert cumulative_at_cell(Y, 0, j).is_zero()
+    assert cumulative_at_cell(Y, 3, 4) == cumulative_oracle(Y, 3, 4)
+    for i, j in [(1, 1), (2, 1), (3, 3), (1, 5), (4, 5), (-1, 2)]:
+        with pytest.raises(DiagramError, match="outside the grid"):
+            cumulative_at_cell(Y, i, j)
 
 
 def test_round_trip_inversion():

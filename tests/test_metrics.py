@@ -4,7 +4,11 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gpd.diagram
+import gpd.grothendieck
 from gpd.categories import finab, vect
 from gpd.diagram import (
     DiagramError,
@@ -24,7 +28,8 @@ from gpd.metrics import (
 )
 
 from generators import random_interval_sum_module
-from test_diagram import elem, random_B_diagram
+from oracles import erosion_oracle, erosion_witness_oracle
+from test_diagram import diagram_pairs, elem, random_B_diagram
 
 GF2 = PrimeField(2)
 CQ = vect(QQ)
@@ -174,3 +179,70 @@ def test_candidate_scan_matches_brute_force():
                      if erosion_exists(Y1, Y2, eps)]
         expected = min(successes) if successes else None
         assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_pairs())
+def test_erosion_report_matches_fraction_oracle(pair):
+    Y1, Y2 = pair
+    assert erosion_distance(Y1, Y2) == erosion_oracle(Y1, Y2)
+    assert erosion_distance(Y2, Y1) == erosion_oracle(Y2, Y1)
+    assert erosion_distance(Y1, Y1) == erosion_oracle(Y1, Y1)
+
+
+def test_erosion_report_on_empty_diagrams_matches_oracle():
+    no_values = DiagramGrid.make("B", CQ, (), {}, role="diagram")
+    no_cells = DiagramGrid.make("B", CQ, (Fr(1, 3), Fr(2)), {}, role="diagram")
+    bars = bars_diagram({(1, 2): 1, (2, 3): 2}, [Fr(1, 2), 3])
+    for Y1, Y2 in [(no_values, no_values), (no_values, no_cells), (no_cells, bars),
+                   (bars, no_values), (bars, bars)]:
+        assert erosion_distance(Y1, Y2) == erosion_oracle(Y1, Y2)
+    assert erosion_distance(no_values, no_values).table == ((0, True),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_pairs(), st.fractions(min_value=0, max_value=7, max_denominator=30))
+@example(pair=(bars_diagram({(1, 2): 1, (2, 4): 1}, [0, 2, 5]),
+               bars_diagram({(1, 3): 1, (2, 4): 1}, [1, 2, 5])), eps=Fr(1, 7))
+def test_erosion_witness_matches_oracle_at_any_eps(pair, eps):
+    Y1, Y2 = pair
+    assert erosion_witness(Y1, Y2, eps) == erosion_witness_oracle(Y1, Y2, eps)
+
+
+def test_erosion_witness_between_candidates():
+    """eps = 1/7 is no candidate of two integer grids; the check runs at a
+    scale that covers its denominator and reports the exact interval."""
+    y1 = bars_diagram({(1, 2): 1}, [0, 2])
+    y2 = bars_diagram({(1, 2): 1}, [0, 3])
+    eps = Fr(1, 7)
+    assert eps not in erosion_candidates(y1, y2)
+    got = erosion_witness(y1, y2, eps)
+    assert got == erosion_witness_oracle(y1, y2, eps) == (False, "2->1", (Fr(1, 7), Fr(20, 7)))
+
+
+def test_erosion_scan_adds_only_to_build_two_tables(monkeypatch):
+    """The group additions of a scan are those of the two cumulative
+    tables, 3 per cell, however many candidates are checked."""
+    count = [0]
+    real = gpd.grothendieck.add
+
+    def counting_add(x, y):
+        count[0] += 1
+        return real(x, y)
+
+    for mod in (gpd.grothendieck, gpd.diagram):
+        monkeypatch.setattr(mod, "add", counting_add)
+    rng = random.Random(89)
+    n = 30
+
+    def diagram():
+        grid = sorted(rng.sample(range(n * 97), n))
+        cells = {(i, j): elem("B", CQ, dim=rng.choice([-1, 1, 2]))
+                 for i, j in {(rng.randint(1, n), n + 1) for _ in range(4)}
+                 | {(i, i + rng.randint(1, 5)) for i in rng.sample(range(1, n - 4), 20)}}
+        return DiagramGrid.make("B", CQ, tuple(Fr(t, 97) for t in grid), cells, role="diagram")
+
+    Y1, Y2 = diagram(), diagram()
+    report = erosion_distance(Y1, Y2)
+    assert report.is_infinite and len(report.table) == len(erosion_candidates(Y1, Y2)) > 1000
+    assert count[0] <= 2 * 3 * n * (n + 1) // 2
