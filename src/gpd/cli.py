@@ -17,18 +17,19 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .diagram import DiagramError, diagram_leq, type_A_diagram, type_B_diagram, type_B_from_A
+from .diagram import DiagramError, type_A_diagram, type_B_diagram, type_B_from_A
 from .exact import NonSplitError, parse_rational
 from .grothendieck import NoBGroupError
 from .homology import (
     component_module,
     interleaving_from_perturbation,
+    parse_coeffs,
     parse_filtration,
     persistent_homology,
     persistent_module,
     perturb,
 )
-from .metrics import erode, erosion_distance
+from .metrics import eroded_leq, erosion_distance
 from .pmodule import check_interleaving
 from .serialize import (
     diagram_from_json,
@@ -82,9 +83,6 @@ def _rational(text: str) -> Fraction:
         raise CliError(EXIT_INPUT, f"bad rational {text!r}") from None
 
 
-_CATEGORY_FOR_COEFF = {"Z": "ab", "Q": "vect"}
-
-
 def _module_from_config(args):
     K = parse_filtration(_read(args.input))
     if args.category == "finset":
@@ -92,8 +90,7 @@ def _module_from_config(args):
     if args.category == "repn":
         raise CliError(EXIT_UNSUPPORTED,
                        "the endomorphism category does not arise from a filtration")
-    expected = _CATEGORY_FOR_COEFF.get(
-        args.coeff, "vect" if args.coeff.startswith("Fp:") else "finab")
+    expected = parse_coeffs(args.coeff)[2].kind
     if args.category is None:
         args.category = expected
     if args.category != expected:
@@ -149,7 +146,7 @@ def cmd_stability(args) -> int:
         dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
         if in_hypothesis:
-            semi_ok = diagram_leq(erode(YA_F, eps), YA_G)
+            semi_ok = eroded_leq(YA_F, YA_G, eps)
             semi_txt = "pass" if semi_ok else "FAIL"
         else:
             semi_ok, semi_txt = True, "skipped"

@@ -29,7 +29,7 @@ from .exact import (
     lattice_intersection,
     preimage_lattice,
 )
-from .grothendieck import GroupElem, NoBGroupError, a_class, add, b_class, leq, sub, zero_elem
+from .grothendieck import GroupElem, NoBGroupError, a_class, add, b_class, sub, zero_elem
 from .categories import iso_class, iso_from_invariants, make_obj
 from .matrix import Mat
 
@@ -223,18 +223,12 @@ def diagram_leq(d1: DiagramGrid, d2: DiagramGrid) -> bool:
 
     There is one exactly when, over every support cell I of d1, the
     cumulative value of d1 precedes that of d2 in the group order.  The
-    grids need not coincide: cumulative values snap arbitrary rational
-    endpoints onto each diagram's own grid.
+    grids need not coincide.  This is `metrics.eroded_leq` at eps = 0,
+    the one scan that compares cumulative values.
     """
-    if (d1.group, d1.cat, d1.role) != (d2.group, d2.cat, d2.role):
-        raise DiagramError("diagrams live in different groups")
-    n = d1.n
-    for (i, j), _ in d1.cells:
-        p = d1.grid[i - 1]
-        q = None if j == n + 1 else d1.grid[j - 1]
-        if not leq(cumulative_at_cell(d1, i, j), cumulative_at(d2, p, q)):
-            return False
-    return True
+    from .metrics import eroded_leq
+
+    return eroded_leq(d1, d2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -158,36 +158,6 @@ def smith_normal_form(M: Mat) -> SnfResult:
                      Mat.from_rows(V, n), Mat.from_rows(Ui, m))
 
 
-def det_int(M: Mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in M.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(M: Mat) -> bool:
-    return M.rows == M.cols and abs(det_int(M)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Integer lattices (given by generating-set matrices, columns = generators)
 # ---------------------------------------------------------------------------
@@ -199,39 +169,9 @@ def int_kernel(M: Mat) -> Mat:
     return s.V.take_cols(range(r, M.cols))
 
 
-def solve_int(M: Mat, B: Mat) -> Mat | None:
-    """One integer solution X of M X = B, or None if none exists."""
-    s = smith_normal_form(M)
-    r = s.rank
-    W = s.U @ B
-    Y = []
-    for j in range(B.cols):
-        y = []
-        for i in range(M.cols):
-            if i < r:
-                d = s.D[i, i]
-                w = W[i, j] if i < M.rows else 0
-                if w % d != 0:
-                    return None
-                y.append(w // d)
-            else:
-                y.append(0)
-        Y.append(y)
-    for i in range(r, M.rows):
-        for j in range(B.cols):
-            if W[i, j] != 0:
-                return None
-    return s.V @ Mat.from_cols(Y, nrows=M.cols)
-
-
 def lattice_basis(gens: Mat) -> Mat:
     """Independent basis (columns) of the lattice spanned by the columns of gens."""
     return LatticeQuotient(gens, Mat.zero(gens.rows, 0)).basis
-
-
-def lattice_contains(gens: Mat, B: Mat) -> bool:
-    """True iff every column of B lies in the column lattice of gens."""
-    return solve_int(gens, B) is not None
 
 
 def lattice_intersection(A: Mat, B: Mat) -> Mat:
@@ -403,11 +343,6 @@ def field_rref(F, M: Mat) -> tuple[Mat, list[int]]:
 
 def field_rank(F, M: Mat) -> int:
     return len(field_rref(F, M)[1])
-
-
-def fp_rank(M: Mat, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    return field_rank(PrimeField(p), M)
 
 
 def field_kernel(F, M: Mat) -> Mat:

@@ -159,18 +159,20 @@ def boundary_matrix(rows: list, cols: list) -> Mat:
 # ---------------------------------------------------------------------------
 
 def parse_coeffs(token: str):
-    """Coefficient token: 'Z', 'Q', 'Fp:<p>', or 'Zm:<m>'."""
+    """Coefficient token 'Z', 'Q', 'Fp:<p>' or 'Zm:<m>' as (kind, field or
+    modulus, category of its homology): the one place a token is read."""
     if token == "Z":
-        return ("Z", None)
+        return ("Z", None, ab())
     if token == "Q":
-        return ("F", QQ)
+        return ("F", QQ, vect(QQ))
     if token.startswith("Fp:"):
-        return ("F", PrimeField(int(token[3:])))
+        F = PrimeField(int(token[3:]))
+        return ("F", F, vect(F))
     if token.startswith("Zm:"):
         m = int(token[3:])
         if not 2 <= m <= MAX_MODULUS:
             raise FiltrationError(f"Z/m coefficients need 2 <= m <= {MAX_MODULUS}")
-        return ("Zm", m)
+        return ("Zm", m, finab())
     raise FiltrationError(f"unknown coefficient token {token!r}")
 
 
@@ -183,7 +185,7 @@ class _Stage:
     """
 
     def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
-        kind, arg = ring  # parsed coefficients, see parse_coeffs
+        kind, arg, cat = ring  # parsed coefficients, see parse_coeffs
         self.k_simplices = K.simplices_of_dim(k, at=at)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
@@ -203,18 +205,16 @@ class _Stage:
             self._full = img.hstack(gens)
             self._split = img.cols
             self.gen_reps = gens
-            self.obj = make_obj(vect(F), gens.cols)
+            self.obj = make_obj(cat, gens.cols)
         else:
             if kind == "Z":
                 L = int_kernel(d_k) if k > 0 else Mat.identity(nk)
                 B = d_k1
-                cat = ab()
             else:
                 m = arg
                 L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) \
                     if k > 0 else Mat.identity(nk)
                 B = d_k1.hstack(Mat.identity(nk).scale(m))
-                cat = finab()
             lq = LatticeQuotient(L, B)
             rank, invs = lq.iso()
             self._lq = lq

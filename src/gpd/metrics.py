@@ -6,13 +6,13 @@ eps on each side and disappears once its width drops to zero.  The
 erosion distance between two diagrams is the least eps at which eroded
 morphisms exist in both directions.
 
-The check at eps runs in integers.  Both grids, and eps, are scaled
-once by a common denominator, so every candidate eps and every shifted
-endpoint s +- eps is an int.  A checked cell then costs at most two
-bisections on an integer grid, one lookup in the other diagram's
-cumulative table (`DiagramGrid.cumulative`, built once per diagram) and
-one order test; Fractions are built only for the eps values and failing
-intervals reported.
+One integer scan compares cumulative values, for both directions of the
+erosion check, for `eroded_leq` and for `diagram_leq` (eps = 0).  Both
+grids, and eps, are scaled once by a common denominator, so every eps
+and shifted endpoint s +- eps is an int.  A checked cell then costs at
+most two bisections on an integer grid, one lookup in the other
+diagram's cumulative table (`DiagramGrid.cumulative`, built once per
+diagram) and one order test; Fractions are built only for results.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ def _scaled(Y: DiagramGrid, D: int) -> tuple:
     return grid, cells, C
 
 
-def _check(S1: tuple, S2: tuple, D: int, eps: int):
-    """Eroded morphisms both ways at eps / D, as (ok, failing direction,
-    failing interval), for Y1 and Y2 scaled by D.
+def _check(D: int, S1: tuple, S2: tuple, eps: int, directions=("2->1", "1->2")):
+    """Eroded morphisms at eps / D in the given directions, as (ok, failing
+    direction, failing interval), for Y1 and Y2 scaled by D.
 
     The eroded diagram's cumulative value at the shrunken cell
     [s_i + eps, s_j - eps) is its own at [s_i, s_j), so no re-inversion
     is needed.
     """
-    for direction, (_, cells, _), (grid, _, table) in (("2->1", S2, S1), ("1->2", S1, S2)):
+    for direction in directions:
+        (_, cells, _), (grid, _, table) = (S2, S1) if direction == "2->1" else (S1, S2)
         for start, end, val in cells:
             p = start + eps
             q = None if end is None else end - eps
@@ -88,9 +89,15 @@ def _check(S1: tuple, S2: tuple, D: int, eps: int):
     return True, None, None
 
 
-def _check_pair(Y1: DiagramGrid, Y2: DiagramGrid):
+def _prepare(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> tuple:
+    """`_check`'s D, Y1 and Y2 scaled by D, and eps * D, for comparable Y1, Y2."""
     if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
         raise DiagramError("erosion compares diagrams in the same group")
+    eps = Fraction(eps)
+    if eps < 0:
+        raise DiagramError("erosion needs eps >= 0")
+    D = _scale(Y1, Y2, eps)
+    return D, _scaled(Y1, D), _scaled(Y2, D), eps.numerator * (D // eps.denominator)
 
 
 def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
@@ -102,12 +109,13 @@ def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
 def erosion_witness(Y1: DiagramGrid, Y2: DiagramGrid, eps):
     """(ok, failing direction, failing interval) of the two-sided check,
     run at the common scale of both grids and eps."""
-    _check_pair(Y1, Y2)
-    eps = Fraction(eps)
-    if eps < 0:
-        raise DiagramError("erosion needs eps >= 0")
-    D = _scale(Y1, Y2, eps)
-    return _check(_scaled(Y1, D), _scaled(Y2, D), D, eps.numerator * (D // eps.denominator))
+    return _check(*_prepare(Y1, Y2, eps))
+
+
+def eroded_leq(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
+    """`diagram_leq(erode(Y1, eps), Y2)` by the one-directional check: it
+    reads Y1's own table at the shrunken cells and builds no diagram."""
+    return _check(*_prepare(Y1, Y2, eps), ("1->2",))[0]
 
 
 def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
@@ -159,14 +167,12 @@ def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
     succeeds the distance is infinite.  Both diagrams are scaled once,
     and each candidate is checked in integers with no group additions.
     """
-    _check_pair(Y1, Y2)
-    D = _scale(Y1, Y2)
-    S1, S2 = _scaled(Y1, D), _scaled(Y2, D)
+    D, S1, S2, _ = _prepare(Y1, Y2)
     table = []
     failures = []
     distance = None
     for eps in erosion_candidates(Y1, Y2):
-        ok, direction, cell = _check(S1, S2, D, eps.numerator * (D // eps.denominator))
+        ok, direction, cell = _check(D, S1, S2, eps.numerator * (D // eps.denominator))
         table.append((eps, ok))
         if ok:
             distance = eps

@@ -13,9 +13,9 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 from gpd.categories import image_iso_class, make_mor
-from gpd.diagram import DiagramError, DiagramGrid, mobius_invert
+from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
 from gpd.exact import LatticeContainmentError, smith_normal_form
-from gpd.grothendieck import GroupElem, add, sub, zero_elem
+from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import _induced_payload, _Stage, parse_coeffs, persistent_module
 from gpd.matrix import Mat
@@ -61,6 +61,68 @@ def invariants_from_minor_gcds(M: Mat) -> list[int]:
         invs.append(g // prev)
         prev = g
     return invs
+
+
+# --- Integer determinants and solving (checks of SNF transforms, lattices) --
+
+def det_int(M: Mat) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(M: Mat) -> bool:
+    return M.rows == M.cols and abs(det_int(M)) == 1
+
+
+def solve_int(M: Mat, B: Mat) -> Mat | None:
+    """One integer solution X of M X = B, or None if none exists."""
+    s = smith_normal_form(M)
+    r = s.rank
+    W = s.U @ B
+    Y = []
+    for j in range(B.cols):
+        y = []
+        for i in range(M.cols):
+            if i < r:
+                d = s.D[i, i]
+                w = W[i, j] if i < M.rows else 0
+                if w % d != 0:
+                    return None
+                y.append(w // d)
+            else:
+                y.append(0)
+        Y.append(y)
+    for i in range(r, M.rows):
+        for j in range(B.cols):
+            if W[i, j] != 0:
+                return None
+    return s.V @ Mat.from_cols(Y, nrows=M.cols)
+
+
+def lattice_contains(gens: Mat, B: Mat) -> bool:
+    """True iff every column of B lies in the column lattice of gens."""
+    return solve_int(gens, B) is not None
 
 
 # --- Finite abelian groups by element enumeration ---------------------------
@@ -404,6 +466,20 @@ def _eroded_leq_oracle(Ye: DiagramGrid, eps, Yt: DiagramGrid):
         if not _leq_oracle(cumulative_oracle(Ye, i, j), cumulative_at_oracle(Yt, p, q)):
             return False, (p, q)
     return True, None
+
+
+def diagram_leq_oracle(d1: DiagramGrid, d2: DiagramGrid) -> bool:
+    """Morphism d1 -> d2 of diagrams, one support cell of d1 at a time,
+    with d2's cumulative value snapped onto its grid in Fractions."""
+    if (d1.group, d1.cat, d1.role) != (d2.group, d2.cat, d2.role):
+        raise DiagramError("diagrams live in different groups")
+    n = d1.n
+    for (i, j), _ in d1.cells:
+        p = d1.grid[i - 1]
+        q = None if j == n + 1 else d1.grid[j - 1]
+        if not leq(cumulative_at_cell(d1, i, j), cumulative_at(d2, p, q)):
+            return False
+    return True
 
 
 def erosion_witness_oracle(Y1: DiagramGrid, Y2: DiagramGrid, eps):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import cli
+from gpd import cli, metrics
 from gpd.cli import main
 from gpd.diagram import DiagramGrid
 from gpd.serialize import SerializeError, diagram_from_json
@@ -71,6 +71,16 @@ class TestDiagram:
         code, _, err = run(capsys, "diagram", "--input", str(DATA / "triangle.flt"),
                            "--category", "vect", "--coeff", "Z")
         assert code == 2 and err.strip()
+
+    @pytest.mark.parametrize("coeff, category, message", [
+        ("Zx", "ab", "unknown coefficient token"),
+        ("Fp:4", "finab", "4 is not prime"),
+        ("Zm:1", "ab", "2 <= m"),
+    ])
+    def test_bad_coeff_reports_parse_error(self, capsys, coeff, category, message):
+        code, out, err = run(capsys, "diagram", "--input", str(DATA / "torus.flt"),
+                             "--coeff", coeff, "--category", category)
+        assert code == 2 and out == "" and message in err and "produce" not in err
 
     @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
     def test_huge_exponent_value_exit_2(self, capsys, tmp_path, value):
@@ -190,6 +200,16 @@ class TestStability:
         code, _, _ = run(capsys, "stability", "--input", str(DATA / "torus.flt"),
                          "--degree", "1", "--epsilon", "1/8", "--trials", "3")
         assert code == 0 and len(calls) == 4
+
+    def test_semicontinuity_builds_no_eroded_diagram(self, capsys, monkeypatch):
+        def broken(*args):
+            raise AssertionError("erode called")
+
+        monkeypatch.setattr(metrics, "erode", broken)
+        code, out, _ = run(capsys, "stability", "--input", str(DATA / "torus.flt"),
+                           "--degree", "1", "--epsilon", "1/8", "--trials", "2")
+        assert code == 0
+        assert all(r.split("\t")[1:] == ["pass", "pass", "pass"] for r in out.splitlines()[1:])
 
 
 class TestConvert:

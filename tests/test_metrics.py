@@ -21,6 +21,7 @@ from gpd.exact import QQ, PrimeField
 from gpd.grothendieck import GroupElem
 from gpd.metrics import (
     erode,
+    eroded_leq,
     erosion_candidates,
     erosion_distance,
     erosion_exists,
@@ -28,7 +29,7 @@ from gpd.metrics import (
 )
 
 from generators import random_interval_sum_module
-from oracles import erosion_oracle, erosion_witness_oracle
+from oracles import _eroded_leq_oracle, diagram_leq_oracle, erosion_oracle, erosion_witness_oracle
 from test_diagram import diagram_pairs, elem, random_B_diagram
 
 GF2 = PrimeField(2)
@@ -110,6 +111,10 @@ def test_group_mismatch_rejected():
     y2 = bars_diagram({(1, 2): 1}, [0, 2], cat=finab(), group="A", key=("t", 2, 1))
     with pytest.raises(DiagramError):
         erosion_exists(y1, y2, 0)
+    with pytest.raises(DiagramError):
+        diagram_leq(y1, y2)
+    with pytest.raises(DiagramError):
+        eroded_leq(y1, y2, 1)
 
 
 def test_erosion_distance_examples():
@@ -246,3 +251,27 @@ def test_erosion_scan_adds_only_to_build_two_tables(monkeypatch):
     report = erosion_distance(Y1, Y2)
     assert report.is_infinite and len(report.table) == len(erosion_candidates(Y1, Y2)) > 1000
     assert count[0] <= 2 * 3 * n * (n + 1) // 2
+
+
+INTEGER_PAIR = (bars_diagram({(1, 2): 1}, [0, 2]), bars_diagram({(1, 2): 1}, [0, 3]))
+EMPTY = DiagramGrid.make("B", CQ, (), {}, role="diagram")
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_pairs(), st.integers(0, 10 ** 6))
+@example(pair=INTEGER_PAIR, pick=1)  # eps = 1/7, no candidate of integer grids
+@example(pair=INTEGER_PAIR[::-1], pick=1)
+@example(pair=(EMPTY, INTEGER_PAIR[0]), pick=0)
+@example(pair=(INTEGER_PAIR[0], EMPTY), pick=2)
+def test_eroded_leq_matches_eroded_diagram_and_oracle(pair, pick):
+    """The scan at eps agrees with building erode(Y1, eps) and comparing it
+    cell by cell, and with the Fraction oracle, at eps = 0, 1/7 and at
+    every candidate eps."""
+    for Y1, Y2 in (pair, pair[::-1], pair[:1] * 2):
+        choices = (Fr(0), Fr(1, 7)) + erosion_candidates(Y1, Y2)
+        eps = choices[pick % len(choices)]
+        got = eroded_leq(Y1, Y2, eps)
+        assert got == _eroded_leq_oracle(Y1, eps, Y2)[0]
+        assert got == diagram_leq_oracle(erode(Y1, eps), Y2)
+        if eps == 0:
+            assert diagram_leq(Y1, Y2) == got
