@@ -404,16 +404,10 @@ def image_iso_class(f: Mor) -> IsoClass:
         q = LatticeQuotient(f.payload.hstack(R), R)
         rank, invs = q.iso()
         return iso_from_invariants(cat, rank, invs)
+    # repn: the endomorphism of the target restricted to the image
     F = cat.field
     W = column_space_basis(F, f.payload)
-    if W.cols == 0:
-        return _make_iso(cat, {})
-    C = field_solve(F, W, (f.tgt.data @ W).map(F.coerce))
-    counter: dict = {}
-    for lam, size in jordan_type(C, F):
-        key = ("j", lam, size)
-        counter[key] = counter.get(key, 0) + 1
-    return _make_iso(cat, counter)
+    return iso_class(make_obj(cat, field_solve(F, W, (f.tgt.data @ W).map(F.coerce))))
 
 
 def iso_union(a: IsoClass, b: IsoClass) -> IsoClass:

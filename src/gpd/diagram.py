@@ -24,7 +24,6 @@ from .exact import (
     LatticeQuotient,
     column_space_basis,
     field_kernel,
-    field_rank,
     field_solve,
     lattice_intersection,
     preimage_lattice,
@@ -282,15 +281,6 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
     kind = cat.kind
     if kind == FINSET:
         raise DiagramError("finite sets have no quotient-group diagram")
-    if kind == VECT:
-        Fld = cat.field
-        A1, A0 = m1.payload, m0.payload
-        if nxt is None:
-            val = field_rank(Fld, A1) - field_rank(Fld, A0)
-        else:
-            K = field_kernel(Fld, nxt.payload)
-            val = _dim_intersection(Fld, A1, K) - _dim_intersection(Fld, A0, K)
-        return GroupElem("B", cat, (("dim", val),) if val else ())
     if kind in (AB, FINAB):
         R = ab_relations(obj)
         L1 = m1.payload.hstack(R)
@@ -301,47 +291,39 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
             L0 = lattice_intersection(L0, Kl)
         rank, invs = LatticeQuotient(L1, L0).iso()
         return b_class(a_class(iso_from_invariants(cat, rank, invs)))
-    if kind == REPN:
-        Fld = cat.field
-        A = obj.data  # the endomorphism on the ambient object
-        if nxt is None:
-            W1 = column_space_basis(Fld, m1.payload)
-            W0 = column_space_basis(Fld, m0.payload)
-        else:
-            K = field_kernel(Fld, nxt.payload)
-            W1 = _intersection_basis(Fld, m1.payload, K)
-            W0 = _intersection_basis(Fld, m0.payload, K)
-        return sub(_endo_class(cat, _restrict_endo(Fld, A, W1)),
-                   _endo_class(cat, _restrict_endo(Fld, A, W0)))
-    raise DiagramError(f"unknown category kind {kind!r}")
+    if kind not in (VECT, REPN):
+        raise DiagramError(f"unknown category kind {kind!r}")
+    # the subspaces W1 >= W0 of obj, then the class of their dimensions
+    # (vect) or of the endomorphism restricted to them (repn)
+    Fld = cat.field
+    if nxt is None:
+        W1 = column_space_basis(Fld, m1.payload)
+        W0 = column_space_basis(Fld, m0.payload)
+    else:
+        K = field_kernel(Fld, nxt.payload)
+        W1 = _intersection_basis(Fld, m1.payload, K)
+        W0 = _intersection_basis(Fld, m0.payload, K)
+    if kind == VECT:
+        return sub(_obj_class(cat, W1.cols), _obj_class(cat, W0.cols))
+    return sub(_obj_class(cat, _restrict_endo(Fld, obj.data, W1)),
+               _obj_class(cat, _restrict_endo(Fld, obj.data, W0)))
 
 
-def _endo_class(cat, C: Mat) -> GroupElem:
-    return b_class(a_class(iso_class(make_obj(cat, C))))
+def _obj_class(cat, data) -> GroupElem:
+    return b_class(a_class(iso_class(make_obj(cat, data))))
 
 
 def _intersection_basis(Fld, U: Mat, W: Mat) -> Mat:
     """Basis of (column space of U) cap (column space of W)."""
     U = column_space_basis(Fld, U)
     W = column_space_basis(Fld, W)
-    if U.cols == 0 or W.cols == 0:
-        return Mat.zero(U.rows, 0)
     K = field_kernel(Fld, U.hstack(W.scale(-1)))
     coords = K.take_rows(range(U.cols))
     return column_space_basis(Fld, U @ coords)
 
 
-def _dim_intersection(Fld, U: Mat, W: Mat) -> int:
-    ru, rw = field_rank(Fld, U), field_rank(Fld, W)
-    if ru == 0 or rw == 0:
-        return 0
-    return ru + rw - field_rank(Fld, U.hstack(W))
-
-
 def _restrict_endo(Fld, A: Mat, W: Mat) -> Mat:
     """Matrix of A on the A-invariant subspace spanned by the columns of W."""
-    if W.cols == 0:
-        return Mat.zero(0, 0)
     C = field_solve(Fld, W, A @ W)
     if C is None:
         raise DiagramError("subspace is not invariant under the endomorphism")

@@ -2,8 +2,9 @@
 
 Everything here is total on exact inputs: arbitrary-precision integers,
 Fractions, or residues modulo a prime.  Smith normal form is the engine
-behind all finitely-generated-abelian-group computations; row reduction
-over a field backs the vector-space and Jordan-type computations.
+behind all finitely-generated-abelian-group computations; one sparse
+column reduction over a field (`field_reduce`) backs the vector-space
+and Jordan-type computations.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class LatticeContainmentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Fields and row reduction
+# Fields and column reduction
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 4300  # Python's own limit on the digits of an int read from text
@@ -238,17 +239,11 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
     def sub(self, a, b):
         return a - b
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         return 1 / Fraction(a)
@@ -279,26 +274,17 @@ class PrimeField:
     def coerce(self, x):
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
     def sub(self, a, b):
         return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError
         return pow(a, self.p - 2, self.p)
-
-    def elements(self):
-        return range(self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -313,70 +299,100 @@ class PrimeField:
 QQ = RationalField()
 
 
-def field_rref(F, M: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot columns of M over the field F."""
-    a = [[F.coerce(v) for v in r] for r in M.data]
-    m, n = M.rows, M.cols
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][j] != F.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = F.inv(a[r][j])
-        a[r] = [F.mul(inv, v) for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][j] != F.zero:
-                c = a[i][j]
-                a[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
+def _sub_multiple(F, c: dict, f, col: dict):
+    """c -= f * col in place, for dict columns over F."""
+    p = F.p if isinstance(F, PrimeField) else 0  # Q entries are not reduced
+    for r, x in col.items():
+        y = c.get(r, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            c[r] = y
+        else:
+            del c[r]  # f != 0, so c[r] = f * x was nonzero
+
+
+def _clear(F, c: dict, R: list, lows: dict) -> list:
+    """Subtract multiples of the reduced columns R from the dict column c,
+    in place, until c is zero or its lowest row is not in `lows` (lowest
+    row -> index into R).  Returns the steps (index, multiple); each
+    index appears once, since every step clears c's lowest row."""
+    steps = []
+    while c:
+        low = max(c)
+        j = lows.get(low)
+        if j is None:
             break
-    return Mat.from_rows(a, n), pivots
+        f = F.mul(c[low], F.inv(R[j][low]))
+        _sub_multiple(F, c, f, R[j])
+        steps.append((j, f))
+    return steps
+
+
+def field_reduce(F, cols: list, track: bool = False) -> tuple:
+    """Column reduction over F (Zomorodian and Carlsson).
+
+    `cols` are dict columns (row -> nonzero entry of F).  Left to right,
+    multiples of the nonzero columns before each one are subtracted from
+    it until its lowest row differs from theirs, so a column reduces to
+    zero exactly when it lies in the span of the columns before it.
+    Returns (R, lows, V): the reduced columns, {lowest row: index} of the
+    nonzero ones, and, when `track` is set, the combinations with
+    R[j] = sum of V[j][i] * cols[i] (else None).
+    """
+    R, lows, V = [], {}, [] if track else None
+    for j, col in enumerate(cols):
+        c = dict(col)
+        steps = _clear(F, c, R, lows)
+        if c:
+            lows[max(c)] = j
+        R.append(c)
+        if track:
+            v = {j: F.one}
+            for i, f in steps:
+                _sub_multiple(F, v, f, V[i])
+            V.append(v)
+    return R, lows, V
+
+
+def _columns(F, M: Mat) -> list:
+    return [{i: v for i, v in enumerate(map(F.coerce, col)) if v} for col in M.columns()]
+
+
+def _dense(F, cols: list, n: int) -> Mat:
+    return Mat.from_cols([[c.get(i, F.zero) for i in range(n)] for c in cols], nrows=n)
 
 
 def field_rank(F, M: Mat) -> int:
-    return len(field_rref(F, M)[1])
+    return len(field_reduce(F, _columns(F, M))[1])
 
 
 def field_kernel(F, M: Mat) -> Mat:
-    """Basis (columns) of the kernel of M over F."""
-    R, pivots = field_rref(F, M)
-    free = [j for j in range(M.cols) if j not in pivots]
-    cols = []
-    for j in free:
-        v = [F.zero] * M.cols
-        v[j] = F.one
-        for i, pj in enumerate(pivots):
-            v[pj] = F.neg(R[i, j])
-        cols.append(v)
-    return Mat.from_cols(cols, nrows=M.cols)
+    """Basis (columns) of the kernel of M over F: for each column of M in
+    the span of the columns before it, the combination that zeroes it."""
+    R, _, V = field_reduce(F, _columns(F, M), track=True)
+    return _dense(F, [v for c, v in zip(R, V) if not c], M.cols)
 
 
 def field_solve(F, M: Mat, B: Mat) -> Mat | None:
-    """One solution X of M X = B over F, or None."""
-    aug = M.hstack(B)
-    R, pivots = field_rref(F, aug)
-    if any(j >= M.cols for j in pivots):
-        return None
+    """One solution X of M X = B over F, or None.  X is zero outside the
+    rows of the columns of M that `column_space_basis` picks."""
+    R, lows, V = field_reduce(F, _columns(F, M), track=True)
     X = []
-    for j in range(B.cols):
-        x = [F.zero] * M.cols
-        for i, pj in enumerate(pivots):
-            x[pj] = R[i, M.cols + j]
+    for b in _columns(F, B):
+        x: dict = {}
+        for j, f in _clear(F, b, R, lows):
+            _sub_multiple(F, x, -f, V[j])
+        if b:
+            return None
         X.append(x)
-    return Mat.from_cols(X, nrows=M.cols)
+    return _dense(F, X, M.cols)
 
 
 def column_space_basis(F, M: Mat) -> Mat:
-    _, pivots = field_rref(F, M)
-    return M.take_cols(pivots).map(F.coerce)
+    """The columns of M outside the span of the columns before them."""
+    lows = field_reduce(F, _columns(F, M))[1]
+    return M.take_cols(sorted(lows.values())).map(F.coerce)
 
 
 # ---------------------------------------------------------------------------

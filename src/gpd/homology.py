@@ -1,7 +1,7 @@
 """Filtered simplicial complexes and their persistent homology modules.
 
 The pipeline parses a plain-text filtration, computes homology of each
-sublevel complex exactly (field coefficients by Gaussian elimination,
+sublevel complex exactly (field coefficients by column reduction,
 integer and Z/m coefficients by Smith normal form through presented
 lattice quotients), expresses inclusion-induced maps in canonical
 homology coordinates, and assembles a constructible persistence module.
@@ -19,10 +19,8 @@ from .exact import (
     QQ,
     LatticeQuotient,
     PrimeField,
-    column_space_basis,
-    field_kernel,
-    field_rref,
-    field_solve,
+    _clear,
+    field_reduce,
     int_kernel,
     parse_rational,
     preimage_lattice,
@@ -142,16 +140,17 @@ def parse_filtration(text: str) -> FilteredComplex:
         raise type(exc)(exc.simplex, exc.face, lines[exc.simplex]) from None
 
 
+def _boundary_columns(rows: list, cols: list, coerce=int) -> list:
+    """Boundaries of the simplices `cols` as dict columns {position of a
+    facet in `rows`: coerce(+-1)}."""
+    pos = {s: i for i, s in enumerate(rows)}
+    return [{pos[f]: coerce((-1) ** i) for i, f in enumerate(facets(s))} for s in cols]
+
+
 def boundary_matrix(rows: list, cols: list) -> Mat:
     """Integer boundary matrix from the simplices `cols` to their facets."""
-    pos = {s: i for i, s in enumerate(rows)}
-    out = [[0] * len(cols) for _ in range(len(rows))]
-    for j, s in enumerate(cols):
-        if len(s) == 1:
-            continue  # vertices have zero boundary
-        for i in range(len(s)):
-            out[pos[s[:i] + s[i + 1:]]][j] = (-1) ** i
-    return Mat.from_rows(out, ncols=len(cols))
+    return Mat.from_cols([[c.get(i, 0) for i in range(len(rows))]
+                          for c in _boundary_columns(rows, cols)], nrows=len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +164,19 @@ def parse_coeffs(token: str):
         return ("Z", None, ab())
     if token == "Q":
         return ("F", QQ, vect(QQ))
-    if token.startswith("Fp:"):
-        F = PrimeField(int(token[3:]))
+    if token[:3] not in ("Fp:", "Zm:"):
+        raise FiltrationError(f"unknown coefficient token {token!r}")
+    try:
+        n = int(token[3:])
+    except ValueError:
+        raise FiltrationError(f"coefficient token {token!r} needs an integer "
+                              f"after {token[:3]!r}") from None
+    if token[:3] == "Fp:":
+        F = PrimeField(n)
         return ("F", F, vect(F))
-    if token.startswith("Zm:"):
-        m = int(token[3:])
-        if not 2 <= m <= MAX_MODULUS:
-            raise FiltrationError(f"Z/m coefficients need 2 <= m <= {MAX_MODULUS}")
-        return ("Zm", m, finab())
-    raise FiltrationError(f"unknown coefficient token {token!r}")
+    if not 2 <= n <= MAX_MODULUS:
+        raise FiltrationError(f"Z/m coefficients need 2 <= m <= {MAX_MODULUS}")
+    return ("Zm", n, finab())
 
 
 class _Stage:
@@ -182,55 +185,55 @@ class _Stage:
     Exposes the homology object, ambient cycle representatives of its
     canonical generators (as chain vectors over the stage's k-simplices),
     and `coords` to express any cycle of the stage in those generators.
+
+    Over a field, one column reduction of [d_{k+1} | Z_k], with Z_k the
+    cycles, leaves nonzero columns with distinct lowest rows that form a
+    basis of Z_k: the reduced boundaries, then the generators.  `coords`
+    clears a cycle against that table, and its multiples of the
+    generator columns are its coordinates.
     """
 
     def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
         kind, arg, cat = ring  # parsed coefficients, see parse_coeffs
-        self.k_simplices = K.simplices_of_dim(k, at=at)
+        ks = self.k_simplices = K.simplices_of_dim(k, at=at)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
-        nk = len(self.k_simplices)
-        d_k = boundary_matrix(below, self.k_simplices)
-        d_k1 = boundary_matrix(self.k_simplices, above)
-        if kind == "F":
-            F = arg
-            ker = field_kernel(F, d_k.map(F.coerce)) if k > 0 else \
-                Mat.identity(nk, one=F.one, zero=F.zero)
-            img = column_space_basis(F, d_k1.map(F.coerce))
-            # extend a basis of the boundaries to one of the cycles
-            _, pivots = field_rref(F, img.hstack(ker))
-            chosen = [p - img.cols for p in pivots if p >= img.cols]
-            gens = ker.take_cols(chosen)
-            self._field = F
-            self._full = img.hstack(gens)
-            self._split = img.cols
-            self.gen_reps = gens
-            self.obj = make_obj(cat, gens.cols)
-        else:
-            if kind == "Z":
-                L = int_kernel(d_k) if k > 0 else Mat.identity(nk)
-                B = d_k1
-            else:
-                m = arg
-                L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) \
-                    if k > 0 else Mat.identity(nk)
-                B = d_k1.hstack(Mat.identity(nk).scale(m))
-            lq = LatticeQuotient(L, B)
-            rank, invs = lq.iso()
-            self._lq = lq
-            self.gen_reps = lq.generator_reps()
-            self.obj = make_obj(cat, (rank, tuple(invs)))
+        nk = len(ks)
         self._kind = kind
+        if kind == "F":
+            F = self._field = arg
+            R, _, V = field_reduce(F, _boundary_columns(below, ks, F.coerce), track=True)
+            cycles = [v for c, v in zip(R, V) if not c]
+            R, self._lows, _ = field_reduce(F, _boundary_columns(ks, above, F.coerce) + cycles)
+            self._R, self._gens = R, [j for j in range(len(above), len(R)) if R[j]]
+            self.gen_reps = Mat.from_cols([[R[j].get(i, F.zero) for i in range(nk)]
+                                           for j in self._gens], nrows=nk)
+            self.obj = make_obj(cat, len(self._gens))
+            return
+        d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
+        if kind == "Z":
+            L = int_kernel(d_k) if k > 0 else Mat.identity(nk)
+            B = d_k1
+        else:
+            m = arg
+            L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) \
+                if k > 0 else Mat.identity(nk)
+            B = d_k1.hstack(Mat.identity(nk).scale(m))
+        self._lq = LatticeQuotient(L, B)
+        rank, invs = self._lq.iso()
+        self.gen_reps = self._lq.generator_reps()
+        self.obj = make_obj(cat, (rank, tuple(invs)))
 
     def coords(self, chain) -> list:
         """Canonical homology coordinates of a cycle chain vector."""
-        if self._kind == "F":
-            F = self._field
-            sol = field_solve(F, self._full, Mat.from_cols([chain], nrows=len(chain)))
-            if sol is None:
-                raise FiltrationError("chain is not a cycle of this stage")
-            return [sol[i, 0] for i in range(self._split, self._full.cols)]
-        return self._lq.coords(chain)
+        if self._kind != "F":
+            return self._lq.coords(chain)
+        F = self._field
+        c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
+        steps = dict(_clear(F, c, self._R, self._lows))
+        if c:
+            raise FiltrationError("chain is not a cycle of this stage")
+        return [steps.get(j, F.zero) for j in self._gens]
 
 
 def _induced_payload(src: _Stage, tgt: _Stage):
@@ -238,7 +241,7 @@ def _induced_payload(src: _Stage, tgt: _Stage):
     pos = {s: i for i, s in enumerate(tgt.k_simplices)}
     cols = []
     for j in range(src.gen_reps.cols):
-        chain = [0 if src._kind != "F" else tgt._field.zero] * len(tgt.k_simplices)
+        chain = [0] * len(tgt.k_simplices)
         for i, s in enumerate(src.k_simplices):
             chain[pos[s]] = src.gen_reps[i, j]
         cols.append(tgt.coords(chain))

@@ -51,9 +51,6 @@ class Mat:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 

@@ -44,7 +44,7 @@ def random_obj(cat: Category, rng: random.Random, max_size: int = 4) -> Obj:
     n = rng.randint(0, max_size)
     if n == 0:
         return identity_obj(cat)
-    eigs = list(F.elements())[:5] if isinstance(F, PrimeField) else [Fraction(v) for v in (-1, 0, 1, 2)]
+    eigs = list(range(F.p)[:5]) if isinstance(F, PrimeField) else [Fraction(v) for v in (-1, 0, 1, 2)]
     rows = [[F.zero] * n for _ in range(n)]
     pos = 0
     while pos < n:
@@ -68,7 +68,7 @@ def random_invertible(F, n: int, rng: random.Random) -> Mat:
         if i == j:
             continue
         c = F.coerce(rng.randint(-2, 2))
-        rows[i] = [F.add(a, F.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+        rows[i] = [F.coerce(a + c * b) for a, b in zip(rows[i], rows[j])]
     return Mat.from_rows(rows, ncols=n)
 
 
@@ -97,7 +97,7 @@ def random_mor(src: Obj, tgt: Obj, rng: random.Random) -> Mor:
         for j in range(n):
             row = [F.zero] * (m * n)
             for k in range(n):
-                row[i * n + k] = F.add(row[i * n + k], A[k, j])
+                row[i * n + k] = F.coerce(row[i * n + k] + A[k, j])
             for k in range(m):
                 row[k * n + j] = F.sub(row[k * n + j], B[i, k])
             rows.append(row)

@@ -12,14 +12,27 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from gpd.categories import image_iso_class, make_mor
+from gpd.categories import image_iso_class, make_mor, make_obj, vect
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
 from gpd.exact import LatticeContainmentError, smith_normal_form
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
-from gpd.homology import _induced_payload, _Stage, parse_coeffs, persistent_module
+from gpd.homology import (
+    FiltrationError,
+    _induced_payload,
+    _Stage,
+    boundary_matrix,
+    parse_coeffs,
+    persistent_module,
+)
 from gpd.matrix import Mat
-from gpd.pmodule import InterleavingPair, composite_mor, expected_phi_grid, segment_reps
+from gpd.pmodule import (
+    ConstructibleModule,
+    InterleavingPair,
+    composite_mor,
+    expected_phi_grid,
+    segment_reps,
+)
 
 
 # --- Smith normal form: d_1 * ... * d_k = gcd of all k x k minors -----------
@@ -408,6 +421,134 @@ def type_B_oracle(F) -> DiagramGrid:
             label = _b_label(image_iso_class(composite_mor(F, i, b)))
             cells[(i, j)] = GroupElem("B", F.cat, tuple(sorted((k, v) for k, v in label.items() if v)))
     return mobius_invert(DiagramGrid.make("B", F.cat, F.values, cells, role="constructible"))
+
+
+# --- Dense field linear algebra and per-stage field homology ---------------
+
+def field_rref(F, M: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and pivot columns of M over the field F."""
+    a = [[F.coerce(v) for v in r] for r in M.data]
+    m, n = M.rows, M.cols
+    pivots = []
+    r = 0
+    for j in range(n):
+        piv = None
+        for i in range(r, m):
+            if a[i][j] != F.zero:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = F.inv(a[r][j])
+        a[r] = [F.mul(inv, v) for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][j] != F.zero:
+                c = a[i][j]
+                a[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+        r += 1
+        if r == m:
+            break
+    return Mat.from_rows(a, n), pivots
+
+
+def rref_rank(F, M: Mat) -> int:
+    return len(field_rref(F, M)[1])
+
+
+def rref_kernel(F, M: Mat) -> Mat:
+    """Basis (columns) of the kernel of M over F, one per free column."""
+    R, pivots = field_rref(F, M)
+    cols = []
+    for j in (j for j in range(M.cols) if j not in pivots):
+        v = [F.zero] * M.cols
+        v[j] = F.one
+        for i, pj in enumerate(pivots):
+            v[pj] = F.sub(F.zero, R[i, j])
+        cols.append(v)
+    return Mat.from_cols(cols, nrows=M.cols)
+
+
+def rref_solve(F, M: Mat, B: Mat) -> Mat | None:
+    """One solution X of M X = B over F, or None."""
+    R, pivots = field_rref(F, M.hstack(B))
+    if any(j >= M.cols for j in pivots):
+        return None
+    X = []
+    for j in range(B.cols):
+        x = [F.zero] * M.cols
+        for i, pj in enumerate(pivots):
+            x[pj] = R[i, M.cols + j]
+        X.append(x)
+    return Mat.from_cols(X, nrows=M.cols)
+
+
+def rref_column_space_basis(F, M: Mat) -> Mat:
+    return M.take_cols(field_rref(F, M)[1]).map(F.coerce)
+
+
+class DenseFieldStage:
+    """Field homology of one sublevel complex by dense RREFs: a kernel of
+    d_k, a basis of the boundaries, an RREF of [boundaries | cycles] to
+    extend it to the cycles, and one solve per chain in `coords`."""
+
+    def __init__(self, K, k: int, F, at):
+        self.k_simplices = K.simplices_of_dim(k, at=at)
+        below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
+        d_k = boundary_matrix(below, self.k_simplices).map(F.coerce)
+        d_k1 = boundary_matrix(self.k_simplices, K.simplices_of_dim(k + 1, at=at)).map(F.coerce)
+        ker = rref_kernel(F, d_k) if k > 0 else \
+            Mat.identity(len(self.k_simplices), one=F.one, zero=F.zero)
+        img = rref_column_space_basis(F, d_k1)
+        _, pivots = field_rref(F, img.hstack(ker))
+        self.gen_reps = ker.take_cols([p - img.cols for p in pivots if p >= img.cols])
+        self._F, self._full, self._split = F, img.hstack(self.gen_reps), img.cols
+        self.obj = make_obj(vect(F), self.gen_reps.cols)
+
+    def coords(self, chain) -> list:
+        sol = rref_solve(self._F, self._full, Mat.from_cols([chain], nrows=len(chain)))
+        if sol is None:
+            raise FiltrationError("chain is not a cycle of this stage")
+        return [sol[i, 0] for i in range(self._split, self._full.cols)]
+
+
+def _dense_induced(src: DenseFieldStage, tgt: DenseFieldStage) -> Mat:
+    pos = {s: i for i, s in enumerate(tgt.k_simplices)}
+    cols = []
+    for g in src.gen_reps.columns():
+        chain = [tgt._F.zero] * len(tgt.k_simplices)
+        for s, v in zip(src.k_simplices, g):
+            chain[pos[s]] = v
+        cols.append(tgt.coords(chain))
+    return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
+
+
+def dense_field_homology(K, k: int, coeffs: str) -> tuple:
+    """(stages, module) of degree-k persistent homology over a field,
+    from one DenseFieldStage per segment."""
+    F = parse_coeffs(coeffs)[1]
+    stages = [DenseFieldStage(K, k, F, t) for t in segment_reps(K.critical_values)]
+    mors = tuple(make_mor(a.obj, b.obj, _dense_induced(a, b))
+                 for a, b in zip(stages, stages[1:]))
+    return stages, ConstructibleModule(vect(F), K.critical_values,
+                                       tuple(st.obj for st in stages), mors)
+
+
+def dense_field_interleaving(dense, dense2, eps) -> InterleavingPair:
+    """The eps-interleaving of two `dense_field_homology` results of
+    filtrations of one complex, between their own stages."""
+
+    def family(src, tgt):
+        (stages, M), (stages2, N) = src, tgt
+        grid = expected_phi_grid(M, N, eps)
+        mors = []
+        for r in segment_reps(grid):
+            a, b = stages[M.segment(r)], stages2[N.segment(r + eps)]
+            mors.append(make_mor(a.obj, b.obj, _dense_induced(a, b)))
+        return grid, tuple(mors)
+
+    return InterleavingPair(eps, *family(dense, dense2), *family(dense2, dense))
 
 
 # --- Interleaving of a perturbation from freshly built stages ----------------

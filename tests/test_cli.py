@@ -76,11 +76,19 @@ class TestDiagram:
         ("Zx", "ab", "unknown coefficient token"),
         ("Fp:4", "finab", "4 is not prime"),
         ("Zm:1", "ab", "2 <= m"),
+        ("Fp:abc", "vect", "'Fp:abc' needs an integer"),
+        ("Fp:", "vect", "'Fp:' needs an integer"),
+        ("Zm:", "finab", "'Zm:' needs an integer"),
     ])
     def test_bad_coeff_reports_parse_error(self, capsys, coeff, category, message):
         code, out, err = run(capsys, "diagram", "--input", str(DATA / "torus.flt"),
                              "--coeff", coeff, "--category", category)
         assert code == 2 and out == "" and message in err and "produce" not in err
+
+    def test_stability_bad_coeff_names_the_token(self, capsys):
+        code, out, err = run(capsys, "stability", "--input", str(DATA / "triangle.flt"),
+                             "--coeff", "Zm:x", "--epsilon", "1/8")
+        assert code == 2 and out == "" and "'Zm:x' needs an integer" in err
 
     @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
     def test_huge_exponent_value_exit_2(self, capsys, tmp_path, value):

@@ -13,6 +13,7 @@ from gpd.exact import (
     LatticeQuotient,
     NonSplitError,
     PrimeField,
+    column_space_basis,
     field_kernel,
     field_rank,
     field_solve,
@@ -33,6 +34,9 @@ from oracles import (
     is_unimodular,
     lattice_contains,
     lattice_quotient_oracle,
+    rref_column_space_basis,
+    rref_rank,
+    rref_solve,
     solve_int,
 )
 
@@ -255,6 +259,42 @@ class TestFieldAlgebra:
     def test_rational_rank(self):
         M = Mat.from_rows([[Fraction(1, 2), 1], [1, 2]])
         assert field_rank(QQ, M) == 1
+
+
+@st.composite
+def _field_systems(draw):
+    """A field, a matrix M of up to 5 x 5 (empty shapes included) and a
+    right-hand side B, half the time of the form M X."""
+    F = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    entry = st.integers(-3, 3)
+    if F == QQ:
+        entry = st.builds(Fraction, entry, st.integers(1, 3))
+    m, n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
+
+    def matrix(rows, cols):
+        return Mat.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)], ncols=cols)
+
+    M = matrix(m, n)
+    B = M @ matrix(n, k) if draw(st.booleans()) else matrix(m, k)
+    return F, M, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_systems())
+def test_field_reduction_matches_rref_oracle(system):
+    F, M, B = system
+    Mf = M.map(F.coerce)
+    rank = rref_rank(F, M)
+    assert field_rank(F, M) == rank
+    assert column_space_basis(F, M) == rref_column_space_basis(F, M)
+    K = field_kernel(F, M)
+    assert (K.rows, K.cols) == (M.cols, M.cols - rank)
+    assert (Mf @ K).map(F.coerce).is_zero() and rref_rank(F, K) == K.cols
+    X = field_solve(F, M, B)
+    assert (X is None) == (rref_solve(F, M, B) is None)
+    if X is not None:
+        assert (X.rows, X.cols) == (M.cols, B.cols)
+        assert (Mf @ X).map(F.coerce) == B.map(F.coerce)
 
 
 class TestJordanType:

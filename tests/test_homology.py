@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import exact
+from gpd import exact, homology
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
@@ -32,10 +32,11 @@ from gpd.homology import (
     _induced_payload,
     _Stage,
 )
+from gpd.homology import facets
 from gpd.matrix import Mat
-from gpd.pmodule import check_interleaving, evaluate
+from gpd.pmodule import check_interleaving, composite_mor, evaluate
 
-from oracles import interleaving_oracle
+from oracles import dense_field_homology, dense_field_interleaving, interleaving_oracle, rref_rank
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -236,6 +237,9 @@ class TestHomology:
             persistent_module(K, 0, "Zm:1")
         with pytest.raises(FiltrationError):
             persistent_module(K, 0, "R")
+        for token in ("Fp:abc", "Fp:", "Zm:", "Zm:x"):
+            with pytest.raises(FiltrationError, match=f"'{token}'"):
+                persistent_module(K, 0, token)
 
     def test_induced_map_naturality(self):
         for name in ["torus.flt", "klein_bottle.flt"]:
@@ -335,6 +339,81 @@ class TestPersistentHomology:
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
         # four stages, each one integer kernel and a two-SNF lattice quotient
         assert len(calls) == 12
+
+
+@st.composite
+def _complexes(draw):
+    """Face-closed complexes on up to five vertices, with values in
+    {0, 1/2, ..., 3} raised to those of their faces."""
+    tops = draw(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+                         min_size=1, max_size=5))
+    dense = {v: i for i, v in enumerate(sorted({v for t in tops for v in t}))}
+    closure = sorted({f for t in tops for r in range(1, len(t) + 1)
+                      for f in itertools.combinations(sorted(dense[v] for v in t), r)},
+                     key=lambda s: (len(s), s))
+    value = {}
+    for s in closure:
+        value[s] = max([Fr(draw(st.integers(0, 6)), 2)] + [value[f] for f in facets(s)])
+    return make_complex(value.items())
+
+
+def _composite_ranks(M) -> list:
+    return [rref_rank(M.cat.field, composite_mor(M, a, b).payload)
+            for a in range(M.n + 1) for b in range(a, M.n + 1)]
+
+
+def _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 2), seed=0):
+    """Stage dimensions, the rank of every composite, both diagrams and
+    the interleaving verdict agree with the dense per-stage oracle."""
+    H = persistent_homology(K, k, coeffs)
+    dense = dense_field_homology(K, k, coeffs)
+    M, N = H.module, dense[1]
+    assert M.objects == N.objects
+    assert _composite_ranks(M) == _composite_ranks(N)
+    assert type_A_diagram(M) == type_A_diagram(N)
+    assert type_B_diagram(M) == type_B_diagram(N)
+    K2 = perturb(K, eps, seed)
+    H2 = persistent_homology(K2, k, coeffs)
+    dense2 = dense_field_homology(K2, k, coeffs)
+    assert check_interleaving(M, H2.module, interleaving_from_perturbation(H, H2, eps))
+    assert check_interleaving(N, dense2[1], dense_field_interleaving(dense, dense2, eps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.sampled_from(["Q", "Fp:2", "Fp:3"]), st.integers(0, 2),
+       st.integers(0, 99))
+def test_field_stages_match_dense_oracle(K, coeffs, k, seed):
+    _assert_matches_dense_stages(K, k, coeffs, seed=seed)
+
+
+@pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Fp:3"])
+@pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt"])
+def test_field_stages_match_dense_oracle_on_bundled_data(name, coeffs):
+    K = parse_filtration((DATA / name).read_text())
+    for k in range(3):
+        _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 4), seed=k)
+
+
+def test_field_stage_reduces_once(monkeypatch):
+    """A field stage runs at most two column reductions (cycles, then
+    boundaries and cycles together); coordinates reuse the second."""
+    calls = []
+    real = exact.field_reduce
+    counting = lambda *args, **kw: calls.append(args) or real(*args, **kw)  # noqa: E731
+    monkeypatch.setattr(exact, "field_reduce", counting)
+    monkeypatch.setattr(homology, "field_reduce", counting)
+    K = parse_filtration((DATA / "torus.flt").read_text())
+    dims = []
+    for coeffs in ("Q", "Fp:2"):
+        for k in range(3):
+            stage = _Stage(K, k, parse_coeffs(coeffs), K.critical_values[-1])
+            assert len(calls) <= 2
+            calls.clear()
+            assert [stage.coords(g) for g in stage.gen_reps.columns()] == \
+                Mat.identity(stage.obj.data).to_lists()
+            assert calls == []
+            dims.append(stage.obj.data)
+    assert dims == [1, 2, 1] * 2
 
 
 def test_rips_filtration():
