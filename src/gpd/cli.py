@@ -6,9 +6,10 @@ checking the continuity and semicontinuity properties of the diagrams),
 and `convert` (re-emit a diagram file in another format).
 
 Exit codes: 0 success; 1 a stability trial violated a theorem; 2 parse
-or validation errors, or a file that cannot be read or written; 3
-unsupported group/category combination; 4 any other exception, which is
-a bug in gpd and is reported without a traceback.
+or validation errors (among them `--trials` outside 1..MAX_TRIALS), or a
+file that cannot be read or written; 3 unsupported group/category
+combination; 4 any other exception, which is a bug in gpd and is
+reported without a traceback.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+
+# Largest `stability --trials`: each trial rebuilds the perturbed module,
+# so a larger count is unbounded work that prints nothing until the end.
+MAX_TRIALS = 10000
 
 
 class CliError(Exception):
@@ -127,6 +132,8 @@ def cmd_stability(args) -> int:
         raise CliError(EXIT_INPUT, "epsilon must be nonnegative")
     if args.trials <= 0:
         raise CliError(EXIT_INPUT, "trials must be positive")
+    if args.trials > MAX_TRIALS:
+        raise CliError(EXIT_INPUT, f"trials must be at most {MAX_TRIALS}")
     H = persistent_homology(K, args.degree, args.coeff)
     F = H.module
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]

@@ -2,9 +2,11 @@
 
 Everything here is total on exact inputs: arbitrary-precision integers,
 Fractions, or residues modulo a prime.  Smith normal form is the engine
-behind all finitely-generated-abelian-group computations; one sparse
-column reduction over a field (`field_reduce`) backs the vector-space
-and Jordan-type computations.
+behind all finitely-generated-abelian-group computations; it builds only
+the transforms its caller asks for (`int_kernel` reads V,
+`LatticeQuotient` reads U and its inverse).  One sparse column reduction
+over a field (`field_reduce`) backs the vector-space and Jordan-type
+computations.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ class NonSplitError(Exception):
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U @ M @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_r."""
+    """U @ M @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_r.
 
-    U: Mat
+    U, V and Uinv are None when `smith_normal_form` was told not to
+    build them.
+    """
+
+    U: Mat | None
     D: Mat
-    V: Mat
-    Uinv: Mat
+    V: Mat | None
+    Uinv: Mat | None
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -61,61 +67,97 @@ def _elimination(a: int, b: int) -> tuple[int, int, int, int]:
     return x0, y0, -b // r0, a // r0
 
 
-def smith_normal_form(M: Mat) -> SnfResult:
-    """Smith normal form over Z with both transforms and the inverse of U.
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = True) -> SnfResult:
+    """Smith normal form over Z, with the transforms the caller asks for.
+
+    D is always built.  U, V and Uinv (the inverse of U) are built and
+    updated only when their flag is set, as it is by default; a caller
+    that reads one side turns the others off, and they are None in the
+    result.  A transform that is built does not depend on which others
+    are.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
-    block.  An entry of the pivot's row or column that the pivot does
-    not divide is combined with it by a 2x2 unimodular step whose
-    coefficients come from their extended gcd (`_elimination`), and the
-    divisibility chain is made on the diagonal at the end.  Chains of
-    Euclidean remainders with row swaps, and forcing divisibility by
-    adding a whole row to the pivot row, can grow the entries of a 10x10
-    matrix with entries below 7000 past 10^100.
+    block, the first in row-major order; the scan stops at the first
+    entry of absolute value 1.  An entry of the pivot's row or column
+    that the pivot does not divide is combined with it by a 2x2
+    unimodular step whose coefficients come from their extended gcd
+    (`_elimination`), and the divisibility chain is made on the
+    diagonal at the end.  Chains of Euclidean remainders with row swaps,
+    and forcing divisibility by adding a whole row to the pivot row, can
+    grow the entries of a 10x10 matrix with entries below 7000 past
+    10^100.
     """
     m, n = M.rows, M.cols
     D = [list(r) for r in M.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Ut = _identity(m) if U else None
+    Ui = _identity(m) if Uinv else None
+    Vt = _identity(n) if V else None
+    row_ops = [D] + ([Ut] if U else [])  # transforms acted on by row operations
+    col_ops = [D] + ([Vt] if V else [])  # ... and by column operations
 
     def swap_rows(a, b):
         if a != b:
-            D[a], D[b] = D[b], D[a]
-            U[a], U[b] = U[b], U[a]
-            for r in Ui:
-                r[a], r[b] = r[b], r[a]
+            for T in row_ops:
+                T[a], T[b] = T[b], T[a]
+            if Uinv:
+                for r in Ui:
+                    r[a], r[b] = r[b], r[a]
 
     def swap_cols(a, b):
         if a != b:
-            for r in D:
-                r[a], r[b] = r[b], r[a]
-            for r in V:
-                r[a], r[b] = r[b], r[a]
+            for T in col_ops:
+                for r in T:
+                    r[a], r[b] = r[b], r[a]
+
+    # An operation with y = 0 has x = v = 1 (`_elimination` of a pivot that
+    # divides b): it only adds u times line a to line b, so it skips the
+    # entries with p = 0, which it leaves unchanged.
 
     def mix_rows(a, b, x, y, u, v):
         # (row_a, row_b) <- (x row_a + y row_b, u row_a + v row_b), x v - y u = 1;
         # the inverse operation on the columns of Ui
-        for T in (D, U):
+        if y == 0 and x == v == 1:  # row_b += u row_a; Ui: col_a -= u col_b
+            for T in row_ops:
+                T[b] = [q + u * p if p else q for p, q in zip(T[a], T[b])]
+            if Uinv:
+                for r in Ui:
+                    q = r[b]
+                    if q:
+                        r[a] -= u * q
+            return
+        for T in row_ops:
             ra, rb = T[a], T[b]
             T[a] = [x * p + y * q for p, q in zip(ra, rb)]
             T[b] = [u * p + v * q for p, q in zip(ra, rb)]
-        for r in Ui:
-            p, q = r[a], r[b]
-            r[a], r[b] = v * p - u * q, x * q - y * p
+        if Uinv:
+            for r in Ui:
+                p, q = r[a], r[b]
+                r[a], r[b] = v * p - u * q, x * q - y * p
 
     def mix_cols(a, b, x, y, u, v):
         # (col_a, col_b) <- (x col_a + y col_b, u col_a + v col_b), x v - y u = 1
-        for T in (D, V):
+        if y == 0 and x == v == 1:  # col_b += u col_a
+            for T in col_ops:
+                for r in T:
+                    p = r[a]
+                    if p:
+                        r[b] += u * p
+            return
+        for T in col_ops:
             for r in T:
                 p, q = r[a], r[b]
                 r[a], r[b] = x * p + y * q, u * p + v * q
 
     def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
+        for T in row_ops:
+            T[i] = [-x for x in T[i]]
+        if Uinv:
+            for r in Ui:
+                r[i] = -r[i]
 
     t = 0
     while True:
@@ -127,6 +169,10 @@ def smith_normal_form(M: Mat) -> SnfResult:
                 if v != 0 and (best is None or abs(v) < best):
                     best = abs(v)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -155,8 +201,10 @@ def smith_normal_form(M: Mat) -> SnfResult:
         if D[i][i] < 0:
             negate_row(i)
 
-    return SnfResult(Mat.from_rows(U, m), Mat.from_rows(D, n),
-                     Mat.from_rows(V, n), Mat.from_rows(Ui, m))
+    def result(T, k):
+        return None if T is None else Mat.from_rows(T, k)
+
+    return SnfResult(result(Ut, m), Mat.from_rows(D, n), result(Vt, n), result(Ui, m))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +213,8 @@ def smith_normal_form(M: Mat) -> SnfResult:
 
 def int_kernel(M: Mat) -> Mat:
     """Basis of the integer kernel {x : M x = 0}, columns of the result."""
-    s = smith_normal_form(M)
-    r = s.rank
-    return s.V.take_cols(range(r, M.cols))
+    s = smith_normal_form(M, U=False, Uinv=False)
+    return s.V.take_cols(range(s.rank, M.cols))
 
 
 def lattice_basis(gens: Mat) -> Mat:
@@ -488,15 +535,15 @@ class LatticeQuotient:
         if L_gens.rows != B_gens.rows:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
-        s = smith_normal_form(L_gens)
+        s = smith_normal_form(L_gens, V=False)
         self._U = s.U
         self._d = s.invariant_factors
         self.basis = Mat.from_cols([tuple(s.Uinv[k, i] * d for k in range(self.ambient))
                                     for i, d in enumerate(self._d)], nrows=self.ambient)
         W = s.U @ B_gens
-        C = Mat.from_cols([self._divide(W.col(j), j) for j in range(B_gens.cols)],
+        C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
                           nrows=len(self._d))
-        s = smith_normal_form(C)
+        s = smith_normal_form(C, V=False)
         self._P = s.U
         self._Pinv = s.Uinv
         rho = s.rank

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 
@@ -45,28 +46,46 @@ class Mat:
                 raise ValueError("ragged columns")
         elif nrows is None:
             nrows = 0
-        return Mat(nrows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(nrows)))
+        return Mat(nrows, len(cols), tuple(zip(*cols)) if cols else ((),) * nrows)
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.data[i][j]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(r[j] for r in self.data)
 
     def columns(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def mul(self, other: "Mat") -> "Mat":
+        """The product self @ other, at a cost that follows the nonzeros:
+        each nonzero entry a = self[i, k] adds a times the nonzero entries
+        of row k of other to row i, and zeros cost one test each.
+
+        Every entry has the value and type of the dense sum
+        0 + sum_k self[i, k] * other[k, j]: a Fraction if row i of self or
+        column j of other holds one (even a zero one), else an int.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        od = other.data
+        n = other.cols
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        frac_cols = []
+        if Fraction in set(map(type, chain.from_iterable(other.data))):
+            frac_cols = [j for j, c in enumerate(zip(*other.data)) if Fraction in set(map(type, c))]
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append(tuple(sum(ri[k] * od[k][j] for k in range(self.cols))
-                             for j in range(other.cols)))
-        return Mat(self.rows, other.cols, tuple(out))
+        for ri in self.data:
+            acc = [0] * n
+            for a, rk in zip(ri, right):
+                if a:
+                    for j, b in rk:
+                        acc[j] += a * b
+            for j in range(n) if Fraction in set(map(type, ri)) else frac_cols:
+                if type(acc[j]) is not Fraction:
+                    acc[j] = Fraction(acc[j])
+            out.append(tuple(acc))
+        return Mat(self.rows, n, tuple(out))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.mul(other)

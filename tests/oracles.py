@@ -14,7 +14,7 @@ from math import gcd
 
 from gpd.categories import image_iso_class, make_mor, make_obj, vect
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
-from gpd.exact import LatticeContainmentError, smith_normal_form
+from gpd.exact import LatticeContainmentError, SnfResult, _elimination
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
@@ -76,6 +76,103 @@ def invariants_from_minor_gcds(M: Mat) -> list[int]:
     return invs
 
 
+# --- Dense products and the all-transforms Smith normal form ---------------
+
+def dense_mul(A: Mat, B: Mat) -> Mat:
+    """A @ B by the dense sum 0 + sum_k A[i, k] * B[k, j] of every entry,
+    zeros included."""
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    return Mat(A.rows, B.cols, tuple(
+        tuple(sum(A.data[i][k] * B.data[k][j] for k in range(A.cols)) for j in range(B.cols))
+        for i in range(A.rows)))
+
+
+def dense_smith_normal_form(M: Mat) -> SnfResult:
+    """Smith normal form with U, V and Uinv always built and updated, every
+    row of every transform touched by each operation, and a pivot scan of
+    the whole remaining block: the same pivots and steps as
+    `exact.smith_normal_form`, so the same D and transforms."""
+    m, n = M.rows, M.cols
+    D = [list(r) for r in M.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(a, b):
+        if a != b:
+            D[a], D[b] = D[b], D[a]
+            U[a], U[b] = U[b], U[a]
+            for r in Ui:
+                r[a], r[b] = r[b], r[a]
+
+    def swap_cols(a, b):
+        if a != b:
+            for r in D:
+                r[a], r[b] = r[b], r[a]
+            for r in V:
+                r[a], r[b] = r[b], r[a]
+
+    def mix_rows(a, b, x, y, u, v):
+        for T in (D, U):
+            ra, rb = T[a], T[b]
+            T[a] = [x * p + y * q for p, q in zip(ra, rb)]
+            T[b] = [u * p + v * q for p, q in zip(ra, rb)]
+        for r in Ui:
+            p, q = r[a], r[b]
+            r[a], r[b] = v * p - u * q, x * q - y * p
+
+    def mix_cols(a, b, x, y, u, v):
+        for T in (D, V):
+            for r in T:
+                p, q = r[a], r[b]
+                r[a], r[b] = x * p + y * q, u * p + v * q
+
+    def negate_row(i):
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+        for r in Ui:
+            r[i] = -r[i]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = D[i][j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    mix_rows(t, i, *_elimination(D[t][t], D[i][t]))
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    dirty = dirty or D[t][j] % D[t][t] != 0
+                    mix_cols(t, j, *_elimination(D[t][t], D[t][j]))
+        t += 1
+
+    for i in range(t):
+        for j in range(i + 1, t):
+            if D[j][j] % D[i][i]:
+                mix_cols(i, j, 1, 1, 0, 1)
+                mix_rows(i, j, *_elimination(D[i][i], D[j][i]))
+                mix_cols(j, i, 1, -(D[i][j] // D[i][i]), 0, 1)
+        if D[i][i] < 0:
+            negate_row(i)
+
+    return SnfResult(Mat.from_rows(U, m), Mat.from_rows(D, n),
+                     Mat.from_rows(V, n), Mat.from_rows(Ui, m))
+
+
 # --- Integer determinants and solving (checks of SNF transforms, lattices) --
 
 def det_int(M: Mat) -> int:
@@ -110,7 +207,7 @@ def is_unimodular(M: Mat) -> bool:
 
 def solve_int(M: Mat, B: Mat) -> Mat | None:
     """One integer solution X of M X = B, or None if none exists."""
-    s = smith_normal_form(M)
+    s = dense_smith_normal_form(M)
     r = s.rank
     W = s.U @ B
     Y = []
@@ -345,13 +442,13 @@ class lattice_quotient_oracle:
 
     def __init__(self, L_gens: Mat, B_gens: Mat):
         self.ambient = L_gens.rows
-        s = smith_normal_form(L_gens)
+        s = dense_smith_normal_form(L_gens)
         self.basis = Mat.from_cols([[s.Uinv[k, i] * s.D[i, i] for k in range(self.ambient)]
                                     for i in range(s.rank)], nrows=self.ambient)
-        self._basis_snf = smith_normal_form(self.basis)
+        self._basis_snf = dense_smith_normal_form(self.basis)
         C = Mat.from_cols([self._basis_coords(B_gens.col(j), which=j)
                            for j in range(B_gens.cols)], nrows=self.basis.cols)
-        s = smith_normal_form(C)
+        s = dense_smith_normal_form(C)
         self._P = s.U
         self._Pinv = s.Uinv
         ds = list(s.invariant_factors)

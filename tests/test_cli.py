@@ -399,6 +399,8 @@ _EXIT_CASES = [
                            "--out", "{tmp}/missing/a.json"], None),
     ("nonpositive trials", 2, ["stability", "--input", "{data}/triangle.flt",
                                "--epsilon", "1/8", "--trials", "0"], None),
+    ("trials above MAX_TRIALS", 2, ["stability", "--input", "{data}/triangle.flt",
+                                    "--epsilon", "1/8", "--trials", "1000000000"], None),
     ("type B with finset", 3, ["diagram", "--input", "{data}/triangle.flt",
                                "--category", "finset", "--type", "B"], None),
     ("category repn", 3, ["diagram", "--input", "{data}/triangle.flt", "--category", "repn"],

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from gpd.matrix import Mat
 
 from oracles import (
     FiniteGroupTable,
+    dense_smith_normal_form,
     det_int,
     invariants_from_minor_gcds,
     is_unimodular,
@@ -48,6 +50,17 @@ small_matrices = st.integers(0, 4).flatmap(
         ).map(lambda rows: Mat.from_rows(rows, ncols=n))
     )
 )
+
+
+def assert_snf_subsets_match_oracle(M: Mat):
+    """With every subset of the transforms asked for, D and each transform
+    built equal the dense all-transforms oracle's, and the others are None."""
+    o = dense_smith_normal_form(M)
+    for flags in itertools.product((False, True), repeat=3):
+        s = smith_normal_form(M, **dict(zip(("U", "V", "Uinv"), flags)))
+        assert s.D == o.D
+        for built, mine, theirs in zip(flags, (s.U, s.V, s.Uinv), (o.U, o.V, o.Uinv)):
+            assert mine == (theirs if built else None)
 
 
 class TestSmithNormalForm:
@@ -83,6 +96,11 @@ class TestSmithNormalForm:
     def test_invariants_match_minor_gcd_oracle(self, M):
         s = smith_normal_form(M)
         assert list(s.invariant_factors) == invariants_from_minor_gcds(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_every_transform_subset_matches_dense_oracle(self, M):
+        assert_snf_subsets_match_oracle(M)
 
     def test_entries_stay_small(self):
         # coordinates of 4 Z^10 in a basis of an image lattice over Z/4 (torus H1,
@@ -232,7 +250,8 @@ class TestQuotientInvariants:
     def test_runs_two_smith_normal_forms(self, monkeypatch):
         calls = []
         real = exact.smith_normal_form
-        monkeypatch.setattr(exact, "smith_normal_form", lambda M: calls.append(M) or real(M))
+        monkeypatch.setattr(exact, "smith_normal_form",
+                            lambda M, **kw: calls.append(M) or real(M, **kw))
         L = Mat.from_cols([[2, 0], [0, 3]])
         B = Mat.from_cols([[4, 0]])
         assert LatticeQuotient(L, B).iso() == (1, [2])

@@ -3,7 +3,9 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from gpd.matrix import Mat
 from gpd.pmodule import check_interleaving, composite_mor, evaluate
 
 from oracles import dense_field_homology, dense_field_interleaving, interleaving_oracle, rref_rank
+from test_exact import assert_snf_subsets_match_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -335,10 +338,27 @@ class TestPersistentHomology:
     def test_smith_normal_forms_of_klein_bottle_h1(self, monkeypatch):
         calls = []
         real = exact.smith_normal_form
-        monkeypatch.setattr(exact, "smith_normal_form", lambda M: calls.append(M) or real(M))
+        monkeypatch.setattr(exact, "smith_normal_form",
+                            lambda M, **kw: calls.append(M) or real(M, **kw))
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
         # four stages, each one integer kernel and a two-SNF lattice quotient
         assert len(calls) == 12
+
+    def test_smith_normal_forms_build_only_the_transforms_read(self, monkeypatch):
+        # over Z, int_kernel reads V and LatticeQuotient reads U and Uinv
+        built = Counter()
+        real = exact.smith_normal_form
+
+        def spy(M, **kw):
+            s = real(M, **kw)
+            caller = sys._getframe(1).f_code.co_qualname
+            built[caller, s.U is not None, s.V is not None, s.Uinv is not None] += 1
+            return s
+
+        monkeypatch.setattr(exact, "smith_normal_form", spy)
+        persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
+        assert built == {("int_kernel", False, True, False): 4,
+                         ("LatticeQuotient.__init__", True, False, True): 8}
 
 
 @st.composite
@@ -355,6 +375,14 @@ def _complexes(draw):
     for s in closure:
         value[s] = max([Fr(draw(st.integers(0, 6)), 2)] + [value[f] for f in facets(s)])
     return make_complex(value.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.integers(1, 3), st.sampled_from([0, 2, 4]))
+def test_smith_normal_forms_of_boundary_matrices_match_dense_oracle(K, k, m):
+    # m > 0 appends m times the identity, as the stages over Z/m do
+    d = boundary_matrix(K.simplices_of_dim(k - 1), K.simplices_of_dim(k))
+    assert_snf_subsets_match_oracle(d.hstack(Mat.identity(d.rows).scale(m)) if m else d)
 
 
 def _composite_ranks(M) -> list:
