@@ -2,8 +2,8 @@
 
 Everything here is total on exact inputs: arbitrary-precision integers,
 Fractions, or residues modulo a prime.  Smith normal form is the engine
-behind all finitely-generated-abelian-group computations; it builds only
-the transforms its caller asks for (`int_kernel` reads V,
+behind all finitely-generated-abelian-group computations; it builds the
+transforms of the one side its caller reads (`int_kernel` reads V,
 `LatticeQuotient` reads U and its inverse).  One sparse column reduction
 over a field (`field_reduce`) backs the vector-space and Jordan-type
 computations.
@@ -33,8 +33,8 @@ class NonSplitError(Exception):
 class SnfResult:
     """U @ M @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_r.
 
-    U, V and Uinv are None when `smith_normal_form` was told not to
-    build them.
+    `smith_normal_form` builds one side: U and Uinv, with V None, or V,
+    with U and Uinv None.
     """
 
     U: Mat | None
@@ -71,14 +71,14 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = True) -> SnfResult:
-    """Smith normal form over Z, with the transforms the caller asks for.
+def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
+    """Smith normal form over Z, with the transforms of one side.
 
-    D is always built.  U, V and Uinv (the inverse of U) are built and
-    updated only when their flag is set, as it is by default; a caller
-    that reads one side turns the others off, and they are None in the
-    result.  A transform that is built does not depend on which others
-    are.
+    D is always built.  With `rows` set, U and Uinv (the inverse of U)
+    are built and updated and V is None; otherwise V is built and U and
+    Uinv are None.  A transform that is built does not depend on which
+    side was asked for: `smith_normal_form(M, rows=True).U` and
+    `smith_normal_form(M, rows=False).V` satisfy U M V = D.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     block, the first in row-major order; the scan stops at the first
@@ -93,17 +93,17 @@ def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = Tr
     """
     m, n = M.rows, M.cols
     D = [list(r) for r in M.data]
-    Ut = _identity(m) if U else None
-    Ui = _identity(m) if Uinv else None
-    Vt = _identity(n) if V else None
-    row_ops = [D] + ([Ut] if U else [])  # transforms acted on by row operations
-    col_ops = [D] + ([Vt] if V else [])  # ... and by column operations
+    Ut = _identity(m) if rows else None
+    Ui = _identity(m) if rows else None
+    Vt = None if rows else _identity(n)
+    row_ops = [D, Ut] if rows else [D]  # transforms acted on by row operations
+    col_ops = [D] if rows else [D, Vt]  # ... and by column operations
 
     def swap_rows(a, b):
         if a != b:
             for T in row_ops:
                 T[a], T[b] = T[b], T[a]
-            if Uinv:
+            if rows:
                 for r in Ui:
                     r[a], r[b] = r[b], r[a]
 
@@ -123,7 +123,7 @@ def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = Tr
         if y == 0 and x == v == 1:  # row_b += u row_a; Ui: col_a -= u col_b
             for T in row_ops:
                 T[b] = [q + u * p if p else q for p, q in zip(T[a], T[b])]
-            if Uinv:
+            if rows:
                 for r in Ui:
                     q = r[b]
                     if q:
@@ -133,7 +133,7 @@ def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = Tr
             ra, rb = T[a], T[b]
             T[a] = [x * p + y * q for p, q in zip(ra, rb)]
             T[b] = [u * p + v * q for p, q in zip(ra, rb)]
-        if Uinv:
+        if rows:
             for r in Ui:
                 p, q = r[a], r[b]
                 r[a], r[b] = v * p - u * q, x * q - y * p
@@ -155,7 +155,7 @@ def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = Tr
     def negate_row(i):
         for T in row_ops:
             T[i] = [-x for x in T[i]]
-        if Uinv:
+        if rows:
             for r in Ui:
                 r[i] = -r[i]
 
@@ -213,7 +213,7 @@ def smith_normal_form(M: Mat, *, U: bool = True, V: bool = True, Uinv: bool = Tr
 
 def int_kernel(M: Mat) -> Mat:
     """Basis of the integer kernel {x : M x = 0}, columns of the result."""
-    s = smith_normal_form(M, U=False, Uinv=False)
+    s = smith_normal_form(M, rows=False)
     return s.V.take_cols(range(s.rank, M.cols))
 
 
@@ -535,7 +535,7 @@ class LatticeQuotient:
         if L_gens.rows != B_gens.rows:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
-        s = smith_normal_form(L_gens, V=False)
+        s = smith_normal_form(L_gens, rows=True)
         self._U = s.U
         self._d = s.invariant_factors
         self.basis = Mat.from_cols([tuple(s.Uinv[k, i] * d for k in range(self.ambient))
@@ -543,7 +543,7 @@ class LatticeQuotient:
         W = s.U @ B_gens
         C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
                           nrows=len(self._d))
-        s = smith_normal_form(C, V=False)
+        s = smith_normal_form(C, rows=True)
         self._P = s.U
         self._Pinv = s.Uinv
         rho = s.rank

@@ -14,7 +14,7 @@ from math import gcd
 
 from gpd.categories import image_iso_class, make_mor, make_obj, vect
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
-from gpd.exact import LatticeContainmentError, SnfResult, _elimination
+from gpd.exact import LatticeContainmentError, SnfResult, _elimination, smith_normal_form
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
@@ -171,6 +171,17 @@ def dense_smith_normal_form(M: Mat) -> SnfResult:
 
     return SnfResult(Mat.from_rows(U, m), Mat.from_rows(D, n),
                      Mat.from_rows(V, n), Mat.from_rows(Ui, m))
+
+
+def assert_snf_sides_match_oracle(M: Mat):
+    """For each side asked of `smith_normal_form`, D and each transform
+    built equal the dense all-transforms oracle's, and the others are None."""
+    o = dense_smith_normal_form(M)
+    for rows in (True, False):
+        s = smith_normal_form(M, rows=rows)
+        assert s.D == o.D
+        assert (s.U, s.Uinv) == ((o.U, o.Uinv) if rows else (None, None))
+        assert s.V == (None if rows else o.V)
 
 
 # --- Integer determinants and solving (checks of SNF transforms, lattices) --
