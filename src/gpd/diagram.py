@@ -183,9 +183,20 @@ def cumulative_at(Y: DiagramGrid, p, q=None) -> GroupElem:
 
 
 def type_A_diagram(F) -> DiagramGrid:
-    from .pmodule import dX_A
+    """The Moebius inversion of the image classes X_A of F.
 
-    return mobius_invert(dX_A(F))
+    At a value where F does not change, X_A repeats the neighbouring row
+    and column, so every diagram cell in that row or column is zero.  The
+    image classes are computed and inverted on `essential_restriction(F)`
+    only, and each cell is read back at its index in F's grid; zero cells
+    are not stored, so the grid equals the full-grid inversion.
+    """
+    from .pmodule import dX_A, essential_restriction
+
+    E, pos = essential_restriction(F)
+    Y = mobius_invert(dX_A(E))
+    cells = {(pos[a], pos[b]): v for (a, b), v in Y.cells}
+    return DiagramGrid.make("A", F.cat, F.values, cells, role="diagram")
 
 
 def type_B_from_A(Y: DiagramGrid) -> DiagramGrid:
@@ -262,7 +273,7 @@ def positivity_check(F, Y: DiagramGrid | None = None) -> PositivityReport:
     n = F.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
-            b = n if j == n + 1 else j - 1
+            b = j - 1
             m1 = composite_mor(F, i, b)
             m0 = composite_mor(F, i - 1, b)
             nxt = F.morphisms[b] if j <= n else None

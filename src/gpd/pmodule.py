@@ -23,6 +23,7 @@ from .categories import (
     identity_mor,
     identity_obj,
     image_iso_class,
+    is_isomorphism,
 )
 from .grothendieck import a_class
 
@@ -124,12 +125,29 @@ def module_direct_sum(F: ConstructibleModule, G: ConstructibleModule) -> Constru
 # The image-class map on grid intervals
 # ---------------------------------------------------------------------------
 
+def essential_restriction(F: ConstructibleModule) -> tuple[ConstructibleModule, tuple]:
+    """F restricted to the critical values where it changes.
+
+    Values whose connecting morphism is an isomorphism are dropped; the
+    connecting morphisms of the restriction E are the composites of F
+    between consecutive kept segments.  Returns (E, pos) with pos[a] the
+    index in F's grid of E's row or column a: pos[0] = 0, and the
+    unbounded column maps to the unbounded column F.n + 1.
+    """
+    keep = [i for i in range(1, F.n + 1) if not is_isomorphism(F.morphisms[i - 1])]
+    at = [0] + keep
+    E = ConstructibleModule(F.cat, tuple(F.values[i - 1] for i in keep),
+                            tuple(F.objects[i] for i in at),
+                            tuple(composite_mor(F, a, b) for a, b in zip(at, at[1:])))
+    return E, tuple(at) + (F.n + 1,)
+
+
 def dX_A(F: ConstructibleModule):
     """The image-class function X_A of F: one split-group class per grid cell.
 
     The cell [s_i, s_j), with j = n + 1 meaning infinity, is the image
     of F(s_i) -> F(s_j - 0); 'just before s_j' is realized as segment
-    j - 1, and anything beyond s_n as segment n, which eliminates the
+    j - 1 (segment n for the unbounded column), which eliminates the
     small offset in the interval casework.  Each row composes its
     connecting morphisms incrementally.  This is the only image-class
     pass: type B data is its image under the quotient map.
@@ -142,7 +160,7 @@ def dX_A(F: ConstructibleModule):
         comp = identity_mor(F.objects[i])
         at = i
         for j in range(i + 1, n + 2):
-            b = n if j == n + 1 else j - 1
+            b = j - 1
             while at < b:
                 comp = compose(F.morphisms[at], comp)
                 at += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from gpd.categories import (
     Category,
@@ -15,6 +16,7 @@ from gpd.categories import (
     direct_sum_obj,
     finab,
     finset,
+    identity_mor,
     identity_obj,
     make_mor,
     make_obj,
@@ -22,7 +24,7 @@ from gpd.categories import (
     repn,
     vect,
 )
-from gpd.exact import QQ, PrimeField, field_kernel, field_solve
+from gpd.exact import QQ, PrimeField, field_kernel, field_solve, jordan_type
 from gpd.matrix import Mat
 
 SMALL_CHAINS = [(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 6), (8,), (2, 2, 2), (6,), (12,)]
@@ -108,6 +110,73 @@ def random_mor(src: Obj, tgt: Obj, rng: random.Random) -> Mor:
     flat = [F.coerce(sum(K[i, c] * combo[c] for c in range(K.cols))) for i in range(m * n)]
     X = Mat.from_rows([flat[i * n:(i + 1) * n] for i in range(m)], ncols=n)
     return make_mor(src, tgt, X)
+
+
+# the ring Z with the field interface random_invertible uses
+_INTEGERS = SimpleNamespace(one=1, zero=0, coerce=int)
+
+
+def random_automorphism(a: Obj, rng: random.Random) -> Mor:
+    """A random automorphism of a, built invertible by construction.
+
+    finset: a permutation.  vect: a product of elementary row operations.
+    ab/finab: block triangular, a unimodular matrix on the free part, a
+    unit modulo the order on each torsion generator, and random torsion
+    entries in the free columns.  repn: a nonzero multiple of I or of
+    c*I + A with -c not an eigenvalue of A, both commuting with A.
+    """
+    cat = a.cat
+    if cat.kind == "finset":
+        perm = list(range(a.data))
+        rng.shuffle(perm)
+        return make_mor(a, a, tuple(perm))
+    if cat.kind == "vect":
+        return make_mor(a, a, random_invertible(cat.field, a.data, rng))
+    if cat.kind in ("ab", "finab"):
+        rank, invs = a.data
+        free = random_invertible(_INTEGERS, rank, rng)
+        cols = []
+        for j in range(rank):
+            cols.append(list(free.col(j)) + [rng.randrange(d) for d in invs])
+        for j, d in enumerate(invs):
+            unit = rng.choice([u for u in range(1, d) if gcd(u, d) == 1])
+            cols.append([0] * rank + [unit if k == j else 0 for k in range(len(invs))])
+        return make_mor(a, a, Mat.from_cols(cols, nrows=rank + len(invs)))
+    F, A = cat.field, a.data
+    M = Mat.identity(A.rows, one=F.one, zero=F.zero)
+    c = F.coerce(rng.randint(-2, 2))
+    # c*I + A is invertible exactly when -c is not an eigenvalue of A
+    if rng.random() < 0.5 and all(lam != F.coerce(-c) for lam, _ in jordan_type(A, F)):
+        M = M.scale(c).add(A)
+    scale = F.coerce(rng.choice([v for v in (1, 2, 3, -1) if F.coerce(v) != F.zero]))
+    return make_mor(a, a, M.scale(scale))
+
+
+SPLICE_KINDS = ("identity", "automorphism", "endomorphism")
+
+
+def splice_steps(F, rng: random.Random, k: int, kinds=SPLICE_KINDS):
+    """F with k extra critical values, each inserted at a random position,
+    whose connecting morphism maps the object there to itself: an
+    identity, a random automorphism, or a random endomorphism (which may
+    or may not be invertible), drawn from `kinds`.  The morphism after an
+    inserted step is left as it was, so the result is a valid module but,
+    unless only identities are spliced, not in general isomorphic to F."""
+    from gpd.pmodule import ConstructibleModule
+
+    values, objs, mors = list(F.values), list(F.objects), list(F.morphisms)
+    for _ in range(k):
+        p = rng.randint(0, len(values))  # the new value follows segment p
+        lo = values[p - 1] if p else (values[0] - 2 if values else Fraction(0))
+        hi = values[p] if p < len(values) else lo + 2
+        o = objs[p]
+        kind = rng.choice(kinds)
+        step = identity_mor(o) if kind == "identity" else \
+            random_automorphism(o, rng) if kind == "automorphism" else random_mor(o, o, rng)
+        values.insert(p, (lo + hi) / 2)
+        objs.insert(p + 1, o)
+        mors.insert(p, step)
+    return ConstructibleModule(F.cat, tuple(values), tuple(objs), tuple(mors))
 
 
 def random_ab_payload(src: Obj, tgt: Obj, rng: random.Random) -> Mat:

@@ -30,6 +30,7 @@ from gpd.pmodule import (
     ConstructibleModule,
     InterleavingPair,
     composite_mor,
+    dX_A,
     expected_phi_grid,
     segment_reps,
 )
@@ -497,7 +498,7 @@ class lattice_quotient_oracle:
         return Mat.from_cols(cols, nrows=self.ambient)
 
 
-# --- Type B diagram by classifying each cell straight into B -----------------
+# --- Full-grid type A and type B diagrams -----------------------------------
 
 def _b_label(c) -> dict:
     """Quotient-group label of an isomorphism class, read off its
@@ -515,6 +516,13 @@ def _b_label(c) -> dict:
             key, amount = d[1], d[2] * cnt
         label[key] = label.get(key, 0) + amount
     return label
+
+
+def full_grid_type_A(F) -> DiagramGrid:
+    """Type A diagram with an image class on every cell of F's grid,
+    isomorphism steps included: the inversion of X_A without
+    restricting F to the values where it changes."""
+    return mobius_invert(dX_A(F))
 
 
 def type_B_oracle(F) -> DiagramGrid:

@@ -1,6 +1,8 @@
 """Backend object/morphism algebra: composition, images, isomorphism tests."""
 
 import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,8 @@ from gpd.categories import (
 from gpd.exact import QQ, PrimeField
 from gpd.matrix import Mat, frac
 
-from generators import ALL_CATS, random_mor, random_obj
-from oracles import FiniteGroupTable, cyclic_decomposition_by_profile
+from generators import ALL_CATS, random_automorphism, random_mor, random_obj
+from oracles import FiniteGroupTable, cyclic_decomposition_by_profile, rref_rank
 
 
 def mor(src, tgt, rows):
@@ -198,6 +200,65 @@ class TestGeneric:
             lhs = compose(direct_sum_mor(g, g2), direct_sum_mor(f, f2))
             rhs = direct_sum_mor(compose(g, f), compose(g2, f2))
             assert lhs == rhs
+
+
+def _bijective_on_elements(f) -> bool:
+    """A morphism of finite abelian groups, applied to every element."""
+    src = FiniteGroupTable(f.src.data[1])
+    invs_t = f.tgt.data[1]
+    images = {tuple(sum(f.payload[i, k] * x[k] for k in range(len(x))) % d
+                    for i, d in enumerate(invs_t))
+              for x in src.elements}
+    return len(images) == len(src.elements) == prod(invs_t)
+
+
+class TestIsIsomorphism:
+    """type_A_diagram skips every value whose connecting morphism
+    is_isomorphism accepts, so an accepted map must really be invertible."""
+
+    def test_finset_matches_bijectivity_on_every_small_map(self):
+        c = finset()
+        for n, m in product(range(4), repeat=2):
+            for table in product(range(m), repeat=n):
+                f = make_mor(make_obj(c, n), make_obj(c, m), table)
+                assert is_isomorphism(f) == (n == m and len(set(table)) == n)
+
+    def test_finab_matches_bijectivity_on_elements(self):
+        rng = random.Random(29)
+        c = finab()
+        seen = set()
+        for _ in range(80):
+            src = random_obj(c, rng)
+            tgt = src if rng.random() < 0.6 else random_obj(c, rng)
+            f = random_mor(src, tgt, rng)
+            expected = _bijective_on_elements(f)
+            assert is_isomorphism(f) == expected, f
+            seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda F: F.name)
+    def test_vect_matches_dense_rank(self, field):
+        rng = random.Random(31)
+        c = vect(field)
+        seen = set()
+        for _ in range(80):
+            src = random_obj(c, rng)
+            tgt = src if rng.random() < 0.7 else random_obj(c, rng)
+            f = random_mor(src, tgt, rng)
+            expected = src.data == tgt.data and rref_rank(field, f.payload) == src.data
+            assert is_isomorphism(f) == expected, f
+            seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("cat", ALL_CATS, ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
+    def test_automorphisms_are_isomorphisms(self, cat):
+        # identities: TestGeneric.test_identity_and_zero_laws
+        rng = random.Random(37)
+        for _ in range(10):
+            a = random_obj(cat, rng)
+            g = random_automorphism(a, rng)
+            assert is_isomorphism(g)
+            assert is_isomorphism(compose(g, random_automorphism(a, rng)))
 
 
 def test_invariants_round_trip():

@@ -25,12 +25,18 @@ from gpd.diagram import (
 )
 from gpd.exact import QQ, PrimeField
 from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, zero_elem
-from gpd.homology import parse_filtration, persistent_module
+from gpd.homology import component_module, parse_filtration, persistent_module, perturb
 from gpd.matrix import Mat
 from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
 
-from generators import ALL_CATS, random_interval_sum_module, random_module
-from oracles import classical_diagram_gf2, cumulative_at_oracle, cumulative_oracle, type_B_oracle
+from generators import ALL_CATS, random_interval_sum_module, random_module, splice_steps
+from oracles import (
+    classical_diagram_gf2,
+    cumulative_at_oracle,
+    cumulative_oracle,
+    full_grid_type_A,
+    type_B_oracle,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -215,6 +221,56 @@ def test_type_B_of_bundled_filtrations_matches_oracle(name):
         for k in range(3):
             F = persistent_module(K, k, coeffs)
             assert type_B_diagram(F) == type_B_oracle(F), (name, coeffs, k)
+
+
+@pytest.mark.parametrize("cat", ALL_CATS, ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 4))
+def test_essential_grid_diagram_matches_full_grid_oracle(cat, seed, k):
+    """Steps from an object to itself spliced into a random module, some
+    isomorphisms and some not: the essential-grid inversion agrees with
+    the full-grid inversion (type A) and with classifying every full-grid
+    cell into B."""
+    rng = random.Random(seed)
+    F = splice_steps(random_module(cat, rng), rng, k)
+    assert type_A_diagram(F) == full_grid_type_A(F)
+    if cat.abelian:
+        assert type_B_diagram(F) == type_B_oracle(F)
+
+
+@pytest.mark.parametrize("name,coeffs", [("torus.flt", "Z"), ("torus.flt", "Zm:4"),
+                                         ("klein_bottle.flt", "Z"),
+                                         ("klein_bottle.flt", "Zm:4"),
+                                         ("torus.flt", "components")])
+def test_essential_grid_diagram_of_perturbed_bundled_data(name, coeffs):
+    K = parse_filtration((DATA / name).read_text())
+    for seed in (1, 2):
+        K2 = perturb(K, Fr(1, 8), seed=seed)
+        F = component_module(K2) if coeffs == "components" else persistent_module(K2, 1, coeffs)
+        assert type_A_diagram(F) == full_grid_type_A(F), (name, coeffs, seed)
+        if F.cat.abelian:
+            assert type_B_diagram(F) == type_B_oracle(F), (name, coeffs, seed)
+
+
+def test_image_classes_do_not_grow_with_isomorphism_steps(monkeypatch):
+    """Identity steps add values where the module does not change; the
+    image-class pass runs on the essential grid, so its work stays put
+    (on the full grid it grows quadratically in the number of steps)."""
+    import gpd.pmodule as pmodule
+
+    calls = []
+    real = pmodule.image_iso_class
+    monkeypatch.setattr(pmodule, "image_iso_class", lambda f: calls.append(1) or real(f))
+
+    F = persistent_module(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
+    G = splice_steps(F, random.Random(3), 8, kinds=("identity",))
+    assert G.n == F.n + 8
+    counts = []
+    for M in (F, G):
+        calls.clear()
+        type_A_diagram(M)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_quotient_map_rejects_finset_and_type_B_grids():
