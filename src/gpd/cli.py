@@ -8,8 +8,9 @@ and `convert` (re-emit a diagram file in another format).
 Exit codes: 0 success; 1 a stability trial violated a theorem; 2 parse
 or validation errors (among them `--trials` outside 1..MAX_TRIALS), or a
 file that cannot be read or written; 3 unsupported group/category
-combination; 4 any other exception, which is a bug in gpd and is
-reported without a traceback.
+combination; 4 any other exception, or an interleaving that `stability`
+built itself and that is not given on its grids, which is a bug in gpd
+and is reported without a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .homology import (
     perturb,
 )
 from .metrics import eroded_leq, erosion_distance
-from .pmodule import check_interleaving
+from .pmodule import InterleavingGridError, check_interleaving
 from .serialize import (
     diagram_from_json,
     diagram_to_json,
@@ -148,7 +149,10 @@ def cmd_stability(args) -> int:
         K2 = perturb(K, eps, seed=args.seed + trial)
         H2 = persistent_homology(K2, args.degree, args.coeff)
         G = H2.module
-        inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
+        try:
+            inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
+        except InterleavingGridError as exc:  # the pair is built here: a bug in gpd
+            raise CliError(EXIT_INTERNAL, f"internal error: {exc}") from exc
         YA_G = type_A_diagram(G)
         dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps

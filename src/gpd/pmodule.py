@@ -86,13 +86,6 @@ def evaluate(F: ConstructibleModule, p, q) -> Mor:
     return composite_mor(F, F.segment(p), F.segment(q))
 
 
-def shift(F: ConstructibleModule, eps) -> ConstructibleModule:
-    """Precompose with r -> r + eps: the result changes at the values S - eps."""
-    eps = Fraction(eps)
-    return ConstructibleModule(F.cat, tuple(v - eps for v in F.values),
-                               F.objects, F.morphisms)
-
-
 def common_refinement(F: ConstructibleModule, G: ConstructibleModule):
     """Both modules re-gridded on the union of their critical sets."""
     if F.cat != G.cat:
@@ -188,12 +181,6 @@ class InterleavingPair:
     psi_grid: tuple
     psi: tuple
 
-    def phi_at(self, r) -> Mor:
-        return self.phi[bisect_right(self.phi_grid, r)]
-
-    def psi_at(self, r) -> Mor:
-        return self.psi[bisect_right(self.psi_grid, r)]
-
 
 def expected_phi_grid(F, G, eps) -> tuple:
     return tuple(sorted(set(F.values) | {v - eps for v in G.values}))
@@ -206,10 +193,50 @@ def segment_reps(grid: tuple) -> tuple:
     return (grid[0] - 1,) + grid if grid else (Fraction(0),)
 
 
-def identity_interleaving(F: ConstructibleModule) -> InterleavingPair:
-    grid = expected_phi_grid(F, F, Fraction(0))
-    mors = tuple(identity_mor(F.object_at(t)) for t in segment_reps(grid))
-    return InterleavingPair(Fraction(0), grid, mors, grid, mors)
+def _segments(grid: tuple, xs) -> list:
+    """bisect_right(grid, x) for each x of the nondecreasing xs, by one merge walk."""
+    out, i, n = [], 0, len(grid)
+    for x in xs:
+        while i < n and grid[i] <= x:
+            i += 1
+        out.append(i)
+    return out
+
+
+def _one_direction(A, B, there, back, a0, a2, b1, t0, k1) -> bool:
+    """Naturality of there: A(r) -> B(r + eps) and the identity
+    back(r + eps) . there(r) = A(r <= r + 2 eps), at every rep r.
+
+    Per rep, a0 and a2 are the segments of A at r and r + 2 eps, b1 that
+    of B at r + eps, t0 the entry of there at r and k1 that of back at
+    r + eps.  Each list steps by at most one between consecutive reps.
+    A(a0 -> a2) is one running composite, extended as a2 advances and
+    rebuilt when a0 does.
+    """
+    run, ra, rc, last = None, -1, -1, None
+    for k in range(len(t0)):
+        if k:
+            left = there[t0[k]] if a0[k] == a0[k - 1] else \
+                compose(there[t0[k]], A.morphisms[a0[k - 1]])
+            right = there[t0[k - 1]] if b1[k] == b1[k - 1] else \
+                compose(B.morphisms[b1[k - 1]], there[t0[k - 1]])
+            # an entry built directly as Mor may hold a payload that compose
+            # would reduce (an ab payload off its canonical residues)
+            if left != right and compose(left, identity_mor(left.src)) != \
+                    compose(right, identity_mor(right.src)):
+                return False
+        key = (t0[k], k1[k], a0[k], a2[k])
+        if key == last:  # every index is nondecreasing, so only a repeat of the last can recur
+            continue
+        last = key
+        if a0[k] != ra:
+            run, ra, rc = identity_mor(A.objects[a0[k]]), a0[k], a0[k]
+        while rc < a2[k]:
+            run = compose(A.morphisms[rc], run)
+            rc += 1
+        if compose(back[k1[k]], there[t0[k]]) != run:
+            return False
+    return True
 
 
 def check_interleaving(F: ConstructibleModule, G: ConstructibleModule,
@@ -219,6 +246,11 @@ def check_interleaving(F: ConstructibleModule, G: ConstructibleModule,
     Raises InterleavingGridError when the pair is not presented on the
     expected merged grids or its morphisms do not match the evaluations
     of F and G; returns False when the interleaving identities fail.
+
+    One sweep over the reps, one per segment of the grid of all s,
+    s - eps and s - 2 eps for s critical in F or G: r, r + eps and
+    r + 2 eps are mapped once, by merge walks, to segment indices of F,
+    G and both pair grids, and every check reads only those indices.
     """
     eps = pair.eps
     if eps < 0:
@@ -231,27 +263,22 @@ def check_interleaving(F: ConstructibleModule, G: ConstructibleModule,
         raise InterleavingGridError("one morphism per segment is required")
 
     points = set()
-    for s in list(F.values) + list(G.values):
+    for s in F.values + G.values:
         points.update((s, s - eps, s - 2 * eps))
     reps = segment_reps(tuple(sorted(points)))
+    up1 = [r + eps for r in reps]
+    up2 = [r + eps for r in up1]
+    f0, f1, f2 = (_segments(F.values, xs) for xs in (reps, up1, up2))
+    g0, g1, g2 = (_segments(G.values, xs) for xs in (reps, up1, up2))
+    p0, p1 = (_segments(pair.phi_grid, xs) for xs in (reps, up1))
+    q0, q1 = (_segments(pair.psi_grid, xs) for xs in (reps, up1))
 
-    for r in reps:
-        if pair.phi_at(r).src != F.object_at(r) or pair.phi_at(r).tgt != G.object_at(r + eps):
+    for k, r in enumerate(reps):
+        phi, psi = pair.phi[p0[k]], pair.psi[q0[k]]
+        if phi.src != F.objects[f0[k]] or phi.tgt != G.objects[g1[k]]:
             raise InterleavingGridError(f"phi at {r} does not map F({r}) to G({r} + eps)")
-        if pair.psi_at(r).src != G.object_at(r) or pair.psi_at(r).tgt != F.object_at(r + eps):
+        if psi.src != G.objects[g0[k]] or psi.tgt != F.objects[f1[k]]:
             raise InterleavingGridError(f"psi at {r} does not map G({r}) to F({r} + eps)")
 
-    for r1, r2 in zip(reps, reps[1:]):
-        # naturality squares against the connecting morphisms
-        if compose(pair.phi_at(r2), evaluate(F, r1, r2)) != \
-                compose(evaluate(G, r1 + eps, r2 + eps), pair.phi_at(r1)):
-            return False
-        if compose(pair.psi_at(r2), evaluate(G, r1, r2)) != \
-                compose(evaluate(F, r1 + eps, r2 + eps), pair.psi_at(r1)):
-            return False
-    for r in reps:
-        if compose(pair.psi_at(r + eps), pair.phi_at(r)) != evaluate(F, r, r + 2 * eps):
-            return False
-        if compose(pair.phi_at(r + eps), pair.psi_at(r)) != evaluate(G, r, r + 2 * eps):
-            return False
-    return True
+    return _one_direction(F, G, pair.phi, pair.psi, f0, f2, g1, p0, q1) and \
+        _one_direction(G, F, pair.psi, pair.phi, g0, g2, f1, q0, p1)

@@ -8,11 +8,12 @@ from the implementation under test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from gpd.categories import image_iso_class, make_mor, make_obj, vect
+from gpd.categories import Mor, compose, image_iso_class, make_mor, make_obj, vect
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
 from gpd.exact import LatticeContainmentError, SnfResult, _elimination, smith_normal_form
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
@@ -28,9 +29,11 @@ from gpd.homology import (
 from gpd.matrix import Mat
 from gpd.pmodule import (
     ConstructibleModule,
+    InterleavingGridError,
     InterleavingPair,
     composite_mor,
     dX_A,
+    evaluate,
     expected_phi_grid,
     segment_reps,
 )
@@ -685,6 +688,62 @@ def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
         return grid, mors
 
     return InterleavingPair(eps, *family(K, K2, F, G), *family(K2, K, G, F))
+
+
+# --- The interleaving check, per rep by bisection ---------------------------
+
+def check_interleaving_oracle(F: ConstructibleModule, G: ConstructibleModule,
+                              pair: InterleavingPair) -> bool:
+    """Verify naturality of both families and the two composite identities.
+
+    Raises InterleavingGridError when the pair is not presented on the
+    expected merged grids or its morphisms do not match the evaluations
+    of F and G; returns False when the interleaving identities fail.
+
+    Every morphism is looked up by bisection at its rep and every
+    evaluation of F or G composes from an identity.
+    """
+    eps = pair.eps
+    if eps < 0:
+        raise InterleavingGridError("negative interleaving parameter")
+    if pair.phi_grid != expected_phi_grid(F, G, eps):
+        raise InterleavingGridError("phi is not given on the merged grid of F and shifted G")
+    if pair.psi_grid != expected_phi_grid(G, F, eps):
+        raise InterleavingGridError("psi is not given on the merged grid of G and shifted F")
+    if len(pair.phi) != len(pair.phi_grid) + 1 or len(pair.psi) != len(pair.psi_grid) + 1:
+        raise InterleavingGridError("one morphism per segment is required")
+
+    points = set()
+    for s in list(F.values) + list(G.values):
+        points.update((s, s - eps, s - 2 * eps))
+    reps = segment_reps(tuple(sorted(points)))
+
+    def phi_at(r) -> Mor:
+        return pair.phi[bisect_right(pair.phi_grid, r)]
+
+    def psi_at(r) -> Mor:
+        return pair.psi[bisect_right(pair.psi_grid, r)]
+
+    for r in reps:
+        if phi_at(r).src != F.object_at(r) or phi_at(r).tgt != G.object_at(r + eps):
+            raise InterleavingGridError(f"phi at {r} does not map F({r}) to G({r} + eps)")
+        if psi_at(r).src != G.object_at(r) or psi_at(r).tgt != F.object_at(r + eps):
+            raise InterleavingGridError(f"psi at {r} does not map G({r}) to F({r} + eps)")
+
+    for r1, r2 in zip(reps, reps[1:]):
+        # naturality squares against the connecting morphisms
+        if compose(phi_at(r2), evaluate(F, r1, r2)) != \
+                compose(evaluate(G, r1 + eps, r2 + eps), phi_at(r1)):
+            return False
+        if compose(psi_at(r2), evaluate(G, r1, r2)) != \
+                compose(evaluate(F, r1 + eps, r2 + eps), psi_at(r1)):
+            return False
+    for r in reps:
+        if compose(psi_at(r + eps), phi_at(r)) != evaluate(F, r, r + 2 * eps):
+            return False
+        if compose(phi_at(r + eps), psi_at(r)) != evaluate(G, r, r + 2 * eps):
+            return False
+    return True
 
 
 # --- Cumulative values and the erosion scan, cell by cell in Fractions ------

@@ -5,11 +5,12 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpd.categories import (
     CategoryError,
+    Mor,
     ab,
     compose,
     direct_sum_mor,
@@ -200,6 +201,30 @@ class TestGeneric:
             lhs = compose(direct_sum_mor(g, g2), direct_sum_mor(f, f2))
             rhs = direct_sum_mor(compose(g, f), compose(g2, f2))
             assert lhs == rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_CATS), st.integers(0, 2 ** 32))
+def test_composition_is_associative_and_unital(cat, seed):
+    # the interleaving sweep reuses running composites and skips identity
+    # steps, so it rests on both laws holding exactly under Mor equality
+    rng = random.Random(seed)
+    a, b, c, d = (random_obj(cat, rng, max_size=3) for _ in range(4))
+    f, g, h = random_mor(a, b, rng), random_mor(b, c, rng), random_mor(c, d, rng)
+    assume(None not in (f, g, h))  # finset has no map into the empty set
+    assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+    for m in (f, compose(g, f)):
+        assert compose(m, identity_mor(m.src)) == m == compose(identity_mor(m.tgt), m)
+    if cat.kind in ("ab", "finab"):
+        # a payload whose torsion rows are not reduced: composing with
+        # either identity reduces it to the canonical one
+        rank, invs = b.data
+        rows = f.payload.to_lists()
+        for j, n in enumerate(invs):
+            rows[rank + j] = [v + n * rng.randint(-2, 3) for v in rows[rank + j]]
+        raw = Mor(a, b, Mat.from_rows(rows, ncols=f.payload.cols))
+        assert compose(raw, identity_mor(a)) == f == compose(identity_mor(b), raw)
+        assert compose(g, raw) == compose(g, f)
 
 
 def _bijective_on_elements(f) -> bool:

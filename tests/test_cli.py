@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, and exit codes."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gpd import cli, metrics
 from gpd.cli import main
 from gpd.diagram import DiagramGrid
+from gpd.homology import interleaving_from_perturbation
 from gpd.serialize import SerializeError, diagram_from_json
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
@@ -385,6 +387,11 @@ def _raise_boom(*args):
     raise RuntimeError("boom")
 
 
+def _pair_off_grid(H, H2, eps):
+    pair = interleaving_from_perturbation(H, H2, eps)
+    return replace(pair, phi_grid=pair.phi_grid + (max(pair.phi_grid, default=0) + 1,))
+
+
 # One case per exit-code clause of the README: (clause, code, argv, a
 # name in gpd.cli replaced for the case or None).
 _EXIT_CASES = [
@@ -407,6 +414,9 @@ _EXIT_CASES = [
      None),
     ("internal error", 4, ["erosion", "{data}/sample_a.json", "{data}/sample_b.json"],
      ("erosion_distance", _raise_boom)),
+    ("interleaving off its grid", 4, ["stability", "--input", "{data}/triangle.flt",
+                                      "--epsilon", "1/8", "--trials", "1"],
+     ("interleaving_from_perturbation", _pair_off_grid)),
 ]
 
 

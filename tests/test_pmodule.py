@@ -1,13 +1,24 @@
 """Constructible modules: evaluation, refinement, sums, interleavings."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpd.categories import identity_mor, identity_obj, make_mor, make_obj, vect
+from gpd.categories import Mor, compose, identity_mor, identity_obj, make_mor, make_obj, vect
 from gpd.diagram import cumulative_at, type_A_diagram
 from gpd.exact import QQ
+from gpd.homology import (
+    interleaving_from_perturbation,
+    parse_filtration,
+    persistent_homology,
+    perturb,
+)
 from gpd.matrix import Mat, frac
 from gpd.pmodule import (
     ConstructibleModule,
@@ -20,12 +31,27 @@ from gpd.pmodule import (
     dX_A,
     evaluate,
     expected_phi_grid,
-    identity_interleaving,
     module_direct_sum,
-    shift,
+    segment_reps,
 )
 
-from generators import ALL_CATS, random_module
+from generators import ALL_CATS, random_module, random_mor
+from oracles import check_interleaving_oracle
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
+
+
+def shift(F: ConstructibleModule, eps) -> ConstructibleModule:
+    """Precompose with r -> r + eps: the result changes at the values S - eps."""
+    eps = Fr(eps)
+    return ConstructibleModule(F.cat, tuple(v - eps for v in F.values),
+                               F.objects, F.morphisms)
+
+
+def identity_interleaving(F: ConstructibleModule) -> InterleavingPair:
+    grid = expected_phi_grid(F, F, Fr(0))
+    mors = tuple(identity_mor(F.object_at(t)) for t in segment_reps(grid))
+    return InterleavingPair(Fr(0), grid, mors, grid, mors)
 
 
 def interval_module(field, values, i, j):
@@ -180,3 +206,161 @@ def test_composite_mor_chains():
         for i in range(1, n + 1):
             step = compose(F.morphisms[i - 1], step)
         assert m == step
+
+
+def test_interleaving_naturality_can_fail():
+    # identities except on the segment [1, 2), where phi scales by 2 and
+    # psi by 1/2: both composite identities hold, but the square from
+    # [0, 1) into [1, 2) does not commute
+    F = interval_module(QQ, [0, 1, 2], 1, 3)  # alive on [0, 2)
+    pair = identity_interleaving(F)
+    k = pair.phi_grid.index(Fr(1)) + 1
+    o = pair.phi[k].src
+    phi = list(pair.phi)
+    psi = list(pair.psi)
+    phi[k] = make_mor(o, o, Mat.from_rows([[Fr(2)]], ncols=1))
+    psi[k] = make_mor(o, o, Mat.from_rows([[Fr(1, 2)]], ncols=1))
+    pair = replace(pair, phi=tuple(phi), psi=tuple(psi))
+    for a, b in zip(pair.phi, pair.psi):
+        assert compose(b, a) == compose(a, b) == identity_mor(a.src)
+    assert check_interleaving(F, F, pair) is False
+    assert check_interleaving_oracle(F, F, pair) is False
+
+
+# --- The interleaving check against its per-rep oracle on mutated pairs -----
+
+def self_interleaving(F: ConstructibleModule, eps) -> InterleavingPair:
+    """F eps-interleaved with itself by its own maps F(r <= r + eps)."""
+    grid = expected_phi_grid(F, F, eps)
+    mors = tuple(evaluate(F, t, t + eps) for t in segment_reps(grid))
+    return InterleavingPair(eps, grid, mors, grid, mors)
+
+
+@lru_cache(maxsize=None)
+def _bundled_pair(name, coeffs, eps, seed):
+    K = parse_filtration((DATA / name).read_text())
+    H = persistent_homology(K, 1, coeffs)
+    H2 = persistent_homology(perturb(K, eps, seed=seed), 1, coeffs)
+    return H.module, H2.module, interleaving_from_perturbation(H, H2, eps)
+
+
+def _random_identity(cat):
+    def source(rng):
+        F = random_module(cat, rng)
+        return F, F, identity_interleaving(F)
+    return source
+
+
+def _random_self(cat):
+    def source(rng):
+        F = random_module(cat, rng)
+        return F, F, self_interleaving(F, Fr(rng.randint(1, 6), 2))
+    return source
+
+
+def _bundled(name, coeffs, eps, seed):
+    return lambda rng: _bundled_pair(name, coeffs, eps, seed)
+
+
+_SOURCES = ([_random_identity(cat) for cat in ALL_CATS]
+            + [_random_self(cat) for cat in ALL_CATS]
+            + [_bundled("klein_bottle.flt", c, Fr(1, 8), 1) for c in ("Z", "Q", "Zm:4", "Fp:2")]
+            + [_bundled("torus.flt", "Z", Fr(1, 2), 2)])
+
+
+def _entry(pair, rng):
+    family = rng.choice(("phi", "psi"))
+    return family, rng.randrange(len(getattr(pair, family)))
+
+
+def _set(pair, family, i, m):
+    mors = list(getattr(pair, family))
+    mors[i] = m
+    return replace(pair, **{family: tuple(mors)})
+
+
+def _replace_entry(pair, rng):
+    family, i = _entry(pair, rng)
+    m = getattr(pair, family)[i]
+    new = random_mor(m.src, m.tgt, rng)
+    return pair if new is None else _set(pair, family, i, new)
+
+
+def _swap_entries(pair, rng):
+    (f1, i), (f2, j) = _entry(pair, rng), _entry(pair, rng)
+    a, b = getattr(pair, f1)[i], getattr(pair, f2)[j]
+    return _set(_set(pair, f1, i, b), f2, j, a)
+
+
+def _drop_entry(pair, rng):
+    family, i = _entry(pair, rng)
+    mors = getattr(pair, family)
+    return replace(pair, **{family: mors[:i] + mors[i + 1:]})
+
+
+def _shift_grid(pair, rng):
+    family = rng.choice(("phi_grid", "psi_grid"))
+    grid = getattr(pair, family)
+    if grid and rng.random() < 0.5:  # truncated instead of shifted
+        return replace(pair, **{family: grid[:-1]})
+    delta = Fr(rng.choice((-1, 1)), rng.randint(1, 4))
+    return replace(pair, **{family: tuple(v + delta for v in grid)})
+
+
+def _negative_eps(pair, rng):
+    return replace(pair, eps=-pair.eps - Fr(rng.randint(1, 4), 4))
+
+
+def _noncanonical_entry(pair, rng):
+    """An ab entry built as Mor directly, its torsion rows not reduced."""
+    family, i = _entry(pair, rng)
+    m = getattr(pair, family)[i]
+    if m.src.cat.kind not in ("ab", "finab") or not m.tgt.data[1]:
+        return pair
+    rank, invs = m.tgt.data
+    rows = m.payload.to_lists()
+    for j, d in enumerate(invs):
+        rows[rank + j] = [v + d * rng.randint(-2, 3) for v in rows[rank + j]]
+    return _set(pair, family, i, Mor(m.src, m.tgt, Mat.from_rows(rows, ncols=m.payload.cols)))
+
+
+_MUTATIONS = [_replace_entry, _swap_entries, _drop_entry, _shift_grid, _negative_eps,
+              _noncanonical_entry]
+
+
+def _outcome(check, F, G, pair):
+    try:
+        return check(F, G, pair)
+    except InterleavingGridError as exc:
+        return f"InterleavingGridError: {exc}"
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(_SOURCES), st.lists(st.sampled_from(_MUTATIONS), max_size=3),
+       st.integers(0, 2 ** 32))
+def test_check_interleaving_matches_oracle_on_mutated_pairs(source, mutations, seed):
+    rng = random.Random(seed)
+    F, G, pair = source(rng)
+    for mutate in mutations:
+        if len(pair.phi) and len(pair.psi):
+            pair = mutate(pair, rng)
+    assert _outcome(check_interleaving, F, G, pair) == \
+        _outcome(check_interleaving_oracle, F, G, pair)
+
+
+def test_mutated_pairs_reach_every_outcome():
+    # the property above is only as strong as its mutants: both verdicts
+    # and every kind of grid error must occur among them
+    def kind(out):
+        if isinstance(out, bool):
+            return out
+        return next(k for k in ("negative", "merged grid", "one morphism", "does not map")
+                    if k in out)
+
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        F, G, pair = _SOURCES[seed % len(_SOURCES)](rng)
+        pair = _MUTATIONS[seed % len(_MUTATIONS)](pair, rng)
+        seen.add(kind(_outcome(check_interleaving, F, G, pair)))
+    assert seen == {True, False, "negative", "merged grid", "one morphism", "does not map"}
