@@ -243,16 +243,6 @@ def identity_mor(a: Obj) -> Mor:
     return Mor(a, a, Mat.identity(n, one=F.one, zero=F.zero))
 
 
-def zero_mor(src: Obj, tgt: Obj) -> Mor:
-    """The zero morphism (abelian backends) or the map out of the empty set."""
-    cat = src.cat
-    if cat.kind == FINSET:
-        if src.data != 0:
-            raise CategoryError("finite sets only have canonical maps out of the empty set")
-        return make_mor(src, tgt, ())
-    return make_mor(src, tgt, Mat.zero(obj_ngens(tgt), obj_ngens(src)))
-
-
 def compose(g: Mor, f: Mor) -> Mor:
     """g after f."""
     if f.tgt != g.src:

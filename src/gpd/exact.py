@@ -4,15 +4,19 @@ Everything here is total on exact inputs: arbitrary-precision integers,
 Fractions, or residues modulo a prime.  Smith normal form is the engine
 behind all finitely-generated-abelian-group computations; it builds the
 transforms of the one side its caller reads (`int_kernel` reads V,
-`LatticeQuotient` reads U and its inverse).  One sparse column reduction
-over a field (`field_reduce`) backs the vector-space and Jordan-type
-computations.
+`LatticeQuotient` reads U and its inverse).  A `LatticeQuotient` builds
+its basis and the sparse columns of U only when a caller first reads
+them, so a caller that only asks `iso` pays for neither, and quotient
+coordinates follow the nonzeros of the vector.  One sparse column
+reduction over a field (`field_reduce`) backs the vector-space and
+Jordan-type computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .matrix import Mat
 
@@ -529,6 +533,11 @@ class LatticeQuotient:
     then its coordinates are (U x)_i / d_i.  A second one, of the
     coordinates of B, gives the canonical generators.  Containment of B
     in L is checked; a violation reports the offending column of B_gens.
+
+    The constructor computes only what `iso` answers.  `basis` is built
+    on first read, and the nonzeros of each column of U on the first
+    `coords` call.  `coords` then costs one step per nonzero of U in the
+    columns where x is nonzero, plus one per returned row and nonzero of U x.
     """
 
     def __init__(self, L_gens: Mat, B_gens: Mat):
@@ -536,10 +545,8 @@ class LatticeQuotient:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
         s = smith_normal_form(L_gens, rows=True)
-        self._U = s.U
+        self._U, self._Uinv = s.U, s.Uinv
         self._d = s.invariant_factors
-        self.basis = Mat.from_cols([tuple(s.Uinv[k, i] * d for k in range(self.ambient))
-                                    for i, d in enumerate(self._d)], nrows=self.ambient)
         W = s.U @ B_gens
         C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
                           nrows=len(self._d))
@@ -548,11 +555,22 @@ class LatticeQuotient:
         self._Pinv = s.Uinv
         rho = s.rank
         ds = list(s.invariant_factors)
-        z = self.basis.cols
-        self.free_rows = list(range(rho, z))
+        self.free_rows = list(range(rho, len(self._d)))
         self.torsion_rows = [i for i in range(rho) if ds[i] >= 2]
         self.torsion_orders = [ds[i] for i in self.torsion_rows]
         self.free_rank = len(self.free_rows)
+
+    @cached_property
+    def basis(self) -> Mat:
+        """Basis of L as columns: d_i times column i of Uinv."""
+        d = self._d
+        return Mat.from_rows([[a * di for a, di in zip(row, d)] for row in self._Uinv.data],
+                             ncols=len(d))
+
+    @cached_property
+    def _U_columns(self) -> list:
+        """The nonzeros (row, entry) of each column of U."""
+        return [[(i, a) for i, a in enumerate(col) if a] for col in self._U.columns()]
 
     def _divide(self, w, which: int) -> list[int]:
         """Coordinates in `basis` of the x with U x = w, or
@@ -577,13 +595,19 @@ class LatticeQuotient:
 
     def coords(self, x) -> list[int]:
         """Coordinates of an ambient vector x of L in the canonical generators."""
-        nonzero = [(k, v) for k, v in enumerate(x) if v]
-        u = self._divide([sum(row[k] * v for k, v in nonzero) for row in self._U.data], -1)
-        s = [sum(a * b for a, b in zip(row, u)) for row in self._P.data]
-        out = [s[i] for i in self.free_rows]
-        out += [s[i] % d for i, d in zip(self.torsion_rows, self.torsion_orders)]
+        columns = self._U_columns
+        w = [0] * self.ambient
+        for k, xk in enumerate(x):
+            if xk:
+                for i, a in columns[k]:
+                    w[i] += a * xk
+        nonzero = [(k, v) for k, v in enumerate(self._divide(w, -1)) if v]
+        P = self._P.data
+        out = [sum(P[i][k] * v for k, v in nonzero) for i in self.free_rows]
+        out += [sum(P[i][k] * v for k, v in nonzero) % d
+                for i, d in zip(self.torsion_rows, self.torsion_orders)]
         return out
 
     def generator_reps(self) -> Mat:
         """Ambient representative of each canonical generator, as columns."""
-        return (self.basis @ self._Pinv).take_cols(self.free_rows + self.torsion_rows)
+        return self.basis @ self._Pinv.take_cols(self.free_rows + self.torsion_rows)

@@ -122,8 +122,13 @@ def leq(x: GroupElem, y: GroupElem) -> bool:
     read off the two coefficient maps without forming y - x.
     """
     _check_compatible(x, y)
-    rest = dict(y.coeffs)
-    for k, v in x.coeffs:
+    return _leq_coeffs(x.coeffs, y.coeffs)
+
+
+def _leq_coeffs(xc: tuple, yc: tuple) -> bool:
+    """`leq` on the coefficient tuples of two elements of one group."""
+    rest = dict(yc)
+    for k, v in xc:
         if rest.pop(k, 0) < v:
             return False
     return all(v >= 0 for v in rest.values())

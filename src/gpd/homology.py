@@ -239,11 +239,12 @@ class _Stage:
 def _induced_payload(src: _Stage, tgt: _Stage):
     """Matrix of the inclusion-induced map in canonical coordinates."""
     pos = {s: i for i, s in enumerate(tgt.k_simplices)}
+    at = [pos[s] for s in src.k_simplices]
     cols = []
-    for j in range(src.gen_reps.cols):
-        chain = [0] * len(tgt.k_simplices)
-        for i, s in enumerate(src.k_simplices):
-            chain[pos[s]] = src.gen_reps[i, j]
+    for g in src.gen_reps.columns():
+        chain = [0] * len(pos)
+        for i, v in zip(at, g):
+            chain[i] = v
         cols.append(tgt.coords(chain))
     return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
 

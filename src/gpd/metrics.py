@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .diagram import DiagramError, DiagramGrid, _snap
-from .grothendieck import leq
+from .grothendieck import _leq_coeffs
 
 
 def erode(Y: DiagramGrid, eps) -> DiagramGrid:
@@ -74,7 +74,8 @@ def _check(D: int, S1: tuple, S2: tuple, eps: int, directions=("2->1", "1->2")):
 
     The eroded diagram's cumulative value at the shrunken cell
     [s_i + eps, s_j - eps) is its own at [s_i, s_j), so no re-inversion
-    is needed.
+    is needed.  `_prepare` has checked that both diagrams live in one
+    group, so values are compared by their coefficients alone.
     """
     for direction in directions:
         (_, cells, _), (grid, _, table) = (S2, S1) if direction == "2->1" else (S1, S2)
@@ -84,7 +85,7 @@ def _check(D: int, S1: tuple, S2: tuple, eps: int, directions=("2->1", "1->2")):
             if q is not None and q <= p:
                 continue  # the cell has disappeared into the diagonal
             i, j = _snap(grid, p, q)
-            if not leq(val, table[i][j]):
+            if not _leq_coeffs(val.coeffs, table[i][j].coeffs):
                 return False, direction, (Fraction(p, D), None if q is None else Fraction(q, D))
     return True, None, None
 

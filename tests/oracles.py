@@ -20,7 +20,6 @@ from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
     FiltrationError,
-    _induced_payload,
     _Stage,
     boundary_matrix,
     parse_coeffs,
@@ -670,6 +669,22 @@ def dense_field_interleaving(dense, dense2, eps) -> InterleavingPair:
     return InterleavingPair(eps, *family(dense, dense2), *family(dense2, dense))
 
 
+# --- Induced maps by reading gen_reps entry by entry ------------------------
+
+def induced_payload_oracle(src, tgt) -> Mat:
+    """Matrix of the inclusion-induced map between two homology stages:
+    for each generator j of src, one `gen_reps` lookup per k-simplex of
+    src and one position lookup in tgt, then `tgt.coords` of the chain."""
+    pos = {s: i for i, s in enumerate(tgt.k_simplices)}
+    cols = []
+    for j in range(src.gen_reps.cols):
+        chain = [0] * len(tgt.k_simplices)
+        for i, s in enumerate(src.k_simplices):
+            chain[pos[s]] = src.gen_reps[i, j]
+        cols.append(tgt.coords(chain))
+    return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
+
+
 # --- Interleaving of a perturbation from freshly built stages ----------------
 
 def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
@@ -682,8 +697,8 @@ def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
     def family(src, tgt, M, N):
         grid = expected_phi_grid(M, N, eps)
         mors = tuple(make_mor(M.object_at(r), N.object_at(r + eps),
-                              _induced_payload(_Stage(src, k, ring, at=r),
-                                               _Stage(tgt, k, ring, at=r + eps)))
+                              induced_payload_oracle(_Stage(src, k, ring, at=r),
+                                                     _Stage(tgt, k, ring, at=r + eps)))
                      for r in segment_reps(grid))
         return grid, mors
 

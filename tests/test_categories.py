@@ -29,7 +29,6 @@ from gpd.categories import (
     make_obj,
     repn,
     vect,
-    zero_mor,
 )
 from gpd.exact import QQ, PrimeField
 from gpd.matrix import Mat, frac

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import exact
+from gpd import categories, exact
+from gpd.categories import ab, image_iso_class, is_isomorphism, iso_class, make_mor, make_obj
 from gpd.exact import (
     MAX_EXPONENT,
     QQ,
@@ -239,6 +240,52 @@ class TestQuotientInvariants:
                 outcomes.append(exc.index)
         assert outcomes[0] == outcomes[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 4), st.integers(0, 10 ** 6))
+    def test_coords_off_the_lattice_match_two_snf_oracle(self, n, d0, seed):
+        """Sparse vectors, torsion and a lattice L that is not saturated:
+        every member of L has its coordinate 0 divisible by d0 >= 2 and its
+        last coordinate zero, though d0 * e_0 lies in L.  Off L, both ways
+        of failing raise the same LatticeContainmentError as the oracle."""
+        rng = random.Random(seed)
+        gens = [[d0] + [0] * (n - 1)]
+        for _ in range(rng.randint(0, n)):
+            col = [0] * n
+            for k in rng.sample(range(n - 1), rng.randint(1, min(2, n - 1))):
+                col[k] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+            col[0] *= d0
+            gens.append(col)
+        L = Mat.from_cols(gens, nrows=n)
+
+        def member():  # a combination of at most two generators
+            c = [0] * len(gens)
+            for j in rng.sample(range(len(gens)), rng.randint(0, min(2, len(gens)))):
+                c[j] = rng.randint(-3, 3)
+            return [sum(g[i] * cj for g, cj in zip(gens, c)) for i in range(n)]
+
+        def multiple():  # a member times 1, 2 or 3, for torsion in L/B
+            c = rng.choice([1, 2, 3])
+            return [c * v for v in member()]
+
+        B = Mat.from_cols([multiple() for _ in range(rng.randint(0, 3))], nrows=n)
+        q, o = LatticeQuotient(L, B), lattice_quotient_oracle(L, B)
+        assert q.iso() == o.iso()
+
+        def outcome(quotient, x):
+            try:
+                return quotient.coords(x)
+            except LatticeContainmentError as exc:
+                return "raised", exc.index
+
+        y = member()
+        not_divisible = [y[0] + rng.randint(1, d0 - 1)] + y[1:]
+        beyond_rank = y[:-1] + [y[-1] + rng.choice([-2, -1, 1, 2])]
+        sparse = [0] * n
+        sparse[rng.randrange(n)] = rng.randint(-4, 4)
+        for x in ([0] * n, member(), member(), not_divisible, beyond_rank, sparse):
+            assert outcome(q, x) == outcome(o, x)
+        assert outcome(q, not_divisible) == outcome(q, beyond_rank) == ("raised", -1)
+
     def test_runs_two_smith_normal_forms(self, monkeypatch):
         calls = []
         real = exact.smith_normal_form
@@ -248,6 +295,29 @@ class TestQuotientInvariants:
         B = Mat.from_cols([[4, 0]])
         assert LatticeQuotient(L, B).iso() == (1, [2])
         assert len(calls) == 2
+
+    def test_iso_builds_neither_basis_nor_columns_of_U(self, monkeypatch):
+        built = []
+
+        class Recorded(LatticeQuotient):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(categories, "LatticeQuotient", Recorded)
+        Z4, Z2 = make_obj(ab(), (0, (4,))), make_obj(ab(), (0, (2,)))
+        f = make_mor(Z4, Z4, Mat.from_rows([[2]]))
+        assert image_iso_class(f) == iso_class(Z2)
+        assert not is_isomorphism(f)
+        assert is_isomorphism(make_mor(Z4, Z4, Mat.from_rows([[3]])))
+        assert len(built) == 3
+        for q in built:
+            assert "basis" not in vars(q) and "_U_columns" not in vars(q)
+        q = built[0]  # the image 2Z/4 of f, as L/B with L = (2, 4) and B = (4)
+        assert q.generator_reps() == Mat.from_rows([[2]])
+        assert "basis" in vars(q) and "_U_columns" not in vars(q)
+        assert q.coords([6]) == [1]
+        assert "_U_columns" in vars(q)
 
 
 class TestFieldAlgebra:

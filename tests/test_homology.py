@@ -36,12 +36,13 @@ from gpd.homology import (
 )
 from gpd.homology import facets
 from gpd.matrix import Mat
-from gpd.pmodule import check_interleaving, composite_mor, evaluate
+from gpd.pmodule import check_interleaving, composite_mor, evaluate, segment_reps
 
 from oracles import (
     assert_snf_sides_match_oracle,
     dense_field_homology,
     dense_field_interleaving,
+    induced_payload_oracle,
     interleaving_oracle,
     rref_rank,
 )
@@ -261,6 +262,27 @@ class TestHomology:
                 assert two_step.payload == direct
 
 
+@pytest.mark.parametrize("coeffs", ["Z", "Zm:4", "Q", "Fp:2"])
+@pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt"])
+def test_induced_maps_match_entrywise_oracle(name, coeffs):
+    """Consecutive stages of one filtration, and stages eps apart of a
+    filtration and its eps-perturbation, both ways, in degrees 0-2."""
+    K = parse_filtration((DATA / name).read_text())
+    eps = Fr(1, 4)
+    K2 = perturb(K, eps, seed=3)
+    for k in range(3):
+        H, H2 = persistent_homology(K, k, coeffs), persistent_homology(K2, k, coeffs)
+        pairs = list(zip(H.stages, H.stages[1:]))
+        for a, b in ((H, H2), (H2, H)):
+            pairs += [(a.stage_at(r), b.stage_at(r + eps))
+                      for r in segment_reps(a.complex.critical_values)]
+        for src, tgt in pairs:
+            fast, slow = _induced_payload(src, tgt), induced_payload_oracle(src, tgt)
+            assert fast == slow
+            assert [list(map(type, r)) for r in fast.data] == \
+                [list(map(type, r)) for r in slow.data]
+
+
 class TestComponents:
     def test_two_branch_merge_tree(self):
         text = "0 : 0\n1 : 1\n0 1 : 2"
@@ -364,6 +386,35 @@ class TestPersistentHomology:
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
         assert built == {("int_kernel", False, True, False): 4,
                          ("__init__", True, False, True): 8}
+
+    def test_quotient_coordinates_read_only_columns_of_U_where_x_is_nonzero(self):
+        class Counted(int):
+            """An int that counts the products it takes part in."""
+            products = 0
+
+            def __mul__(self, other):
+                Counted.products += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        H = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
+        read = bound = dense = 0
+        for src, tgt in zip(H.stages, H.stages[1:]):
+            q, pos = tgt._lq, {s: i for i, s in enumerate(tgt.k_simplices)}
+            for g in src.gen_reps.columns():
+                x = [0] * len(pos)
+                for s, v in zip(src.k_simplices, g):
+                    x[pos[s]] = v
+                expected = q.coords(x)
+                Counted.products = 0
+                assert q.coords([Counted(v) for v in x]) == expected
+                support = [k for k, v in enumerate(x) if v]
+                nonzeros = sum(1 for row in q._U.data for k in support if row[k])
+                assert Counted.products <= nonzeros
+                read, bound, dense = read + Counted.products, bound + nonzeros, \
+                    dense + len(support) * q._U.rows
+        assert 0 < read <= bound < dense
 
 
 @st.composite
