@@ -8,8 +8,10 @@ transforms of the one side its caller reads (`int_kernel` reads V,
 its basis and the sparse columns of U only when a caller first reads
 them, so a caller that only asks `iso` pays for neither, and quotient
 coordinates follow the nonzeros of the vector.  One sparse column
-reduction over a field (`field_reduce`) backs the vector-space and
-Jordan-type computations.
+reduction (`field_reduce`) backs the vector-space and Jordan-type
+computations over a field, and integer homology over the ring `ZZ`,
+where it divides exactly and raises `NotDivisible` where a pivot does
+not divide.
 """
 
 from __future__ import annotations
@@ -299,6 +301,9 @@ class RationalField:
     def inv(self, a):
         return 1 / Fraction(a)
 
+    def div(self, a, b):
+        return a * self.inv(b)
+
     def __repr__(self):
         return "QQ"
 
@@ -337,6 +342,9 @@ class PrimeField:
             raise ZeroDivisionError
         return pow(a, self.p - 2, self.p)
 
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -347,12 +355,34 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
+class NotDivisible(ArithmeticError):
+    """An exact integer division whose divisor does not divide."""
+
+
+class IntegerRing:
+    """The ring Z; elements are ints.  `div` is exact or raises."""
+
+    coerce = int
+    zero = 0
+    one = 1
+
+    def div(self, a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisible(f"{b} does not divide {a}")
+        return q
+
+    def __repr__(self):
+        return "ZZ"
+
+
 QQ = RationalField()
+ZZ = IntegerRing()
 
 
 def _sub_multiple(F, c: dict, f, col: dict):
     """c -= f * col in place, for dict columns over F."""
-    p = F.p if isinstance(F, PrimeField) else 0  # Q entries are not reduced
+    p = F.p if isinstance(F, PrimeField) else 0  # Q and Z entries are not reduced
     for r, x in col.items():
         y = c.get(r, 0) - f * x
         if p:
@@ -367,14 +397,15 @@ def _clear(F, c: dict, R: list, lows: dict) -> list:
     """Subtract multiples of the reduced columns R from the dict column c,
     in place, until c is zero or its lowest row is not in `lows` (lowest
     row -> index into R).  Returns the steps (index, multiple); each
-    index appears once, since every step clears c's lowest row."""
+    index appears once, since every step clears c's lowest row.  Over ZZ
+    a pivot that does not divide c's lowest entry raises NotDivisible."""
     steps = []
     while c:
         low = max(c)
         j = lows.get(low)
         if j is None:
             break
-        f = F.mul(c[low], F.inv(R[j][low]))
+        f = F.div(c[low], R[j][low])
         _sub_multiple(F, c, f, R[j])
         steps.append((j, f))
     return steps
@@ -383,13 +414,16 @@ def _clear(F, c: dict, R: list, lows: dict) -> list:
 def field_reduce(F, cols: list, track: bool = False) -> tuple:
     """Column reduction over F (Zomorodian and Carlsson).
 
-    `cols` are dict columns (row -> nonzero entry of F).  Left to right,
+    F is a field (QQ or a PrimeField) or the ring ZZ.  `cols` are dict
+    columns (row -> nonzero entry of F).  Left to right,
     multiples of the nonzero columns before each one are subtracted from
     it until its lowest row differs from theirs, so a column reduces to
     zero exactly when it lies in the span of the columns before it.
     Returns (R, lows, V): the reduced columns, {lowest row: index} of the
     nonzero ones, and, when `track` is set, the combinations with
-    R[j] = sum of V[j][i] * cols[i] (else None).
+    R[j] = sum of V[j][i] * cols[i] (else None).  Over ZZ every multiple
+    is an exact quotient, so V is unitriangular; where a pivot does not
+    divide the entry it must clear, NotDivisible is raised.
     """
     R, lows, V = [], {}, [] if track else None
     for j, col in enumerate(cols):

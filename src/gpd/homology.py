@@ -1,23 +1,28 @@
 """Filtered simplicial complexes and their persistent homology modules.
 
 The pipeline parses a plain-text filtration, computes homology of each
-sublevel complex exactly (field coefficients by column reduction,
-integer and Z/m coefficients by Smith normal form through presented
-lattice quotients), expresses inclusion-induced maps in canonical
-homology coordinates, and assembles a constructible persistence module.
+sublevel complex exactly (field and integer coefficients by column
+reduction, integer stages with torsion and Z/m coefficients by Smith
+normal form through presented lattice quotients), expresses
+inclusion-induced maps in canonical homology coordinates, and assembles
+a constructible persistence module.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .categories import ab, finab, finset, make_mor, make_obj, vect
 from .exact import (
     MAX_MODULUS,
     QQ,
+    ZZ,
     LatticeQuotient,
+    NotDivisible,
     PrimeField,
     _clear,
     field_reduce,
@@ -78,7 +83,7 @@ class FilteredComplex:
                 if self.values[index[f]] > v:
                     raise ValueInversionError(s, f)
 
-    @property
+    @cached_property
     def critical_values(self) -> tuple:
         return tuple(sorted(set(self.values)))
 
@@ -86,9 +91,24 @@ class FilteredComplex:
     def dimension(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
+    @cached_property
+    def _by_dim(self) -> dict:
+        """Per dimension, the simplices in complex order, each paired with
+        the index of its value in `critical_values`."""
+        index = {v: i for i, v in enumerate(self.critical_values)}
+        out: dict = {}
+        for s, v in zip(self.simplices, self.values):
+            out.setdefault(len(s) - 1, []).append((s, index[v]))
+        return out
+
     def simplices_of_dim(self, k: int, at=None) -> list:
-        return [s for s, v in zip(self.simplices, self.values)
-                if len(s) == k + 1 and (at is None or v <= at)]
+        """The k-simplices in complex order, those with value <= at only
+        when `at` is given."""
+        entries = self._by_dim.get(k, [])
+        if at is None:
+            return [s for s, _ in entries]
+        n = bisect_right(self.critical_values, at)
+        return [s for s, i in entries if i < n]
 
 
 def facets(simplex: tuple):
@@ -158,10 +178,10 @@ def boundary_matrix(rows: list, cols: list) -> Mat:
 # ---------------------------------------------------------------------------
 
 def parse_coeffs(token: str):
-    """Coefficient token 'Z', 'Q', 'Fp:<p>' or 'Zm:<m>' as (kind, field or
+    """Coefficient token 'Z', 'Q', 'Fp:<p>' or 'Zm:<m>' as (kind, ring or
     modulus, category of its homology): the one place a token is read."""
     if token == "Z":
-        return ("Z", None, ab())
+        return ("Z", ZZ, ab())
     if token == "Q":
         return ("F", QQ, vect(QQ))
     if token[:3] not in ("Fp:", "Zm:"):
@@ -186,11 +206,27 @@ class _Stage:
     canonical generators (as chain vectors over the stage's k-simplices),
     and `coords` to express any cycle of the stage in those generators.
 
-    Over a field, one column reduction of [d_{k+1} | Z_k], with Z_k the
-    cycles, leaves nonzero columns with distinct lowest rows that form a
-    basis of Z_k: the reduced boundaries, then the generators.  `coords`
-    clears a cycle against that table, and its multiples of the
-    generator columns are its coordinates.
+    Over a field F, and over Z while every division is exact, two column
+    reductions give the homology.  The reduction of d_k, tracking the
+    combinations V, gives the cycles Z_k: the V columns of the columns
+    that reduce to zero.  The reduction of [d_{k+1} | Z_k] leaves
+    nonzero columns with distinct lowest rows that form a basis of Z_k:
+    the reduced boundaries, then the generators.  `coords` clears a
+    cycle against that table, and its multiples of the generator columns
+    are its coordinates.
+
+    Why this is exact over Z: every step adds an integer multiple of an
+    earlier column to a later one, so V is unitriangular and each table
+    spans the same lattice as its input.  Nonzero columns with distinct
+    lowest rows are independent, and the clearing multiples of a lattice
+    vector are integers (the lowest entry of an integer combination is
+    the multiple of the column with that lowest row).  So the cycles span
+    all of Z_k, the reduced boundaries and the generators together are a
+    basis of Z_k, the boundaries among them a basis of B_k, and H_k is
+    free on the generators.  Torsion can only show up as a pivot that
+    does not divide the entry it must clear (`NotDivisible`); such a
+    stage, and every stage over Z/m, is computed instead by Smith normal
+    forms as the presented lattice quotient Z_k / B_k.
     """
 
     def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
@@ -198,18 +234,17 @@ class _Stage:
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
+        self._lq = None
+        if kind != "Zm":
+            try:
+                self._reduce(arg, below, ks, above)
+            except NotDivisible:
+                pass
+            else:
+                n = len(self._gens)
+                self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
+                return
         nk = len(ks)
-        self._kind = kind
-        if kind == "F":
-            F = self._field = arg
-            R, _, V = field_reduce(F, _boundary_columns(below, ks, F.coerce), track=True)
-            cycles = [v for c, v in zip(R, V) if not c]
-            R, self._lows, _ = field_reduce(F, _boundary_columns(ks, above, F.coerce) + cycles)
-            self._R, self._gens = R, [j for j in range(len(above), len(R)) if R[j]]
-            self.gen_reps = Mat.from_cols([[R[j].get(i, F.zero) for i in range(nk)]
-                                           for j in self._gens], nrows=nk)
-            self.obj = make_obj(cat, len(self._gens))
-            return
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
         if kind == "Z":
             L = int_kernel(d_k) if k > 0 else Mat.identity(nk)
@@ -224,14 +259,28 @@ class _Stage:
         self.gen_reps = self._lq.generator_reps()
         self.obj = make_obj(cat, (rank, tuple(invs)))
 
+    def _reduce(self, F, below: list, ks: list, above: list):
+        """The two column reductions over F; over ZZ, NotDivisible where
+        a pivot does not divide."""
+        self._field = F
+        R, _, V = field_reduce(F, _boundary_columns(below, ks, F.coerce), track=True)
+        cycles = [v for c, v in zip(R, V) if not c]
+        R, self._lows, _ = field_reduce(F, _boundary_columns(ks, above, F.coerce) + cycles)
+        self._R, self._gens = R, [j for j in range(len(above), len(R)) if R[j]]
+        self.gen_reps = Mat.from_cols([[R[j].get(i, F.zero) for i in range(len(ks))]
+                                       for j in self._gens], nrows=len(ks))
+
     def coords(self, chain) -> list:
         """Canonical homology coordinates of a cycle chain vector."""
-        if self._kind != "F":
+        if self._lq is not None:
             return self._lq.coords(chain)
         F = self._field
         c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
-        steps = dict(_clear(F, c, self._R, self._lows))
-        if c:
+        try:
+            steps = dict(_clear(F, c, self._R, self._lows))
+        except NotDivisible:
+            steps = None
+        if steps is None or c:
             raise FiltrationError("chain is not a cycle of this stage")
         return [steps.get(j, F.zero) for j in self._gens]
 

@@ -155,10 +155,6 @@ class ErosionReport:
     table: tuple
     failures: tuple
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.distance is None
-
 
 def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
     """Least candidate eps at which eroded morphisms exist both ways.

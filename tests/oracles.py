@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from gpd.categories import Mor, compose, image_iso_class, make_mor, make_obj, vect
+from gpd.categories import Mor, ab, compose, image_iso_class, make_mor, make_obj, vect
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
 from gpd.exact import LatticeContainmentError, SnfResult, _elimination, smith_normal_form
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
@@ -631,11 +631,13 @@ class DenseFieldStage:
         return [sol[i, 0] for i in range(self._split, self._full.cols)]
 
 
-def _dense_induced(src: DenseFieldStage, tgt: DenseFieldStage) -> Mat:
+def _dense_induced(src, tgt) -> Mat:
+    """Induced map between two oracle stages (`DenseFieldStage` or
+    `SnfIntegerStage`), one `coords` call per generator of src."""
     pos = {s: i for i, s in enumerate(tgt.k_simplices)}
     cols = []
     for g in src.gen_reps.columns():
-        chain = [tgt._F.zero] * len(tgt.k_simplices)
+        chain = [0] * len(tgt.k_simplices)
         for s, v in zip(src.k_simplices, g):
             chain[pos[s]] = v
         cols.append(tgt.coords(chain))
@@ -653,9 +655,43 @@ def dense_field_homology(K, k: int, coeffs: str) -> tuple:
                                        tuple(st.obj for st in stages), mors)
 
 
-def dense_field_interleaving(dense, dense2, eps) -> InterleavingPair:
-    """The eps-interleaving of two `dense_field_homology` results of
-    filtrations of one complex, between their own stages."""
+class SnfIntegerStage:
+    """Integer homology of one sublevel complex as the presented quotient
+    Z_k / B_k: the kernel of d_k read off the V of a dense Smith normal
+    form, and `lattice_quotient_oracle` of it by the columns of d_{k+1}."""
+
+    def __init__(self, K, k: int, at):
+        self.k_simplices = K.simplices_of_dim(k, at=at)
+        below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
+        d_k = boundary_matrix(below, self.k_simplices)
+        d_k1 = boundary_matrix(self.k_simplices, K.simplices_of_dim(k + 1, at=at))
+        s = dense_smith_normal_form(d_k)
+        self._q = lattice_quotient_oracle(s.V.take_cols(range(s.rank, d_k.cols)), d_k1)
+        rank, invs = self._q.iso()
+        self.gen_reps = self._q.generator_reps()
+        self.obj = make_obj(ab(), (rank, tuple(invs)))
+
+    def coords(self, chain) -> list:
+        try:
+            return self._q.coords(chain)
+        except LatticeContainmentError:
+            raise FiltrationError("chain is not a cycle of this stage") from None
+
+
+def snf_integer_homology(K, k: int) -> tuple:
+    """(stages, module) of degree-k persistent homology over Z, from one
+    SnfIntegerStage per segment."""
+    stages = [SnfIntegerStage(K, k, t) for t in segment_reps(K.critical_values)]
+    mors = tuple(make_mor(a.obj, b.obj, _dense_induced(a, b))
+                 for a, b in zip(stages, stages[1:]))
+    return stages, ConstructibleModule(ab(), K.critical_values,
+                                       tuple(st.obj for st in stages), mors)
+
+
+def dense_interleaving(dense, dense2, eps) -> InterleavingPair:
+    """The eps-interleaving of two `dense_field_homology` (or two
+    `snf_integer_homology`) results of filtrations of one complex,
+    between their own stages."""
 
     def family(src, tgt):
         (stages, M), (stages2, N) = src, tgt

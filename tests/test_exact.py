@@ -10,13 +10,16 @@ from gpd.categories import ab, image_iso_class, is_isomorphism, iso_class, make_
 from gpd.exact import (
     MAX_EXPONENT,
     QQ,
+    ZZ,
     LatticeContainmentError,
     LatticeQuotient,
     NonSplitError,
+    NotDivisible,
     PrimeField,
     column_space_basis,
     field_kernel,
     field_rank,
+    field_reduce,
     field_solve,
     int_kernel,
     jordan_type,
@@ -340,6 +343,35 @@ class TestFieldAlgebra:
     def test_rational_rank(self):
         M = Mat.from_rows([[Fraction(1, 2), 1], [1, 2]])
         assert field_rank(QQ, M) == 1
+
+
+def test_integer_division_is_exact_or_raises():
+    assert ZZ.div(-6, 3) == -2 and ZZ.div(0, -5) == 0
+    with pytest.raises(NotDivisible):
+        ZZ.div(3, 2)
+    assert isinstance(NotDivisible(), ArithmeticError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_reduction_over_z_keeps_the_lattice_or_raises(m, n, data):
+    """Over ZZ, a reduction that divides exactly has R = M V with V
+    integer and unitriangular, and as many pivots as M has rational rank."""
+    M = Mat.from_rows([[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)],
+                      ncols=n)
+    cols = [{i: v for i, v in enumerate(col) if v} for col in M.columns()]
+    try:
+        R, lows, V = field_reduce(ZZ, cols, track=True)
+    except NotDivisible:
+        return
+    for j, (r, v) in enumerate(zip(R, V)):
+        assert v[j] == 1 and max(v) == j and all(type(x) is int for x in v.values())
+        combo = {}
+        for i, f in v.items():
+            for row, x in cols[i].items():
+                combo[row] = combo.get(row, 0) + f * x
+        assert r == {row: x for row, x in combo.items() if x}
+    assert len(lows) == rref_rank(QQ, M)
 
 
 @st.composite

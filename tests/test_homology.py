@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd import exact, homology
+from gpd.categories import image_iso_class
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
@@ -41,10 +42,11 @@ from gpd.pmodule import check_interleaving, composite_mor, evaluate, segment_rep
 from oracles import (
     assert_snf_sides_match_oracle,
     dense_field_homology,
-    dense_field_interleaving,
+    dense_interleaving,
     induced_payload_oracle,
     interleaving_oracle,
     rref_rank,
+    snf_integer_homology,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
@@ -368,11 +370,22 @@ class TestPersistentHomology:
         monkeypatch.setattr(exact, "smith_normal_form",
                             lambda M, **kw: calls.append(M) or real(M, **kw))
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
-        # four stages, each one integer kernel and a two-SNF lattice quotient
-        assert len(calls) == 12
+        # of four stages only the last, with torsion, falls back to one
+        # integer kernel and a two-SNF lattice quotient
+        assert len(calls) == 3
+
+    def test_torus_h1_over_z_runs_no_smith_normal_form(self, monkeypatch):
+        calls = []
+        real = exact.smith_normal_form
+        monkeypatch.setattr(exact, "smith_normal_form",
+                            lambda M, **kw: calls.append(M) or real(M, **kw))
+        H = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
+        assert calls == []
+        assert H.module.objects[-1].data == (2, ())
 
     def test_smith_normal_forms_build_only_the_transforms_read(self, monkeypatch):
-        # over Z, int_kernel reads V and LatticeQuotient reads U and Uinv
+        # over Z, the torsion stage's int_kernel reads V and its
+        # LatticeQuotient reads U and Uinv
         built = Counter()
         real = exact.smith_normal_form
 
@@ -384,8 +397,8 @@ class TestPersistentHomology:
 
         monkeypatch.setattr(exact, "smith_normal_form", spy)
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
-        assert built == {("int_kernel", False, True, False): 4,
-                         ("__init__", True, False, True): 8}
+        assert built == {("int_kernel", False, True, False): 1,
+                         ("__init__", True, False, True): 2}
 
     def test_quotient_coordinates_read_only_columns_of_U_where_x_is_nonzero(self):
         class Counted(int):
@@ -398,10 +411,16 @@ class TestPersistentHomology:
 
             __rmul__ = __mul__
 
-        H = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
+        # the quotients Z_1 / B_1 of the torus stages, built from their
+        # boundary matrices (the stages themselves need no quotient)
+        K = parse_filtration((DATA / "torus.flt").read_text())
+        H = persistent_homology(K, 1, "Z")
         read = bound = dense = 0
-        for src, tgt in zip(H.stages, H.stages[1:]):
-            q, pos = tgt._lq, {s: i for i, s in enumerate(tgt.k_simplices)}
+        for at, src, tgt in zip(H.module.values, H.stages, H.stages[1:]):
+            below, above = K.simplices_of_dim(0, at=at), K.simplices_of_dim(2, at=at)
+            q = exact.LatticeQuotient(exact.int_kernel(boundary_matrix(below, tgt.k_simplices)),
+                                      boundary_matrix(tgt.k_simplices, above))
+            pos = {s: i for i, s in enumerate(tgt.k_simplices)}
             for g in src.gen_reps.columns():
                 x = [0] * len(pos)
                 for s, v in zip(src.k_simplices, g):
@@ -441,26 +460,34 @@ def test_smith_normal_forms_of_boundary_matrices_match_dense_oracle(K, k, m):
     assert_snf_sides_match_oracle(d.hstack(Mat.identity(d.rows).scale(m)) if m else d)
 
 
-def _composite_ranks(M) -> list:
+def _composite_images(M) -> list:
+    """Of every composite: its rank over a field, its image class over Z."""
+    if M.cat.kind == "ab":
+        return [image_iso_class(composite_mor(M, a, b))
+                for a in range(M.n + 1) for b in range(a, M.n + 1)]
     return [rref_rank(M.cat.field, composite_mor(M, a, b).payload)
             for a in range(M.n + 1) for b in range(a, M.n + 1)]
 
 
+def _dense_homology(K, k, coeffs):
+    return snf_integer_homology(K, k) if coeffs == "Z" else dense_field_homology(K, k, coeffs)
+
+
 def _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 2), seed=0):
-    """Stage dimensions, the rank of every composite, both diagrams and
+    """Stage objects, the image of every composite, both diagrams and
     the interleaving verdict agree with the dense per-stage oracle."""
     H = persistent_homology(K, k, coeffs)
-    dense = dense_field_homology(K, k, coeffs)
+    dense = _dense_homology(K, k, coeffs)
     M, N = H.module, dense[1]
     assert M.objects == N.objects
-    assert _composite_ranks(M) == _composite_ranks(N)
+    assert _composite_images(M) == _composite_images(N)
     assert type_A_diagram(M) == type_A_diagram(N)
     assert type_B_diagram(M) == type_B_diagram(N)
     K2 = perturb(K, eps, seed)
     H2 = persistent_homology(K2, k, coeffs)
-    dense2 = dense_field_homology(K2, k, coeffs)
+    dense2 = _dense_homology(K2, k, coeffs)
     assert check_interleaving(M, H2.module, interleaving_from_perturbation(H, H2, eps))
-    assert check_interleaving(N, dense2[1], dense_field_interleaving(dense, dense2, eps))
+    assert check_interleaving(N, dense2[1], dense_interleaving(dense, dense2, eps))
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,6 +503,55 @@ def test_field_stages_match_dense_oracle_on_bundled_data(name, coeffs):
     K = parse_filtration((DATA / name).read_text())
     for k in range(3):
         _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 4), seed=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.integers(0, 2), st.integers(0, 99))
+def test_integer_stages_match_snf_oracle(K, k, seed):
+    _assert_matches_dense_stages(K, k, "Z", seed=seed)
+
+
+@pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2"])
+def test_integer_stages_match_snf_oracle_on_bundled_data(name):
+    K = parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
+    for k in range(3):
+        _assert_matches_dense_stages(K, k, "Z", eps=Fr(1, 4), seed=k)
+
+
+def _assert_rank_maps_z_diagram_onto_q(K, k):
+    """The rank homomorphism [Z] -> [line], [Z/p^m] -> 0 maps the type A
+    diagram over Z onto the one over Q, cell by cell: Q is flat, so
+    im(f (x) Q) = (im f) (x) Q, and Moebius inversion is linear.  Returns
+    the cells over Q."""
+    YZ = type_A_diagram(persistent_module(K, k, "Z"))
+    YQ = type_A_diagram(persistent_module(K, k, "Q"))
+    assert YZ.grid == YQ.grid
+    rho = {cell: {"line": v.mult()["Z"]} for cell, v in YZ.cells if "Z" in v.mult()}
+    assert rho == {cell: v.mult() for cell, v in YQ.cells}
+    return YQ.cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.integers(0, 2))
+def test_rank_maps_integer_diagram_onto_rational_one(K, k):
+    _assert_rank_maps_z_diagram_onto_q(K, k)
+
+
+@pytest.mark.parametrize("name", ["klein_bottle.flt", "rp2"])
+def test_rank_maps_torsion_to_zero(name):
+    K = parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
+    for k in range(3):
+        _assert_rank_maps_z_diagram_onto_q(K, k)
+
+
+def test_rank_maps_integer_diagram_onto_rational_one_on_rips():
+    """A 20-point Manhattan Rips complex up to triangles: 1,350 simplices,
+    33 critical values, five cells in its H_1 diagram."""
+    rng = random.Random(5)
+    pts = [(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(20)]
+    K = rips_filtration([[abs(a - c) + abs(b - d) for c, d in pts] for a, b in pts])
+    assert len(K.simplices) == 1350
+    assert len(_assert_rank_maps_z_diagram_onto_q(K, 1)) == 5
 
 
 def test_field_stage_reduces_once(monkeypatch):
