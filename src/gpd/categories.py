@@ -17,10 +17,14 @@ from fractions import Fraction
 
 from .exact import (
     QQ,
+    ZZ,
     LatticeQuotient,
+    NotDivisible,
     PrimeField,
+    _columns,
     column_space_basis,
     field_rank,
+    field_reduce,
     field_solve,
     jordan_type,
 )
@@ -256,7 +260,28 @@ def compose(g: Mor, f: Mor) -> Mor:
     return make_mor(f.src, g.tgt, M)
 
 
+def _int_pivots(M: Mat) -> list | None:
+    """The pivots (lowest entries of the nonzero reduced columns) of the
+    column reduction of the integer matrix M over ZZ, or None where a
+    pivot does not divide.  There are as many as the rank of M over Q."""
+    try:
+        R, lows, _ = field_reduce(ZZ, _columns(ZZ, M))
+    except NotDivisible:
+        return None
+    return [R[j][low] for low, j in lows.items()]
+
+
 def is_isomorphism(f: Mor) -> bool:
+    """Whether f is invertible.
+
+    Between free abelian groups of rank n the column reduction over ZZ
+    gives R = M V with V unitriangular, and the nonzero columns of R
+    have distinct lowest rows, so det M = +-(product of the pivots): f is
+    an isomorphism iff there are n pivots and each is +-1.  Where a pivot
+    does not divide, the reduction says nothing ([[1, 1], [2, 3]] is
+    unimodular, yet its reduction raises), and the cokernel quotient
+    decides, as it does for every group with torsion.
+    """
     cat = f.cat
     if cat.kind == FINSET:
         return f.src.data == f.tgt.data and len(set(f.payload)) == f.src.data
@@ -269,6 +294,10 @@ def is_isomorphism(f: Mor) -> bool:
     # abelian groups: surjective onto an isomorphic group implies bijective
     if iso_class(f.src) != iso_class(f.tgt):
         return False
+    rank, invs = f.tgt.data
+    pivots = None if invs or cat.kind == FINAB else _int_pivots(f.payload)
+    if pivots is not None:
+        return len(pivots) == rank and all(abs(p) == 1 for p in pivots)
     gt = obj_ngens(f.tgt)
     cok = LatticeQuotient(Mat.identity(gt), f.payload.hstack(ab_relations(f.tgt)))
     return cok.iso() == (0, [])
@@ -383,12 +412,23 @@ def iso_class(a: Obj) -> IsoClass:
 
 
 def image_iso_class(f: Mor) -> IsoClass:
-    """Isomorphism class of the epi-mono image of f."""
+    """Isomorphism class of the epi-mono image of f.
+
+    Over ab with a torsion-free target the image is a subgroup of a free
+    abelian group, hence free, of rank the rank of the payload over Q:
+    the number of pivots of its reduction over ZZ, or its rank over QQ
+    where a pivot does not divide.  Other abelian images are read off
+    the presented quotient (payload | relations) / relations.
+    """
     cat = f.cat
     if cat.kind == FINSET:
         return _make_iso(cat, {"pt": len(set(f.payload))})
     if cat.kind == VECT:
         return _make_iso(cat, {"line": field_rank(cat.field, f.payload)})
+    if cat.kind == AB and not f.tgt.data[1]:
+        pivots = _int_pivots(f.payload)
+        rank = field_rank(QQ, f.payload) if pivots is None else len(pivots)
+        return iso_from_invariants(cat, rank, ())
     if cat.kind in (AB, FINAB):
         R = ab_relations(f.tgt)
         q = LatticeQuotient(f.payload.hstack(R), R)

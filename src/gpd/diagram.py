@@ -219,15 +219,6 @@ def type_B_diagram(F) -> DiagramGrid:
     return type_B_from_A(type_A_diagram(F))
 
 
-def diagram_add(d1: DiagramGrid, d2: DiagramGrid) -> DiagramGrid:
-    if (d1.group, d1.cat, d1.grid, d1.role) != (d2.group, d2.cat, d2.grid, d2.role):
-        raise DiagramError("diagrams live on different grids or groups")
-    cells = d1.as_dict()
-    for key, val in d2.cells:
-        cells[key] = add(cells[key], val) if key in cells else val
-    return DiagramGrid.make(d1.group, d1.cat, d1.grid, cells, role=d1.role)
-
-
 def diagram_leq(d1: DiagramGrid, d2: DiagramGrid) -> bool:
     """Existence of a morphism d1 -> d2 of diagrams.
 

@@ -9,9 +9,12 @@ its basis and the sparse columns of U only when a caller first reads
 them, so a caller that only asks `iso` pays for neither, and quotient
 coordinates follow the nonzeros of the vector.  One sparse column
 reduction (`field_reduce`) backs the vector-space and Jordan-type
-computations over a field, and integer homology over the ring `ZZ`,
+computations over a field, and the computations over the ring `ZZ`,
 where it divides exactly and raises `NotDivisible` where a pivot does
-not divide.
+not divide: integer and rational homology stages, and the images and
+isomorphisms of free abelian groups.  Where it completes over `ZZ`, it
+takes the steps the reduction over `QQ` takes, in int arithmetic; those
+callers turn to Smith normal form or `Fraction`s only where it raises.
 """
 
 from __future__ import annotations

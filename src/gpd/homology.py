@@ -2,10 +2,10 @@
 
 The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients by column
-reduction, integer stages with torsion and Z/m coefficients by Smith
-normal form through presented lattice quotients), expresses
-inclusion-induced maps in canonical homology coordinates, and assembles
-a constructible persistence module.
+reduction, rational ones over the integers first, integer stages with
+torsion and Z/m coefficients by Smith normal form through presented
+lattice quotients), expresses inclusion-induced maps in canonical
+homology coordinates, and assembles a constructible persistence module.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .categories import ab, finab, finset, make_mor, make_obj, vect
 from .exact import (
@@ -227,6 +228,17 @@ class _Stage:
     does not divide the entry it must clear (`NotDivisible`); such a
     stage, and every stage over Z/m, is computed instead by Smith normal
     forms as the presented lattice quotient Z_k / B_k.
+
+    A stage over Q runs the same two reductions over ZZ first, and over
+    QQ only where ZZ raises `NotDivisible`.  A ZZ reduction that
+    completes takes exactly the steps the QQ reduction takes: the inputs
+    are the same integers, every multiple is `div` of the same two
+    numbers, and `ZZ.div`, being exact, returns the value `QQ.div`
+    would.  So the pivots, generators and coordinates are the same
+    numbers, held as ints.  A cycle handed to `coords` may still have
+    non-integer entries (a generator of a stage that fell back to QQ);
+    it is scaled by the lcm of its denominators, which makes it an
+    integer cycle, cleared, and its coordinates divided by that lcm.
     """
 
     def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
@@ -235,15 +247,16 @@ class _Stage:
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
         self._lq = None
-        if kind != "Zm":
+        rings = () if kind == "Zm" else (ZZ, QQ) if arg is QQ else (arg,)
+        for F in rings:
             try:
-                self._reduce(arg, below, ks, above)
+                self._reduce(F, below, ks, above)
             except NotDivisible:
-                pass
-            else:
-                n = len(self._gens)
-                self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
-                return
+                continue
+            self._scale = F is not arg  # a Q stage on the ZZ path
+            n = len(self._gens)
+            self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
+            return
         nk = len(ks)
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
         if kind == "Z":
@@ -275,6 +288,9 @@ class _Stage:
         if self._lq is not None:
             return self._lq.coords(chain)
         F = self._field
+        den = lcm(*(v.denominator for v in chain)) if self._scale else 1
+        if den != 1:
+            chain = [v * den for v in chain]
         c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
         try:
             steps = dict(_clear(F, c, self._R, self._lows))
@@ -282,7 +298,8 @@ class _Stage:
             steps = None
         if steps is None or c:
             raise FiltrationError("chain is not a cycle of this stage")
-        return [steps.get(j, F.zero) for j in self._gens]
+        out = [steps.get(j, F.zero) for j in self._gens]
+        return out if den == 1 else [Fraction(x, den) for x in out]
 
 
 def _induced_payload(src: _Stage, tgt: _Stage):
@@ -430,25 +447,3 @@ def interleaving_from_perturbation(H: PersistentHomology, H2: PersistentHomology
     pg, phi = family(H, H2)
     sg, psi = family(H2, H)
     return InterleavingPair(eps, pg, phi, sg, psi)
-
-
-# ---------------------------------------------------------------------------
-# Vietoris-Rips helper
-# ---------------------------------------------------------------------------
-
-def rips_filtration(dist: list, max_dim: int = 2) -> FilteredComplex:
-    """Rips filtration from a symmetric rational distance matrix.
-
-    Vertices enter at 0 and every higher simplex at the largest
-    pairwise distance among its vertices.
-    """
-    from itertools import combinations
-
-    npts = len(dist)
-    items = [((v,), Fraction(0)) for v in range(npts)]
-    for d in range(1, max_dim + 1):
-        for s in combinations(range(npts), d + 1):
-            val = max(Fraction(dist[a][b]) for a, b in combinations(s, 2))
-            items.append((s, val))
-    return make_complex(items)
-

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from gpd.categories import (
     vect,
 )
 from gpd.exact import QQ, PrimeField, field_kernel, field_solve, jordan_type
+from gpd.homology import FilteredComplex, make_complex
 from gpd.matrix import Mat
 
 SMALL_CHAINS = [(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 6), (8,), (2, 2, 2), (6,), (12,)]
@@ -264,3 +266,18 @@ def random_interval_sum_module(field, rng: random.Random, nvals: int = 4, nints:
                                 Mat.identity(objs[i - 1].data, one=field.one, zero=field.zero))
         new_mors.append(make_mor(objs[i - 1], objs[i], (Pi @ m.payload @ Pprev_inv).map(field.coerce)))
     return ConstructibleModule(cat, total.values, tuple(objs), tuple(new_mors)), bars
+
+
+def rips_filtration(dist: list, max_dim: int = 2) -> FilteredComplex:
+    """Rips filtration from a symmetric rational distance matrix.
+
+    Vertices enter at 0 and every higher simplex at the largest
+    pairwise distance among its vertices.
+    """
+    npts = len(dist)
+    items = [((v,), Fraction(0)) for v in range(npts)]
+    for d in range(1, max_dim + 1):
+        for s in combinations(range(npts), d + 1):
+            val = max(Fraction(dist[a][b]) for a, b in combinations(s, 2))
+            items.append((s, val))
+    return make_complex(items)

@@ -13,7 +13,17 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from gpd.categories import Mor, ab, compose, image_iso_class, make_mor, make_obj, vect
+from gpd.categories import (
+    Mor,
+    ab,
+    ab_relations,
+    compose,
+    image_iso_class,
+    iso_from_invariants,
+    make_mor,
+    make_obj,
+    vect,
+)
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
 from gpd.exact import LatticeContainmentError, SnfResult, _elimination, smith_normal_form
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
@@ -500,6 +510,17 @@ class lattice_quotient_oracle:
         return Mat.from_cols(cols, nrows=self.ambient)
 
 
+def image_iso_class_oracle(f):
+    """Image class of a morphism; over ab and finab the presented quotient
+    (payload | R) / R of the target relations R by `lattice_quotient_oracle`,
+    whatever the target, and the library's `image_iso_class` otherwise."""
+    if f.cat.kind not in ("ab", "finab"):
+        return image_iso_class(f)
+    R = ab_relations(f.tgt)
+    rank, invs = lattice_quotient_oracle(f.payload.hstack(R), R).iso()
+    return iso_from_invariants(f.cat, rank, invs)
+
+
 # --- Full-grid type A and type B diagrams -----------------------------------
 
 def _b_label(c) -> dict:
@@ -536,7 +557,7 @@ def type_B_oracle(F) -> DiagramGrid:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
             b = n if j == n + 1 else j - 1
-            label = _b_label(image_iso_class(composite_mor(F, i, b)))
+            label = _b_label(image_iso_class_oracle(composite_mor(F, i, b)))
             cells[(i, j)] = GroupElem("B", F.cat, tuple(sorted((k, v) for k, v in label.items() if v)))
     return mobius_invert(DiagramGrid.make("B", F.cat, F.values, cells, role="constructible"))
 

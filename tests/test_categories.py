@@ -34,7 +34,13 @@ from gpd.exact import QQ, PrimeField
 from gpd.matrix import Mat, frac
 
 from generators import ALL_CATS, random_automorphism, random_mor, random_obj
-from oracles import FiniteGroupTable, cyclic_decomposition_by_profile, rref_rank
+from oracles import (
+    FiniteGroupTable,
+    cyclic_decomposition_by_profile,
+    image_iso_class_oracle,
+    is_unimodular,
+    rref_rank,
+)
 
 
 def mor(src, tgt, rows):
@@ -138,6 +144,32 @@ class TestAb:
             sub = table.subgroup_generated(gens)
             expected = cyclic_decomposition_by_profile(table, sub)
             assert list(invariants_from_iso(img)[1]) == expected
+
+
+# [[1, 1], [2, 3]] and [[2, 3], [4, 6]] raise NotDivisible in their
+# reduction over ZZ; [[2]] has image 2Z, free of rank 1 (over F_2 it reads 0)
+_FREE_TARGET_PAYLOADS = [([[1, 1], [2, 3]], 2), ([[2, 3], [4, 6]], 1), ([[2]], 1),
+                         ([[2, 4], [3, 6]], 1), ([[0, 0]], 0), ([[3, 1, 2]], 1)]
+
+
+@pytest.mark.parametrize("rows, rank", _FREE_TARGET_PAYLOADS)
+def test_ab_image_at_free_target_is_free_of_rational_rank(rows, rank):
+    c = ab()
+    f = make_mor(make_obj(c, (len(rows[0]), ())), make_obj(c, (len(rows), ())), rows)
+    assert image_iso_class(f) == image_iso_class_oracle(f) == iso_from_invariants(c, rank, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_ab_image_matches_quotient_oracle(seed, free):
+    """Free targets (read by rank) and targets with torsion (presented
+    quotients) against `lattice_quotient_oracle`."""
+    rng = random.Random(seed)
+    c = ab()
+    src = random_obj(c, rng)
+    tgt = make_obj(c, (rng.randint(0, 3), ())) if free else random_obj(c, rng)
+    f = random_mor(src, tgt, rng)
+    assert image_iso_class(f) == image_iso_class_oracle(f)
 
 
 class TestRepn:
@@ -257,6 +289,26 @@ class TestIsIsomorphism:
             f = random_mor(src, tgt, rng)
             expected = _bijective_on_elements(f)
             assert is_isomorphism(f) == expected, f
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_ab_matches_unimodularity(self):
+        # between free groups of one rank, the pivots of the reduction over
+        # ZZ decide; [[1, 1], [2, 3]] is unimodular, yet its reduction raises
+        c = ab()
+        fixed = [([[1, 1], [2, 3]], True), ([[2, 0], [0, 1]], False),
+                 ([[1, 2], [2, 4]], False), ([[2, 3], [4, 6]], False)]
+        for rows, expected in fixed:
+            a = make_obj(c, (2, ()))
+            assert is_isomorphism(make_mor(a, a, rows)) == expected == \
+                is_unimodular(Mat.from_rows(rows))
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(120):
+            a = make_obj(c, (rng.randint(0, 3), ()))
+            f = random_mor(a, a, rng) if rng.random() < 0.6 else random_automorphism(a, rng)
+            expected = is_unimodular(f.payload)
+            assert is_isomorphism(f) == expected, f.payload
             seen.add(expected)
         assert seen == {True, False}
 

@@ -15,7 +15,6 @@ from gpd.diagram import (
     cumulate,
     cumulative_at,
     cumulative_at_cell,
-    diagram_add,
     diagram_leq,
     mobius_invert,
     positivity_check,
@@ -24,7 +23,7 @@ from gpd.diagram import (
     type_B_from_A,
 )
 from gpd.exact import QQ, PrimeField
-from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, zero_elem
+from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, add, zero_elem
 from gpd.homology import component_module, parse_filtration, persistent_module, perturb
 from gpd.matrix import Mat
 from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
@@ -168,6 +167,15 @@ def test_diagram_matches_quadrant_count_oracle():
         expected = classical_diagram_gf2(dims, maps)
         got = {k: v.mult()["line"] for k, v in Y.cells}
         assert got == expected
+
+
+def diagram_add(d1: DiagramGrid, d2: DiagramGrid) -> DiagramGrid:
+    if (d1.group, d1.cat, d1.grid, d1.role) != (d2.group, d2.cat, d2.grid, d2.role):
+        raise DiagramError("diagrams live on different grids or groups")
+    cells = d1.as_dict()
+    for key, val in d2.cells:
+        cells[key] = add(cells[key], val) if key in cells else val
+    return DiagramGrid.make(d1.group, d1.cat, d1.grid, cells, role=d1.role)
 
 
 def test_diagram_additive_under_direct_sum():

@@ -31,7 +31,6 @@ from gpd.homology import (
     persistent_homology,
     persistent_module,
     perturb,
-    rips_filtration,
     _induced_payload,
     _Stage,
 )
@@ -43,11 +42,13 @@ from oracles import (
     assert_snf_sides_match_oracle,
     dense_field_homology,
     dense_interleaving,
+    image_iso_class_oracle,
     induced_payload_oracle,
     interleaving_oracle,
     rref_rank,
     snf_integer_homology,
 )
+from generators import rips_filtration
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -460,10 +461,11 @@ def test_smith_normal_forms_of_boundary_matrices_match_dense_oracle(K, k, m):
     assert_snf_sides_match_oracle(d.hstack(Mat.identity(d.rows).scale(m)) if m else d)
 
 
-def _composite_images(M) -> list:
-    """Of every composite: its rank over a field, its image class over Z."""
+def _composite_images(M, image=image_iso_class) -> list:
+    """Of every composite: its rank over a field, its image class over Z
+    by `image`."""
     if M.cat.kind == "ab":
-        return [image_iso_class(composite_mor(M, a, b))
+        return [image(composite_mor(M, a, b))
                 for a in range(M.n + 1) for b in range(a, M.n + 1)]
     return [rref_rank(M.cat.field, composite_mor(M, a, b).payload)
             for a in range(M.n + 1) for b in range(a, M.n + 1)]
@@ -480,7 +482,7 @@ def _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 2), seed=0):
     dense = _dense_homology(K, k, coeffs)
     M, N = H.module, dense[1]
     assert M.objects == N.objects
-    assert _composite_images(M) == _composite_images(N)
+    assert _composite_images(M) == _composite_images(N, image_iso_class_oracle)
     assert type_A_diagram(M) == type_A_diagram(N)
     assert type_B_diagram(M) == type_B_diagram(N)
     K2 = perturb(K, eps, seed)
@@ -574,6 +576,39 @@ def test_field_stage_reduces_once(monkeypatch):
             assert calls == []
             dims.append(stage.obj.data)
     assert dims == [1, 2, 1] * 2
+
+
+def test_rational_stage_on_integer_path_clears_fractional_cycles():
+    # the torus H1 stages over Q reduce over ZZ; a cycle with non-integer
+    # entries, such as a generator of a stage that fell back to QQ, is
+    # scaled to an integer cycle and its coordinates scaled back
+    K = parse_filtration((DATA / "torus.flt").read_text())
+    stage = _Stage(K, 1, parse_coeffs("Q"), K.critical_values[-1])
+    assert stage._field is exact.ZZ and stage.obj.data == 2
+    g, h = stage.gen_reps.columns()
+    assert stage.coords([Fr(v, 2) for v in g]) == [Fr(1, 2), 0]
+    assert stage.coords([Fr(v, 2) + Fr(w, 3) for v, w in zip(g, h)]) == [Fr(1, 2), Fr(1, 3)]
+    assert stage.coords([Fr(v) for v in h]) == [0, 1]
+    with pytest.raises(FiltrationError):
+        stage.coords([Fr(1, 2)] + [0] * (len(g) - 1))
+
+
+def test_rational_stages_reduce_over_the_integers_first(monkeypatch):
+    """Torus stages over Q reduce over ZZ only; of the Klein bottle's H1
+    stages, the one with torsion raises NotDivisible and reruns over QQ."""
+    rings = []
+    real = exact.field_reduce
+    monkeypatch.setattr(homology, "field_reduce",
+                        lambda F, *args, **kw: rings.append(F) or real(F, *args, **kw))
+    torus = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Q")
+    assert rings and all(F is exact.ZZ for F in rings)
+    assert [s._field for s in torus.stages] == [exact.ZZ] * len(torus.stages)
+    rings.clear()
+    klein = persistent_homology(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Q")
+    fields = [s._field for s in klein.stages]
+    assert fields.count(exact.QQ) == 1 and fields.count(exact.ZZ) == len(fields) - 1
+    assert rings.count(exact.QQ) == 2 and rings.index(exact.QQ) > 0
+    assert rings[rings.index(exact.QQ) - 1] is exact.ZZ
 
 
 def test_rips_filtration():
