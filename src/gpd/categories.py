@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exact import (
     QQ,
-    ZZ,
     LatticeQuotient,
-    NotDivisible,
     PrimeField,
     _columns,
     column_space_basis,
@@ -260,27 +259,15 @@ def compose(g: Mor, f: Mor) -> Mor:
     return make_mor(f.src, g.tgt, M)
 
 
-def _int_pivots(M: Mat) -> list | None:
-    """The pivots (lowest entries of the nonzero reduced columns) of the
-    column reduction of the integer matrix M over ZZ, or None where a
-    pivot does not divide.  There are as many as the rank of M over Q."""
-    try:
-        R, lows, _ = field_reduce(ZZ, _columns(ZZ, M))
-    except NotDivisible:
-        return None
-    return [R[j][low] for low, j in lows.items()]
-
-
 def is_isomorphism(f: Mor) -> bool:
     """Whether f is invertible.
 
-    Between free abelian groups of rank n the column reduction over ZZ
-    gives R = M V with V unitriangular, and the nonzero columns of R
-    have distinct lowest rows, so det M = +-(product of the pivots): f is
-    an isomorphism iff there are n pivots and each is +-1.  Where a pivot
-    does not divide, the reduction says nothing ([[1, 1], [2, 3]] is
-    unimodular, yet its reduction raises), and the cokernel quotient
-    decides, as it does for every group with torsion.
+    Between free abelian groups of rank n the column reduction of the
+    payload M over QQ gives R = M V with V unitriangular, and the nonzero
+    columns of R have distinct lowest rows, so det M = +-(product of the
+    pivots): f is an isomorphism iff there are n pivots and their product
+    is +-1 ([[1, 1], [2, 3]] has pivots 2 and -1/2).  For a group with
+    torsion the cokernel quotient decides.
     """
     cat = f.cat
     if cat.kind == FINSET:
@@ -295,9 +282,9 @@ def is_isomorphism(f: Mor) -> bool:
     if iso_class(f.src) != iso_class(f.tgt):
         return False
     rank, invs = f.tgt.data
-    pivots = None if invs or cat.kind == FINAB else _int_pivots(f.payload)
-    if pivots is not None:
-        return len(pivots) == rank and all(abs(p) == 1 for p in pivots)
+    if cat.kind == AB and not invs:
+        R, lows, _ = field_reduce(QQ, _columns(QQ, f.payload))
+        return len(lows) == rank and abs(prod(R[j][low] for low, j in lows.items())) == 1
     gt = obj_ngens(f.tgt)
     cok = LatticeQuotient(Mat.identity(gt), f.payload.hstack(ab_relations(f.tgt)))
     return cok.iso() == (0, [])
@@ -415,10 +402,9 @@ def image_iso_class(f: Mor) -> IsoClass:
     """Isomorphism class of the epi-mono image of f.
 
     Over ab with a torsion-free target the image is a subgroup of a free
-    abelian group, hence free, of rank the rank of the payload over Q:
-    the number of pivots of its reduction over ZZ, or its rank over QQ
-    where a pivot does not divide.  Other abelian images are read off
-    the presented quotient (payload | relations) / relations.
+    abelian group, hence free, of rank the rank of the payload over Q.
+    Other abelian images are read off the presented quotient
+    (payload | relations) / relations.
     """
     cat = f.cat
     if cat.kind == FINSET:
@@ -426,9 +412,7 @@ def image_iso_class(f: Mor) -> IsoClass:
     if cat.kind == VECT:
         return _make_iso(cat, {"line": field_rank(cat.field, f.payload)})
     if cat.kind == AB and not f.tgt.data[1]:
-        pivots = _int_pivots(f.payload)
-        rank = field_rank(QQ, f.payload) if pivots is None else len(pivots)
-        return iso_from_invariants(cat, rank, ())
+        return iso_from_invariants(cat, field_rank(QQ, f.payload), ())
     if cat.kind in (AB, FINAB):
         R = ab_relations(f.tgt)
         q = LatticeQuotient(f.payload.hstack(R), R)

@@ -1,20 +1,20 @@
 """Exact integer and field linear algebra.
 
 Everything here is total on exact inputs: arbitrary-precision integers,
-Fractions, or residues modulo a prime.  Smith normal form is the engine
-behind all finitely-generated-abelian-group computations; it builds the
-transforms of the one side its caller reads (`int_kernel` reads V,
+rationals (ints while integral, else Fractions), or residues modulo a
+prime.  Smith normal form is the engine behind all
+finitely-generated-abelian-group computations; it builds the transforms
+of the one side its caller reads (`int_kernel` reads V,
 `LatticeQuotient` reads U and its inverse).  A `LatticeQuotient` builds
 its basis and the sparse columns of U only when a caller first reads
 them, so a caller that only asks `iso` pays for neither, and quotient
 coordinates follow the nonzeros of the vector.  One sparse column
 reduction (`field_reduce`) backs the vector-space and Jordan-type
-computations over a field, and the computations over the ring `ZZ`,
+computations over a field, and the homology stages over the ring `ZZ`,
 where it divides exactly and raises `NotDivisible` where a pivot does
-not divide: integer and rational homology stages, and the images and
-isomorphisms of free abelian groups.  Where it completes over `ZZ`, it
-takes the steps the reduction over `QQ` takes, in int arithmetic; those
-callers turn to Smith normal form or `Fraction`s only where it raises.
+not divide; those stages turn to Smith normal form only where it raises.
+Over `QQ` the same reduction of integer columns runs in int arithmetic
+and builds Fractions only where a pivot does not divide.
 """
 
 from __future__ import annotations
@@ -285,15 +285,20 @@ def parse_rational(text) -> Fraction:
 
 
 class RationalField:
-    """The field Q; elements are Fractions (ints are coerced)."""
+    """The field Q.  An element is an int while it is integral and a
+    Fraction once a division leaves Z: `coerce` passes ints through,
+    `zero` and `one` are ints, and `div` of two ints is their exact int
+    quotient where the divisor divides.  So a reduction of integer
+    columns does int arithmetic, and Fractions appear only in the
+    columns that a non-dividing pivot touches.  Values, not types, carry
+    meaning: 2 and Fraction(2) are the same element."""
 
     name = "Q"
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        return Fraction(x)
-
-    zero = Fraction(0)
-    one = Fraction(1)
+        return x if type(x) is int else Fraction(x)
 
     def sub(self, a, b):
         return a - b
@@ -302,10 +307,13 @@ class RationalField:
         return a * b
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a * self.inv(b)
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return a / b
 
     def __repr__(self):
         return "QQ"
@@ -424,9 +432,11 @@ def field_reduce(F, cols: list, track: bool = False) -> tuple:
     zero exactly when it lies in the span of the columns before it.
     Returns (R, lows, V): the reduced columns, {lowest row: index} of the
     nonzero ones, and, when `track` is set, the combinations with
-    R[j] = sum of V[j][i] * cols[i] (else None).  Over ZZ every multiple
-    is an exact quotient, so V is unitriangular; where a pivot does not
-    divide the entry it must clear, NotDivisible is raised.
+    R[j] = sum of V[j][i] * cols[i] (else None).  Every multiple is
+    `F.div` of the entry to clear by the pivot: over ZZ an exact
+    quotient, so V is unitriangular, or NotDivisible where the pivot
+    does not divide; over QQ an int where the pivot divides, else a
+    Fraction.
     """
     R, lows, V = [], {}, [] if track else None
     for j, col in enumerate(cols):

@@ -2,10 +2,10 @@
 
 The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients by column
-reduction, rational ones over the integers first, integer stages with
-torsion and Z/m coefficients by Smith normal form through presented
-lattice quotients), expresses inclusion-induced maps in canonical
-homology coordinates, and assembles a constructible persistence module.
+reduction, integer stages with torsion and Z/m coefficients by Smith
+normal form through presented lattice quotients), expresses
+inclusion-induced maps in canonical homology coordinates, and assembles
+a constructible persistence module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .categories import ab, finab, finset, make_mor, make_obj, vect
 from .exact import (
@@ -227,18 +226,8 @@ class _Stage:
     free on the generators.  Torsion can only show up as a pivot that
     does not divide the entry it must clear (`NotDivisible`); such a
     stage, and every stage over Z/m, is computed instead by Smith normal
-    forms as the presented lattice quotient Z_k / B_k.
-
-    A stage over Q runs the same two reductions over ZZ first, and over
-    QQ only where ZZ raises `NotDivisible`.  A ZZ reduction that
-    completes takes exactly the steps the QQ reduction takes: the inputs
-    are the same integers, every multiple is `div` of the same two
-    numbers, and `ZZ.div`, being exact, returns the value `QQ.div`
-    would.  So the pivots, generators and coordinates are the same
-    numbers, held as ints.  A cycle handed to `coords` may still have
-    non-integer entries (a generator of a stage that fell back to QQ);
-    it is scaled by the lcm of its denominators, which makes it an
-    integer cycle, cleared, and its coordinates divided by that lcm.
+    forms as the presented lattice quotient Z_k / B_k.  Over Q the
+    entries stay ints until a pivot does not divide (see `QQ`).
     """
 
     def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
@@ -247,16 +236,15 @@ class _Stage:
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
         self._lq = None
-        rings = () if kind == "Zm" else (ZZ, QQ) if arg is QQ else (arg,)
-        for F in rings:
+        if kind != "Zm":
             try:
-                self._reduce(F, below, ks, above)
-            except NotDivisible:
-                continue
-            self._scale = F is not arg  # a Q stage on the ZZ path
-            n = len(self._gens)
-            self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
-            return
+                self._reduce(arg, below, ks, above)
+            except NotDivisible:  # over ZZ only: the stage has torsion
+                pass
+            else:
+                n = len(self._gens)
+                self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
+                return
         nk = len(ks)
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
         if kind == "Z":
@@ -288,9 +276,6 @@ class _Stage:
         if self._lq is not None:
             return self._lq.coords(chain)
         F = self._field
-        den = lcm(*(v.denominator for v in chain)) if self._scale else 1
-        if den != 1:
-            chain = [v * den for v in chain]
         c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
         try:
             steps = dict(_clear(F, c, self._R, self._lows))
@@ -298,8 +283,7 @@ class _Stage:
             steps = None
         if steps is None or c:
             raise FiltrationError("chain is not a cycle of this stage")
-        out = [steps.get(j, F.zero) for j in self._gens]
-        return out if den == 1 else [Fraction(x, den) for x in out]
+        return [steps.get(j, F.zero) for j in self._gens]
 
 
 def _induced_payload(src: _Stage, tgt: _Stage):

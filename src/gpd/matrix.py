@@ -7,8 +7,6 @@ no floating point is allowed anywhere in this library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 
@@ -62,18 +60,11 @@ class Mat:
         """The product self @ other, at a cost that follows the nonzeros:
         each nonzero entry a = self[i, k] adds a times the nonzero entries
         of row k of other to row i, and zeros cost one test each.
-
-        Every entry has the value and type of the dense sum
-        0 + sum_k self[i, k] * other[k, j]: a Fraction if row i of self or
-        column j of other holds one (even a zero one), else an int.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n = other.cols
         right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
-        frac_cols = []
-        if Fraction in set(map(type, chain.from_iterable(other.data))):
-            frac_cols = [j for j, c in enumerate(zip(*other.data)) if Fraction in set(map(type, c))]
         out = []
         for ri in self.data:
             acc = [0] * n
@@ -81,9 +72,6 @@ class Mat:
                 if a:
                     for j, b in rk:
                         acc[j] += a * b
-            for j in range(n) if Fraction in set(map(type, ri)) else frac_cols:
-                if type(acc[j]) is not Fraction:
-                    acc[j] = Fraction(acc[j])
             out.append(tuple(acc))
         return Mat(self.rows, n, tuple(out))
 
@@ -132,12 +120,3 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols}, {self.to_lists()})"
 
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")

@@ -1,6 +1,7 @@
 """Backend object/morphism algebra: composition, images, isomorphism tests."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gpd import categories
 from gpd.categories import (
     CategoryError,
     Mor,
@@ -31,7 +33,7 @@ from gpd.categories import (
     vect,
 )
 from gpd.exact import QQ, PrimeField
-from gpd.matrix import Mat, frac
+from gpd.matrix import Mat
 
 from generators import ALL_CATS, random_automorphism, random_mor, random_obj
 from oracles import (
@@ -74,14 +76,14 @@ class TestVect:
     def test_image_is_rank(self):
         c = vect(QQ)
         a, b = make_obj(c, 3), make_obj(c, 2)
-        f = make_mor(a, b, Mat.from_rows([[1, 2, 3], [2, 4, 6]], ncols=3).map(frac))
+        f = make_mor(a, b, Mat.from_rows([[1, 2, 3], [2, 4, 6]], ncols=3).map(Fraction))
         assert image_iso_class(f).mult() == {"line": 1}
 
     def test_mod_p_rank_differs(self):
         cq, c2 = vect(QQ), vect(PrimeField(2))
         m = [[1, 1], [1, -1]]
         fq = make_mor(make_obj(cq, 2), make_obj(cq, 2),
-                      Mat.from_rows(m, ncols=2).map(frac))
+                      Mat.from_rows(m, ncols=2).map(Fraction))
         f2 = make_mor(make_obj(c2, 2), make_obj(c2, 2), Mat.from_rows(m, ncols=2))
         assert image_iso_class(fq).mult() == {"line": 2}
         assert image_iso_class(f2).mult() == {"line": 1}
@@ -89,8 +91,8 @@ class TestVect:
     def test_iso_square_full_rank(self):
         c = vect(QQ)
         a = make_obj(c, 2)
-        assert is_isomorphism(make_mor(a, a, Mat.from_rows([[1, 1], [0, 1]], ncols=2).map(frac)))
-        assert not is_isomorphism(make_mor(a, a, Mat.from_rows([[1, 1], [1, 1]], ncols=2).map(frac)))
+        assert is_isomorphism(make_mor(a, a, Mat.from_rows([[1, 1], [0, 1]], ncols=2).map(Fraction)))
+        assert not is_isomorphism(make_mor(a, a, Mat.from_rows([[1, 1], [1, 1]], ncols=2).map(Fraction)))
 
 
 class TestAb:
@@ -146,8 +148,9 @@ class TestAb:
             assert list(invariants_from_iso(img)[1]) == expected
 
 
-# [[1, 1], [2, 3]] and [[2, 3], [4, 6]] raise NotDivisible in their
-# reduction over ZZ; [[2]] has image 2Z, free of rank 1 (over F_2 it reads 0)
+# [[1, 1], [2, 3]] and [[2, 3], [4, 6]] meet a pivot that does not divide,
+# so their reduction over QQ leaves Z; [[2]] has image 2Z, free of rank 1
+# (over F_2 it reads 0)
 _FREE_TARGET_PAYLOADS = [([[1, 1], [2, 3]], 2), ([[2, 3], [4, 6]], 1), ([[2]], 1),
                          ([[2, 4], [3, 6]], 1), ([[0, 0]], 0), ([[3, 1, 2]], 1)]
 
@@ -175,25 +178,25 @@ def test_ab_image_matches_quotient_oracle(seed, free):
 class TestRepn:
     def test_inclusion_into_jordan_block(self):
         c = repn(QQ)
-        lam = frac(2)
+        lam = Fraction(2)
         line = make_obj(c, Mat.from_rows([[lam]], ncols=1))
-        block = make_obj(c, Mat.from_rows([[lam, 1], [0, lam]], ncols=2).map(frac))
-        f = make_mor(line, block, Mat.from_rows([[1], [0]], ncols=1).map(frac))
+        block = make_obj(c, Mat.from_rows([[lam, 1], [0, lam]], ncols=2).map(Fraction))
+        f = make_mor(line, block, Mat.from_rows([[1], [0]], ncols=1).map(Fraction))
         assert image_iso_class(f).mult() == {("j", lam, 1): 1}
 
     def test_non_intertwiner_rejected(self):
         c = repn(QQ)
-        a = make_obj(c, Mat.from_rows([[frac(0)]], ncols=1))
-        b = make_obj(c, Mat.from_rows([[frac(1)]], ncols=1))
+        a = make_obj(c, Mat.from_rows([[Fraction(0)]], ncols=1))
+        b = make_obj(c, Mat.from_rows([[Fraction(1)]], ncols=1))
         with pytest.raises(CategoryError):
-            make_mor(a, b, Mat.from_rows([[1]], ncols=1).map(frac))
+            make_mor(a, b, Mat.from_rows([[1]], ncols=1).map(Fraction))
 
     def test_projection_of_jordan_block(self):
         c = repn(QQ)
-        lam = frac(0)
-        block = make_obj(c, Mat.from_rows([[lam, 1], [0, lam]], ncols=2).map(frac))
+        lam = Fraction(0)
+        block = make_obj(c, Mat.from_rows([[lam, 1], [0, lam]], ncols=2).map(Fraction))
         line = make_obj(c, Mat.from_rows([[lam]], ncols=1))
-        f = make_mor(block, line, Mat.from_rows([[0, 1]], ncols=2).map(frac))
+        f = make_mor(block, line, Mat.from_rows([[0, 1]], ncols=2).map(Fraction))
         assert image_iso_class(f).mult() == {("j", lam, 1): 1}
 
 
@@ -293,8 +296,9 @@ class TestIsIsomorphism:
         assert seen == {True, False}
 
     def test_ab_matches_unimodularity(self):
-        # between free groups of one rank, the pivots of the reduction over
-        # ZZ decide; [[1, 1], [2, 3]] is unimodular, yet its reduction raises
+        # between free groups of one rank, the product of the pivots of the
+        # reduction over QQ decides; [[1, 1], [2, 3]] is unimodular, with
+        # pivots 2 and -1/2
         c = ab()
         fixed = [([[1, 1], [2, 3]], True), ([[2, 0], [0, 1]], False),
                  ([[1, 2], [2, 4]], False), ([[2, 3], [4, 6]], False)]
@@ -311,6 +315,21 @@ class TestIsIsomorphism:
             assert is_isomorphism(f) == expected, f.payload
             seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("rows, expected", [([[1, 1], [2, 3]], True),
+                                                ([[2, 1], [1, 1]], True),
+                                                ([[2, 0], [0, 1]], False)])
+    def test_ab_free_target_builds_no_quotient(self, monkeypatch, rows, expected):
+        # the pivots of [[1, 1], [2, 3]] are 2 and -1/2: no pivot is +-1,
+        # yet their product is
+        built = []
+        real = categories.LatticeQuotient
+        monkeypatch.setattr(categories, "LatticeQuotient",
+                            lambda *args: built.append(args) or real(*args))
+        a = make_obj(ab(), (2, ()))
+        assert is_isomorphism(make_mor(a, a, rows)) == expected == \
+            is_unimodular(Mat.from_rows(rows))
+        assert built == []
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda F: F.name)
     def test_vect_matches_dense_rank(self, field):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpd import categories, exact
@@ -372,6 +372,34 @@ def test_reduction_over_z_keeps_the_lattice_or_raises(m, n, data):
                 combo[row] = combo.get(row, 0) + f * x
         assert r == {row: x for row, x in combo.items() if x}
     assert len(lows) == rref_rank(QQ, M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), st.integers(-4, 4).filter(bool), max_size=5),
+                max_size=6))
+@example([{0: 1, 1: 2}, {0: 1, 1: 3}])  # pivot 2 does not divide 3
+def test_rational_reduction_of_integer_columns_matches_fractions(cols):
+    """Integer columns reduce over QQ to the values the same columns
+    held as Fractions reduce to; where every pivot divides, as over ZZ,
+    every entry stays an int."""
+    R, lows, V = field_reduce(QQ, cols, track=True)
+    fractions = [{i: Fraction(v) for i, v in c.items()} for c in cols]
+    assert (R, lows, V) == field_reduce(QQ, fractions, track=True)
+    types = {type(v) for c in R + V for v in c.values()}
+    assert types <= {int, Fraction}
+    try:
+        integral = field_reduce(ZZ, cols, track=True)
+    except NotDivisible:
+        return
+    assert integral == (R, lows, V) and types <= {int}
+
+
+@given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))
+def test_rational_division_stays_int_exactly_when_it_divides(a, b):
+    q = QQ.div(a, b)
+    assert q == Fraction(a, b)
+    assert (type(q) is int) == (a % b == 0)
+    assert type(QQ.div(Fraction(a), b)) is Fraction
 
 
 @st.composite

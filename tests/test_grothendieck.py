@@ -1,6 +1,7 @@
 """Grothendieck group arithmetic and the translation-invariant order."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from gpd.grothendieck import (
     sub,
     zero_elem,
 )
-from gpd.matrix import Mat, frac
+from gpd.matrix import Mat
 
 from generators import ALL_CATS, random_obj
 
@@ -57,9 +58,9 @@ def test_b_class_finab_counts_prime_lengths():
 
 def test_b_class_repn_counts_block_sizes():
     c = repn(QQ)
-    lam = frac(2)
+    lam = Fraction(2)
     block3 = make_obj(c, Mat.from_rows(
-        [[lam, 1, 0], [0, lam, 1], [0, 0, lam]], ncols=3).map(frac))
+        [[lam, 1, 0], [0, lam, 1], [0, 0, lam]], ncols=3).map(Fraction))
     assert b_of(iso_class(block3)).mult() == {lam: 3}
 
 
@@ -104,8 +105,8 @@ def test_short_exact_sequence_additivity():
     assert mid == ends
     # 0 -> J_1(0) -> J_2(0) -> J_1(0) -> 0 : block sizes add per eigenvalue
     cr = repn(QQ)
-    j2 = make_obj(cr, Mat.from_rows([[0, 1], [0, 0]], ncols=2).map(frac))
-    j1 = make_obj(cr, Mat.from_rows([[0]], ncols=1).map(frac))
+    j2 = make_obj(cr, Mat.from_rows([[0, 1], [0, 0]], ncols=2).map(Fraction))
+    j1 = make_obj(cr, Mat.from_rows([[0]], ncols=1).map(Fraction))
     assert b_of(iso_class(j2)) == add(b_of(iso_class(j1)), b_of(iso_class(j1)))
 
 

@@ -579,12 +579,12 @@ def test_field_stage_reduces_once(monkeypatch):
 
 
 def test_rational_stage_on_integer_path_clears_fractional_cycles():
-    # the torus H1 stages over Q reduce over ZZ; a cycle with non-integer
-    # entries, such as a generator of a stage that fell back to QQ, is
-    # scaled to an integer cycle and its coordinates scaled back
+    # the torus H1 stages over Q reduce integer columns in int arithmetic;
+    # a cycle with non-integer entries, such as a generator of a stage
+    # where a pivot does not divide, still clears to its coordinates
     K = parse_filtration((DATA / "torus.flt").read_text())
     stage = _Stage(K, 1, parse_coeffs("Q"), K.critical_values[-1])
-    assert stage._field is exact.ZZ and stage.obj.data == 2
+    assert stage.obj.data == 2
     g, h = stage.gen_reps.columns()
     assert stage.coords([Fr(v, 2) for v in g]) == [Fr(1, 2), 0]
     assert stage.coords([Fr(v, 2) + Fr(w, 3) for v, w in zip(g, h)]) == [Fr(1, 2), Fr(1, 3)]
@@ -593,22 +593,24 @@ def test_rational_stage_on_integer_path_clears_fractional_cycles():
         stage.coords([Fr(1, 2)] + [0] * (len(g) - 1))
 
 
-def test_rational_stages_reduce_over_the_integers_first(monkeypatch):
-    """Torus stages over Q reduce over ZZ only; of the Klein bottle's H1
-    stages, the one with torsion raises NotDivisible and reruns over QQ."""
-    rings = []
-    real = exact.field_reduce
+def test_rational_stages_reduce_once_over_the_rationals(monkeypatch):
+    """Every stage over Q runs its two reductions over QQ and no other,
+    also at the Klein bottle's torsion stage, whose pivots do not all
+    divide; the dimensions are those of the dense oracle."""
+    rings, quotients = [], []
+    real, div = exact.field_reduce, exact.QQ.div
     monkeypatch.setattr(homology, "field_reduce",
                         lambda F, *args, **kw: rings.append(F) or real(F, *args, **kw))
-    torus = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Q")
-    assert rings and all(F is exact.ZZ for F in rings)
-    assert [s._field for s in torus.stages] == [exact.ZZ] * len(torus.stages)
-    rings.clear()
-    klein = persistent_homology(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Q")
-    fields = [s._field for s in klein.stages]
-    assert fields.count(exact.QQ) == 1 and fields.count(exact.ZZ) == len(fields) - 1
-    assert rings.count(exact.QQ) == 2 and rings.index(exact.QQ) > 0
-    assert rings[rings.index(exact.QQ) - 1] is exact.ZZ
+    monkeypatch.setattr(exact.QQ, "div", lambda a, b: quotients.append(div(a, b)) or div(a, b))
+    for name in ("torus.flt", "klein_bottle.flt"):
+        K = parse_filtration((DATA / name).read_text())
+        for k in range(3):
+            rings.clear()
+            H = persistent_homology(K, k, "Q")
+            assert rings == [exact.QQ] * (2 * len(H.stages))
+            assert H.module.objects == dense_field_homology(K, k, "Q")[1].objects
+        assert any(type(q) is Fr for q in quotients) == (name == "klein_bottle.flt")
+        quotients.clear()
 
 
 def test_rips_filtration():

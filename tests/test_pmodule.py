@@ -19,7 +19,7 @@ from gpd.homology import (
     persistent_homology,
     perturb,
 )
-from gpd.matrix import Mat, frac
+from gpd.matrix import Mat
 from gpd.pmodule import (
     ConstructibleModule,
     InterleavingGridError,

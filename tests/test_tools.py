@@ -1,6 +1,11 @@
-"""The bundled data files are what tools/generate_data.py writes."""
+"""The bundled data files are what tools/generate_data.py writes, and the
+benchmark's tracer still runs the CLI."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +26,22 @@ def _generator():
                                          ("triangle.flt", "triangle_lines")])
 def test_bundled_filtrations_are_reproducible(name, lines):
     assert getattr(_generator(), lines)() == (DATA / name).read_text()
+
+
+def test_tracer_runs_the_cli_unchanged(tmp_path):
+    """perfbench/trace_child.py wraps the library's functions by name: a
+    traced call exits 0, writes its `calls` map and prints what the
+    untraced call prints, byte for byte."""
+    argv = ["diagram", "--input", str(DATA / "klein_bottle.flt"), "--coeff", "Z", "--degree", "1"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "trace_child.py"),
+                             str(trace), "--", *argv],
+                            capture_output=True, env=env, cwd=tmp_path, timeout=120)
+    plain = subprocess.run([sys.executable, "-m", "gpd.cli", *argv],
+                           capture_output=True, env=env, cwd=tmp_path, timeout=120)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert plain.stdout and traced.stdout == plain.stdout
+    calls = json.loads(trace.read_text())["calls"]
+    assert isinstance(calls, dict) and any(calls.values())
