@@ -19,10 +19,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .diagram import DiagramError, type_A_diagram, type_B_diagram, type_B_from_A
+from .diagram import DiagramError, type_A_diagram, type_A_from_bars, type_B_from_A
 from .exact import NonSplitError, parse_rational
 from .grothendieck import NoBGroupError
 from .homology import (
+    barcode,
     component_module,
     interleaving_from_perturbation,
     parse_coeffs,
@@ -89,26 +90,29 @@ def _rational(text: str) -> Fraction:
         raise CliError(EXIT_INPUT, f"bad rational {text!r}") from None
 
 
-def _module_from_config(args):
+def _type_A_from_config(args):
     K = parse_filtration(_read(args.input))
     if args.category == "finset":
-        return component_module(K)
+        return type_A_diagram(component_module(K))
     if args.category == "repn":
         raise CliError(EXIT_UNSUPPORTED,
                        "the endomorphism category does not arise from a filtration")
-    expected = parse_coeffs(args.coeff)[2].kind
+    cat = parse_coeffs(args.coeff)[2]
     if args.category is None:
-        args.category = expected
-    if args.category != expected:
+        args.category = cat.kind
+    if args.category != cat.kind:
         raise CliError(EXIT_INPUT,
-                       f"coefficients {args.coeff} produce category {expected}, "
+                       f"coefficients {args.coeff} produce category {cat.kind}, "
                        f"not {args.category}")
-    return persistent_module(K, args.degree, args.coeff)
+    bars = barcode(K, args.degree, args.coeff)
+    if bars is None:  # Z/m coefficients, or a non-unit lead over Z
+        return type_A_diagram(persistent_module(K, args.degree, args.coeff))
+    return type_A_from_bars(cat, K.critical_values, bars)
 
 
 def cmd_diagram(args) -> int:
-    F = _module_from_config(args)
-    _emit(type_A_diagram(F) if args.type == "A" else type_B_diagram(F), args)
+    Y = _type_A_from_config(args)
+    _emit(Y if args.type == "A" else type_B_from_A(Y), args)
     return EXIT_OK
 
 

@@ -5,13 +5,15 @@ sublevel complex exactly (field and integer coefficients by column
 reduction, integer stages with torsion and Z/m coefficients by Smith
 normal form through presented lattice quotients), expresses
 inclusion-induced maps in canonical homology coordinates, and assembles
-a constructible persistence module.
+a constructible persistence module.  Over a field, and over Z where every
+lead is a unit, `barcode` reads the bars off one reduction instead.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -338,6 +340,60 @@ def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHo
 def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleModule:
     """The module of `persistent_homology(K, k, coeffs)`."""
     return persistent_homology(K, k, coeffs).module
+
+
+def barcode(K: FilteredComplex, k: int, coeffs: str) -> dict | None:
+    """Degree-k bars of the sublevel filtration as {(i, j): multiplicity}
+    on the grid `K.critical_values`, 1-based, j = n + 1 for an infinite
+    bar; None for Z/m coefficients, and over Z where a lead is not a unit.
+
+    One pass over the whole filtration, simplices in value order
+    (complex order within a value).  The reduction of d_{k+1} pairs each
+    nonzero reduced column with its lowest row: the bar [value of the
+    row, value of the column).  Those rows are cycles, so the reduction
+    of d_k skips them (clearing, Chen and Kerber); the other k-simplices
+    whose columns reduce to zero are bars that never die.  Bars of length
+    zero are dropped.  Over a field the module is the sum of the
+    intervals of its bars (Zomorodian and Carlsson), so Y_A counts them
+    with class `line` and Y_B with `dim`.
+
+    Over Z, d_{k+1} is reduced over ZZ and d_k over QQ, which only
+    decides which columns reduce to zero.  Suppose the ZZ reduction
+    raises no NotDivisible and every lead (entry at the lowest row) is
+    +-1.  Its multiples are integers, so the reduced columns of the
+    (k+1)-simplices up to value t span B_k(t), with unit leads at
+    distinct rows.  So B_k(t) is saturated in C_k(t): if m x is the sum
+    of a_j R_j, its entry at the highest lead with a_j != 0 is +-a_j, so
+    m divides a_j, and induction over the other R_j puts x in B_k(t).
+    A saturated sublattice is a direct summand, so C_k(t) / B_k(t) is
+    free, and so are its subgroup H_k(t) and every image of H_k(s) ->
+    H_k(t), of their ranks over Q.  The integer steps are also a
+    reduction over Q, whose pairing is unique, so the bars are the Q
+    bars: Y_A counts them with class `Z` and Y_B with `rank`.  The test is
+    sufficient, not necessary: the column (1, 2) spans a saturated
+    lattice, yet its lead is 2.  Torsion, such as the Klein bottle's Z/2,
+    always gives None.
+    """
+    if k < 0:
+        raise FiltrationError("homology degree must be nonnegative")
+    kind, F, _ = parse_coeffs(coeffs)
+    if kind == "Zm":
+        return None
+    ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
+    try:
+        R, lows, _ = field_reduce(F, _boundary_columns([s for s, _ in ks], [s for s, _ in above],
+                                                       F.coerce))
+    except NotDivisible:
+        return None
+    if kind == "Z" and any(abs(R[j][low]) != 1 for low, j in lows.items()):
+        return None
+    F = QQ if kind == "Z" else F
+    kept = [i for i in range(len(ks)) if i not in lows]
+    R, _, _ = field_reduce(F, _boundary_columns(K.simplices_of_dim(k - 1),
+                                                [ks[i][0] for i in kept], F.coerce))
+    ends = [(ks[low][1], above[j][1]) for low, j in lows.items()]
+    ends += [(ks[i][1], len(K.critical_values)) for i, c in zip(kept, R) if not c]
+    return dict(Counter((b + 1, d + 1) for b, d in ends if b < d))
 
 
 # ---------------------------------------------------------------------------

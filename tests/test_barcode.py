@@ -1,0 +1,131 @@
+"""The barcode engine of `gpd diagram` against the per-stage path, which
+stays its oracle, and against the universal coefficient theorem."""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpd import cli, homology
+from gpd.diagram import type_A_diagram, type_A_from_bars, type_B_from_A
+from gpd.homology import barcode, parse_coeffs, parse_filtration, persistent_module
+from gpd.serialize import diagram_to_json
+
+from generators import rips_filtration
+from oracles import snf_integer_homology
+from test_homology import _complexes, rp2_text
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
+
+
+def _rips():
+    """A seeded 20-point Manhattan Rips complex up to triangles: 1,350
+    simplices on seven values."""
+    rng = random.Random(3)
+    pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(20)]
+    return rips_filtration([[abs(a - c) + abs(b - d) for c, d in pts] for a, b in pts])
+
+
+def _named(name):
+    if name == "rips":
+        return _rips()
+    return parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
+
+
+def _flt_text(K) -> str:
+    return "".join(f"{' '.join(map(str, s))} : {v}\n" for s, v in zip(K.simplices, K.values))
+
+
+def _assert_barcode_matches_stages(K, k, coeffs):
+    """Where `barcode` decides, its type A and type B diagrams are those
+    of the per-stage module, byte for byte; returns whether it decided."""
+    bars = barcode(K, k, coeffs)
+    if bars is None:
+        return False
+    YA = type_A_diagram(persistent_module(K, k, coeffs))
+    got = type_A_from_bars(parse_coeffs(coeffs)[2], K.critical_values, bars)
+    assert diagram_to_json(got) == diagram_to_json(YA)
+    assert diagram_to_json(type_B_from_A(got)) == diagram_to_json(type_B_from_A(YA))
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(_complexes(), st.sampled_from(["Q", "Fp:2", "Fp:3", "Z"]), st.integers(0, 2))
+def test_barcode_diagrams_match_stages(K, coeffs, k):
+    assert _assert_barcode_matches_stages(K, k, coeffs) or coeffs == "Z"
+
+
+@pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Fp:3", "Z"])
+@pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2", "rips"])
+def test_barcode_diagrams_match_stages_on_bundled_data(name, coeffs):
+    K = _named(name)
+    decided = [_assert_barcode_matches_stages(K, k, coeffs) for k in range(3)]
+    torsion_h1 = coeffs == "Z" and name in ("klein_bottle.flt", "rp2")
+    assert decided == [True, not torsion_h1, True]
+
+
+def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, capsys, tmp_path):
+    """Z H_1 of the Klein bottle and of RP^2 has torsion, so `barcode`
+    returns None and `gpd diagram` builds the module stage by stage; it
+    does so for Z/m coefficients too, and never for the torus, the Rips
+    complex or a field."""
+    decided, stages = [], []
+    monkeypatch.setattr(cli, "barcode", lambda *a: decided.append(barcode(*a) is not None)
+                        or barcode(*a))
+    monkeypatch.setattr(cli, "persistent_module",
+                        lambda *a: stages.append(a[2]) or persistent_module(*a))
+    runs = [("klein_bottle.flt", "Z", False), ("rp2", "Z", False), ("torus.flt", "Z", True),
+            ("rips", "Z", True), ("klein_bottle.flt", "Fp:2", True), ("rp2", "Q", True),
+            ("torus.flt", "Zm:2", False), ("klein_bottle.flt", "Zm:4", False)]
+    for name, coeffs, engine in runs:
+        path = tmp_path / "in.flt"
+        path.write_text(_flt_text(_named(name)))
+        decided.clear()
+        stages.clear()
+        argv = ["diagram", "--input", str(path), "--coeff", coeffs, "--degree", "1"]
+        assert cli.main(argv + ["--type", "B"]) == 0
+        assert decided == [engine], name
+        assert stages == ([] if engine else [coeffs]), name
+    capsys.readouterr()
+
+
+def _assert_universal_coefficients(K, p):
+    """Bars of `barcode(K, k, Fp:p)` alive at each stage number
+    rank H_k + t_p(H_k) + t_p(H_{k-1}) of the integer homology there,
+    with t_p the number of invariant factors divisible by p."""
+    def ptors(obj):
+        return sum(1 for d in obj.data[1] if d % p == 0)
+
+    below = None
+    for k in range(3):
+        bars = barcode(K, k, f"Fp:{p}")
+        H = snf_integer_homology(K, k)[1]
+        for i in range(1, H.n + 1):
+            alive = sum(m for (b, d), m in bars.items() if b <= i < d)
+            expected = H.objects[i].data[0] + ptors(H.objects[i])
+            assert alive == expected + (ptors(below.objects[i]) if below else 0), (k, i)
+        below = H
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.sampled_from([2, 3]))
+def test_field_bars_obey_universal_coefficients(K, p):
+    _assert_universal_coefficients(K, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["klein_bottle.flt", "rp2"])
+def test_field_bars_obey_universal_coefficients_at_torsion(name, p):
+    _assert_universal_coefficients(_named(name), p)
+
+
+def test_barcode_rejects_negative_degrees_and_leaves_finite_groups_to_the_stages():
+    K = _named("triangle.flt")
+    with pytest.raises(homology.FiltrationError, match="nonnegative"):
+        barcode(K, -1, "Q")
+    assert barcode(K, 1, "Zm:3") is None
+    assert barcode(K, 1, "Q") == {(2, 3): 1}
+    assert barcode(K, 0, "Z") == {(1, 2): 2, (1, 3): 1}
+    assert barcode(K, 5, "Fp:2") == {}
