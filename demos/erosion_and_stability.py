@@ -6,8 +6,9 @@ Run from the repository root:  python3 demos/erosion_and_stability.py
 from fractions import Fraction
 from pathlib import Path
 
-from gpd.diagram import diagram_leq, type_A_diagram, type_B_diagram
+from gpd.diagram import diagram_leq, type_B_from_A
 from gpd.homology import (
+    filtration_type_A,
     interleaving_from_perturbation,
     parse_filtration,
     persistent_homology,
@@ -31,9 +32,12 @@ G = H2.module
 pair = interleaving_from_perturbation(H, H2, eps)
 print(f"explicit {eps}-interleaving verifies: {check_interleaving(F, G, pair)}")
 
-d = erosion_distance(type_B_diagram(F), type_B_diagram(G)).distance
+# over Z the torus has unit leads only, so both diagrams are read off the bars
+YA_F = filtration_type_A(K, 1, "Z", F)
+YA_G = filtration_type_A(K2, 1, "Z", G)
+d = erosion_distance(type_B_from_A(YA_F), type_B_from_A(YA_G)).distance
 print(f"erosion distance between the type B diagrams: {d}  (<= {eps}: {d <= eps})")
 
-shrunk = erode(type_A_diagram(F), eps)
+shrunk = erode(YA_F, eps)
 print("eroded type A diagram maps into the perturbed one: "
-      f"{diagram_leq(shrunk, type_A_diagram(G))}")
+      f"{diagram_leq(shrunk, YA_G)}")

@@ -19,17 +19,16 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .diagram import DiagramError, type_A_diagram, type_A_from_bars, type_B_from_A
+from .diagram import DiagramError, type_A_diagram, type_B_from_A
 from .exact import NonSplitError, parse_rational
 from .grothendieck import NoBGroupError
 from .homology import (
-    barcode,
     component_module,
+    filtration_type_A,
     interleaving_from_perturbation,
     parse_coeffs,
     parse_filtration,
     persistent_homology,
-    persistent_module,
     perturb,
 )
 from .metrics import eroded_leq, erosion_distance
@@ -98,16 +97,11 @@ def _type_A_from_config(args):
         raise CliError(EXIT_UNSUPPORTED,
                        "the endomorphism category does not arise from a filtration")
     cat = parse_coeffs(args.coeff)[2]
-    if args.category is None:
-        args.category = cat.kind
-    if args.category != cat.kind:
+    if args.category not in (None, cat.kind):
         raise CliError(EXIT_INPUT,
                        f"coefficients {args.coeff} produce category {cat.kind}, "
                        f"not {args.category}")
-    bars = barcode(K, args.degree, args.coeff)
-    if bars is None:  # Z/m coefficients, or a non-unit lead over Z
-        return type_A_diagram(persistent_module(K, args.degree, args.coeff))
-    return type_A_from_bars(cat, K.critical_values, bars)
+    return filtration_type_A(K, args.degree, args.coeff)
 
 
 def cmd_diagram(args) -> int:
@@ -144,7 +138,7 @@ def cmd_stability(args) -> int:
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]
     rho = min(gaps) / 4 if gaps else None
     in_hypothesis = rho is not None and eps < rho
-    YA_F = type_A_diagram(F)
+    YA_F = filtration_type_A(K, args.degree, args.coeff, F)
     YB_F = type_B_from_A(YA_F)
 
     lines = ["trial\tinterleaving\tcontinuity\tsemicontinuity"]
@@ -157,7 +151,7 @@ def cmd_stability(args) -> int:
             inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
         except InterleavingGridError as exc:  # the pair is built here: a bug in gpd
             raise CliError(EXIT_INTERNAL, f"internal error: {exc}") from exc
-        YA_G = type_A_diagram(G)
+        YA_G = filtration_type_A(K2, args.degree, args.coeff, G)
         dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
         if in_hypothesis:

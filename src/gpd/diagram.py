@@ -215,15 +215,6 @@ def type_B_from_A(Y: DiagramGrid) -> DiagramGrid:
                             role=Y.role)
 
 
-def type_A_from_bars(cat, grid, bars: dict) -> DiagramGrid:
-    """The type A diagram of a sum of free intervals, `bars[(i, j)]` of
-    them on the cell [s_i, s_j) (see `homology.barcode`): each cell
-    holds the class of the free object of that rank."""
-    free = (lambda m: (m, ())) if cat.kind == AB else (lambda m: m)
-    cells = {c: a_class(iso_class(make_obj(cat, free(m)))) for c, m in bars.items()}
-    return DiagramGrid.make("A", cat, grid, cells, role="diagram")
-
-
 def type_B_diagram(F) -> DiagramGrid:
     return type_B_from_A(type_A_diagram(F))
 

@@ -5,8 +5,8 @@ sublevel complex exactly (field and integer coefficients by column
 reduction, integer stages with torsion and Z/m coefficients by Smith
 normal form through presented lattice quotients), expresses
 inclusion-induced maps in canonical homology coordinates, and assembles
-a constructible persistence module.  Over a field, and over Z where every
-lead is a unit, `barcode` reads the bars off one reduction instead.
+a constructible persistence module.  Every type A diagram of a filtration
+(`filtration_type_A`) is read off its bars instead where `barcode` decides.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .categories import ab, finab, finset, make_mor, make_obj, vect
+from .categories import ab, finab, finset, iso_class, make_mor, make_obj, vect
+from .diagram import DiagramGrid, type_A_diagram
 from .exact import (
     MAX_MODULUS,
     QQ,
@@ -32,6 +33,7 @@ from .exact import (
     parse_rational,
     preimage_lattice,
 )
+from .grothendieck import a_class
 from .matrix import Mat
 from .pmodule import ConstructibleModule, InterleavingPair, expected_phi_grid, segment_reps
 
@@ -394,6 +396,18 @@ def barcode(K: FilteredComplex, k: int, coeffs: str) -> dict | None:
     ends = [(ks[low][1], above[j][1]) for low, j in lows.items()]
     ends += [(ks[i][1], len(K.critical_values)) for i, c in zip(kept, R) if not c]
     return dict(Counter((b + 1, d + 1) for b, d in ends if b < d))
+
+
+def filtration_type_A(K: FilteredComplex, k: int, coeffs: str, module=None) -> DiagramGrid:
+    """The type A diagram of `persistent_module(K, k, coeffs)`: read off the bars where
+    `barcode` decides, else `type_A_diagram(module)`, the module built here when None."""
+    bars = barcode(K, k, coeffs)
+    if bars is None:  # Z/m coefficients, or a non-unit lead over Z
+        return type_A_diagram(persistent_module(K, k, coeffs) if module is None else module)
+    kind, _, cat = parse_coeffs(coeffs)
+    cells = {c: a_class(iso_class(make_obj(cat, (m, ()) if kind == "Z" else m)))
+             for c, m in bars.items()}
+    return DiagramGrid.make("A", cat, K.critical_values, cells, role="diagram")
 
 
 # ---------------------------------------------------------------------------

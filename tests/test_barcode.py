@@ -2,6 +2,7 @@
 stays its oracle, and against the universal coefficient theorem."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd import cli, homology
-from gpd.diagram import type_A_diagram, type_A_from_bars, type_B_from_A
-from gpd.homology import barcode, parse_coeffs, parse_filtration, persistent_module
+from gpd.diagram import type_A_diagram, type_B_from_A
+from gpd.homology import barcode, filtration_type_A, parse_filtration, persistent_module, perturb
 from gpd.serialize import diagram_to_json
 
 from generators import rips_filtration
@@ -29,6 +30,11 @@ def _rips():
 
 
 def _named(name):
+    """A named input; "<name>@<eps>#<seed>" is `perturb` of it."""
+    base, _, perturbation = name.partition("@")
+    if perturbation:
+        eps, seed = perturbation.split("#")
+        return perturb(_named(base), Fraction(eps), int(seed))
     if name == "rips":
         return _rips()
     return parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
@@ -45,24 +51,32 @@ def _assert_barcode_matches_stages(K, k, coeffs):
     if bars is None:
         return False
     YA = type_A_diagram(persistent_module(K, k, coeffs))
-    got = type_A_from_bars(parse_coeffs(coeffs)[2], K.critical_values, bars)
+    got = filtration_type_A(K, k, coeffs)
     assert diagram_to_json(got) == diagram_to_json(YA)
     assert diagram_to_json(type_B_from_A(got)) == diagram_to_json(type_B_from_A(YA))
     return True
 
 
-@settings(max_examples=80, deadline=None)
-@given(_complexes(), st.sampled_from(["Q", "Fp:2", "Fp:3", "Z"]), st.integers(0, 2))
+# `gpd stability` reads the bars of perturbed filtrations: of these too
+_filtrations = st.one_of(_complexes(), st.builds(perturb, _complexes(),
+                                                 st.sampled_from([Fraction(1, 4), Fraction(1, 2)]),
+                                                 st.integers(0, 2**16)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_filtrations, st.sampled_from(["Q", "Fp:2", "Fp:3", "Z"]), st.integers(0, 2))
 def test_barcode_diagrams_match_stages(K, coeffs, k):
     assert _assert_barcode_matches_stages(K, k, coeffs) or coeffs == "Z"
 
 
 @pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Fp:3", "Z"])
-@pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2", "rips"])
+@pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2", "rips",
+                                  "triangle.flt@1/4#2", "torus.flt@1/8#1",
+                                  "klein_bottle.flt@1/8#1"])
 def test_barcode_diagrams_match_stages_on_bundled_data(name, coeffs):
     K = _named(name)
     decided = [_assert_barcode_matches_stages(K, k, coeffs) for k in range(3)]
-    torsion_h1 = coeffs == "Z" and name in ("klein_bottle.flt", "rp2")
+    torsion_h1 = coeffs == "Z" and name.partition("@")[0] in ("klein_bottle.flt", "rp2")
     assert decided == [True, not torsion_h1, True]
 
 
@@ -70,12 +84,22 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
     """Z H_1 of the Klein bottle and of RP^2 has torsion, so `barcode`
     returns None and `gpd diagram` builds the module stage by stage; it
     does so for Z/m coefficients too, and never for the torus, the Rips
-    complex or a field."""
-    decided, stages = [], []
-    monkeypatch.setattr(cli, "barcode", lambda *a: decided.append(barcode(*a) is not None)
-                        or barcode(*a))
-    monkeypatch.setattr(cli, "persistent_module",
+    complex or a field.  `gpd stability` makes the same choice for F and
+    for every perturbed G, and inverts the image classes of the modules
+    it built for the interleaving check, never of a rebuilt one."""
+    decided, complexes, stages, inverted = [], [], [], []
+
+    def counted_barcode(K, *rest):
+        complexes.append(K)
+        bars = barcode(K, *rest)
+        decided.append(bars is not None)
+        return bars
+
+    monkeypatch.setattr(homology, "barcode", counted_barcode)
+    monkeypatch.setattr(homology, "persistent_module",
                         lambda *a: stages.append(a[2]) or persistent_module(*a))
+    monkeypatch.setattr(homology, "type_A_diagram",
+                        lambda F: inverted.append(F) or type_A_diagram(F))
     runs = [("klein_bottle.flt", "Z", False), ("rp2", "Z", False), ("torus.flt", "Z", True),
             ("rips", "Z", True), ("klein_bottle.flt", "Fp:2", True), ("rp2", "Q", True),
             ("torus.flt", "Zm:2", False), ("klein_bottle.flt", "Zm:4", False)]
@@ -84,10 +108,29 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
         path.write_text(_flt_text(_named(name)))
         decided.clear()
         stages.clear()
+        inverted.clear()
         argv = ["diagram", "--input", str(path), "--coeff", coeffs, "--degree", "1"]
         assert cli.main(argv + ["--type", "B"]) == 0
         assert decided == [engine], name
         assert stages == ([] if engine else [coeffs]), name
+        assert len(inverted) == (0 if engine else 1), name
+    trials = 2
+    runs = [("torus.flt", "Z", True), ("torus.flt", "Q", True), ("torus.flt", "Fp:2", True),
+            ("klein_bottle.flt", "Z", False), ("torus.flt", "Zm:4", False)]
+    for name, coeffs, engine in runs:
+        decided.clear()
+        complexes.clear()
+        stages.clear()
+        inverted.clear()
+        argv = ["stability", "--input", str(DATA / name), "--coeff", coeffs, "--degree", "1",
+                "--epsilon", "1/8", "--trials", str(trials)]
+        assert cli.main(argv) == 0
+        assert decided == [engine] * (1 + trials), (name, coeffs)
+        K = _named(name)
+        assert complexes == [K] + [perturb(K, Fraction(1, 8), t) for t in range(trials)]
+        assert stages == [], (name, coeffs)
+        assert len(inverted) == (0 if engine else 1 + trials), (name, coeffs)
+        assert len({id(F) for F in inverted}) == len(inverted), (name, coeffs)
     capsys.readouterr()
 
 
