@@ -9,12 +9,10 @@ of the one side its caller reads (`int_kernel` reads V,
 its basis and the sparse columns of U only when a caller first reads
 them, so a caller that only asks `iso` pays for neither, and quotient
 coordinates follow the nonzeros of the vector.  One sparse column
-reduction (`field_reduce`) backs the vector-space and Jordan-type
-computations over a field, and the homology stages over the ring `ZZ`,
-where it divides exactly and raises `NotDivisible` where a pivot does
-not divide; those stages turn to Smith normal form only where it raises.
-Over `QQ` the same reduction of integer columns runs in int arithmetic
-and builds Fractions only where a pivot does not divide.
+reduction (`field_reduce`) over a field backs the vector-space and
+Jordan-type computations and the homology of a filtration, integer
+homology included: over `QQ` a reduction of integer columns runs in int
+arithmetic and builds Fractions only where a pivot does not divide.
 """
 
 from __future__ import annotations
@@ -366,34 +364,12 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
-class NotDivisible(ArithmeticError):
-    """An exact integer division whose divisor does not divide."""
-
-
-class IntegerRing:
-    """The ring Z; elements are ints.  `div` is exact or raises."""
-
-    coerce = int
-    zero = 0
-    one = 1
-
-    def div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisible(f"{b} does not divide {a}")
-        return q
-
-    def __repr__(self):
-        return "ZZ"
-
-
 QQ = RationalField()
-ZZ = IntegerRing()
 
 
 def _sub_multiple(F, c: dict, f, col: dict):
     """c -= f * col in place, for dict columns over F."""
-    p = F.p if isinstance(F, PrimeField) else 0  # Q and Z entries are not reduced
+    p = F.p if isinstance(F, PrimeField) else 0  # Q entries are not reduced
     for r, x in col.items():
         y = c.get(r, 0) - f * x
         if p:
@@ -408,8 +384,7 @@ def _clear(F, c: dict, R: list, lows: dict) -> list:
     """Subtract multiples of the reduced columns R from the dict column c,
     in place, until c is zero or its lowest row is not in `lows` (lowest
     row -> index into R).  Returns the steps (index, multiple); each
-    index appears once, since every step clears c's lowest row.  Over ZZ
-    a pivot that does not divide c's lowest entry raises NotDivisible."""
+    index appears once, since every step clears c's lowest row."""
     steps = []
     while c:
         low = max(c)
@@ -425,18 +400,16 @@ def _clear(F, c: dict, R: list, lows: dict) -> list:
 def field_reduce(F, cols: list, track: bool = False) -> tuple:
     """Column reduction over F (Zomorodian and Carlsson).
 
-    F is a field (QQ or a PrimeField) or the ring ZZ.  `cols` are dict
-    columns (row -> nonzero entry of F).  Left to right,
+    F is a field, QQ or a PrimeField.  `cols` are dict columns (row ->
+    nonzero entry of F).  Left to right,
     multiples of the nonzero columns before each one are subtracted from
     it until its lowest row differs from theirs, so a column reduces to
     zero exactly when it lies in the span of the columns before it.
     Returns (R, lows, V): the reduced columns, {lowest row: index} of the
     nonzero ones, and, when `track` is set, the combinations with
     R[j] = sum of V[j][i] * cols[i] (else None).  Every multiple is
-    `F.div` of the entry to clear by the pivot: over ZZ an exact
-    quotient, so V is unitriangular, or NotDivisible where the pivot
-    does not divide; over QQ an int where the pivot divides, else a
-    Fraction.
+    `F.div` of the entry to clear by the pivot, so V is unitriangular;
+    over QQ it is an int where the pivot divides, else a Fraction.
     """
     R, lows, V = [], {}, [] if track else None
     for j, col in enumerate(cols):

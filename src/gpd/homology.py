@@ -1,18 +1,19 @@
 """Filtered simplicial complexes and their persistent homology modules.
 
 The pipeline parses a plain-text filtration, computes homology of each
-sublevel complex exactly (field and integer coefficients by column
-reduction, integer stages with torsion and Z/m coefficients by Smith
-normal form through presented lattice quotients), expresses
-inclusion-induced maps in canonical homology coordinates, and assembles
-a constructible persistence module.  Every type A diagram of a filtration
-(`filtration_type_A`) is read off its bars instead where `barcode` decides.
+sublevel complex exactly (field and integer coefficients from one column
+reduction of the whole filtration, integer stages from its `stop` on and
+Z/m coefficients by Smith normal form through presented lattice
+quotients), expresses inclusion-induced maps in canonical homology
+coordinates, and assembles a constructible persistence module.  Every
+type A diagram of a filtration (`filtration_type_A`) is read off the
+bars of that reduction instead where `barcode` decides.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,7 @@ from .diagram import DiagramGrid, type_A_diagram
 from .exact import (
     MAX_MODULUS,
     QQ,
-    ZZ,
     LatticeQuotient,
-    NotDivisible,
     PrimeField,
     _clear,
     field_reduce,
@@ -182,10 +181,10 @@ def boundary_matrix(rows: list, cols: list) -> Mat:
 # ---------------------------------------------------------------------------
 
 def parse_coeffs(token: str):
-    """Coefficient token 'Z', 'Q', 'Fp:<p>' or 'Zm:<m>' as (kind, ring or
+    """Coefficient token 'Z', 'Q', 'Fp:<p>' or 'Zm:<m>' as (kind, field or
     modulus, category of its homology): the one place a token is read."""
     if token == "Z":
-        return ("Z", ZZ, ab())
+        return ("Z", QQ, ab())
     if token == "Q":
         return ("F", QQ, vect(QQ))
     if token[:3] not in ("Fp:", "Zm:"):
@@ -203,52 +202,106 @@ def parse_coeffs(token: str):
     return ("Zm", n, finab())
 
 
+class _Reduction:
+    """One column reduction of the whole filtration in degree k, from
+    which every stage below `stop` reads its homology.
+
+    Simplices go in value order (complex order within a value), so a
+    stage's k-simplices are a prefix of `k_simplices`, its (k+1)-simplices
+    a prefix of the columns of d_{k+1}, and its reduction the prefix of
+    this one.  The reduction of d_{k+1} pairs each nonzero reduced column
+    R_j with its lowest row p, which is born at its value (`born`, an
+    index into `K.critical_values`) and dies at that of column j
+    (`death`).  Those rows are cycles, so the reduction of d_k skips them
+    (clearing, Chen and Kerber) and tracks the combinations V; every
+    other p whose column reduces to zero has the cycle z_p = V_p.
+    `table` maps each such p to R_j or z_p, columns of lowest row p: those
+    born by stage t are a basis of Z_k(t), those dead by t a basis of
+    B_k(t), and the others, the stage's generators, a basis of H_k(t)
+    (Zomorodian and Carlsson).
+
+    Over Z the reduction runs over QQ, whose values stay ints while every
+    pivot divides.  `lead_stop` is the first value index of a column of
+    d_{k+1} whose lead (entry at its lowest row) is not +-1, and `stop`
+    the smaller of it and the first value index of a column of d_k whose
+    V has a non-int entry.  Below `stop` the reduction of d_{k+1}
+    divides only by unit leads, so its R spans the lattice d_{k+1} does,
+    and V is integer, so every table column there is an integer column
+    leading with +-1: clearing an integer cycle against them takes
+    integer multiples, the bases above are bases of the lattices, and
+    H_k(t) is free on the generators.  A pair dying at or after
+    `lead_stop` keeps z_p, as its R_j may lead with a non-unit.  Stages
+    from `stop` on are Smith normal forms, as is every stage over Z/m
+    (stop = -1); over a field no stage is (stop = the number of values).
+
+    Unit leads alone make the bars those over Q.  The reduced columns of
+    the (k+1)-simplices up to t then span B_k(t) with unit leads at
+    distinct rows, so B_k(t) is saturated in C_k(t): if m x is the sum
+    of a_j R_j, its entry at the highest lead with a_j != 0 is +-a_j, so
+    m divides a_j, and induction over the other R_j puts x in B_k(t).  A
+    saturated sublattice is a direct summand, so C_k(t) / B_k(t) is free,
+    and so are its subgroup H_k(t) and every image of H_k(s) -> H_k(t).
+    The test is sufficient, not necessary: the column (1, 2) spans a
+    saturated lattice, yet its lead is 2.  Torsion always fails it.
+    """
+
+    def __init__(self, K: FilteredComplex, k: int, coeffs: str):
+        if k < 0:
+            raise FiltrationError("homology degree must be nonnegative")
+        self.K, self.k, self.ring = K, k, parse_coeffs(coeffs)
+        kind, F, _ = self.ring
+        self.stop = self.lead_stop = -1
+        if kind == "Zm":
+            return
+        ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
+        self.k_simplices, self.born = [s for s, _ in ks], [i for _, i in ks]
+        n, integral = len(K.critical_values), kind == "Z"
+        R, lows, _ = field_reduce(F, _boundary_columns(self.k_simplices, [s for s, _ in above],
+                                                       F.coerce))
+        self.death = {p: above[j][1] for p, j in lows.items()}
+        self.lead_stop = min((self.death[p] for p, j in lows.items() if abs(R[j][p]) != 1),
+                             default=n) if integral else n
+        table = {p: R[j] for p, j in lows.items() if self.death[p] < self.lead_stop}
+        kept = [p for p in range(len(ks)) if p not in table]
+        R, _, V = field_reduce(F, _boundary_columns(K.simplices_of_dim(k - 1),
+                                                    [ks[p][0] for p in kept], F.coerce), track=True)
+        table.update((p, {kept[i]: x for i, x in v.items()})
+                     for p, c, v in zip(kept, R, V) if not c)
+        fractional = (self.born[p] for p, v in zip(kept, V)
+                      if any(type(x) is not int for x in v.values()))
+        self.stop = min(self.lead_stop, next(fractional, n)) if integral else n
+        self.table = dict(sorted(table.items()))
+        self.lows = {p: p for p in self.table}  # the lowest row of each column, for _clear
+
+
 class _Stage:
     """Homology of one sublevel complex in one degree, coordinatized.
 
     Exposes the homology object, ambient cycle representatives of its
     canonical generators (as chain vectors over the stage's k-simplices),
     and `coords` to express any cycle of the stage in those generators.
-
-    Over a field F, and over Z while every division is exact, two column
-    reductions give the homology.  The reduction of d_k, tracking the
-    combinations V, gives the cycles Z_k: the V columns of the columns
-    that reduce to zero.  The reduction of [d_{k+1} | Z_k] leaves
-    nonzero columns with distinct lowest rows that form a basis of Z_k:
-    the reduced boundaries, then the generators.  `coords` clears a
-    cycle against that table, and its multiples of the generator columns
-    are its coordinates.
-
-    Why this is exact over Z: every step adds an integer multiple of an
-    earlier column to a later one, so V is unitriangular and each table
-    spans the same lattice as its input.  Nonzero columns with distinct
-    lowest rows are independent, and the clearing multiples of a lattice
-    vector are integers (the lowest entry of an integer combination is
-    the multiple of the column with that lowest row).  So the cycles span
-    all of Z_k, the reduced boundaries and the generators together are a
-    basis of Z_k, the boundaries among them a basis of B_k, and H_k is
-    free on the generators.  Torsion can only show up as a pivot that
-    does not divide the entry it must clear (`NotDivisible`); such a
-    stage, and every stage over Z/m, is computed instead by Smith normal
-    forms as the presented lattice quotient Z_k / B_k.  Over Q the
-    entries stay ints until a pivot does not divide (see `QQ`).
+    Below `red.stop` the generators are the live columns of `red.table`,
+    and `coords` clears a cycle against the table, so maps between such
+    stages are 0/1 partial identities.  From `stop` on the stage is the
+    presented lattice quotient Z_k / B_k, by Smith normal forms.
     """
 
-    def __init__(self, K: FilteredComplex, k: int, ring: tuple, at):
-        kind, arg, cat = ring  # parsed coefficients, see parse_coeffs
+    def __init__(self, red: _Reduction, at):
+        K, k, (kind, arg, cat) = red.K, red.k, red.ring
+        n = bisect_right(K.critical_values, at)
+        self._lq = None
+        if n <= red.stop:
+            m = bisect_left(red.born, n)
+            self._red, self.k_simplices = red, red.k_simplices[:m]
+            self._gens = [p for p in red.table if p < m and red.death.get(p, n) >= n]
+            self.gen_reps = Mat.from_cols([[red.table[p].get(i, arg.zero) for i in range(m)]
+                                           for p in self._gens], nrows=m)
+            g = len(self._gens)
+            self.obj = make_obj(cat, (g, ()) if kind == "Z" else g)
+            return
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
-        self._lq = None
-        if kind != "Zm":
-            try:
-                self._reduce(arg, below, ks, above)
-            except NotDivisible:  # over ZZ only: the stage has torsion
-                pass
-            else:
-                n = len(self._gens)
-                self.obj = make_obj(cat, (n, ()) if kind == "Z" else n)
-                return
         nk = len(ks)
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
         if kind == "Z":
@@ -264,30 +317,16 @@ class _Stage:
         self.gen_reps = self._lq.generator_reps()
         self.obj = make_obj(cat, (rank, tuple(invs)))
 
-    def _reduce(self, F, below: list, ks: list, above: list):
-        """The two column reductions over F; over ZZ, NotDivisible where
-        a pivot does not divide."""
-        self._field = F
-        R, _, V = field_reduce(F, _boundary_columns(below, ks, F.coerce), track=True)
-        cycles = [v for c, v in zip(R, V) if not c]
-        R, self._lows, _ = field_reduce(F, _boundary_columns(ks, above, F.coerce) + cycles)
-        self._R, self._gens = R, [j for j in range(len(above), len(R)) if R[j]]
-        self.gen_reps = Mat.from_cols([[R[j].get(i, F.zero) for i in range(len(ks))]
-                                       for j in self._gens], nrows=len(ks))
-
     def coords(self, chain) -> list:
         """Canonical homology coordinates of a cycle chain vector."""
         if self._lq is not None:
             return self._lq.coords(chain)
-        F = self._field
+        red, F = self._red, self._red.ring[1]
         c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
-        try:
-            steps = dict(_clear(F, c, self._R, self._lows))
-        except NotDivisible:
-            steps = None
-        if steps is None or c:
+        steps = dict(_clear(F, c, red.table, red.lows))
+        if c:
             raise FiltrationError("chain is not a cycle of this stage")
-        return [steps.get(j, F.zero) for j in self._gens]
+        return [steps.get(p, F.zero) for p in self._gens]
 
 
 def _induced_payload(src: _Stage, tgt: _Stage):
@@ -326,12 +365,11 @@ def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHo
     Field coefficients give vector-space objects, 'Z' gives finitely
     generated abelian groups, 'Zm:<m>' gives finite abelian groups.
     Degrees above the complex dimension give zero modules.  Each stage
-    is built once, below the first critical value and at every one.
+    is built once, below the first critical value and at every one, from
+    one `_Reduction` of the whole filtration.
     """
-    if k < 0:
-        raise FiltrationError("homology degree must be nonnegative")
-    ring = parse_coeffs(coeffs)
-    stages = tuple(_Stage(K, k, ring, at=t) for t in segment_reps(K.critical_values))
+    red = _Reduction(K, k, coeffs)
+    stages = tuple(_Stage(red, at=t) for t in segment_reps(K.critical_values))
     mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
                  for a, b in zip(stages, stages[1:]))
     module = ConstructibleModule(stages[0].obj.cat, K.critical_values,
@@ -348,53 +386,15 @@ def barcode(K: FilteredComplex, k: int, coeffs: str) -> dict | None:
     """Degree-k bars of the sublevel filtration as {(i, j): multiplicity}
     on the grid `K.critical_values`, 1-based, j = n + 1 for an infinite
     bar; None for Z/m coefficients, and over Z where a lead is not a unit.
-
-    One pass over the whole filtration, simplices in value order
-    (complex order within a value).  The reduction of d_{k+1} pairs each
-    nonzero reduced column with its lowest row: the bar [value of the
-    row, value of the column).  Those rows are cycles, so the reduction
-    of d_k skips them (clearing, Chen and Kerber); the other k-simplices
-    whose columns reduce to zero are bars that never die.  Bars of length
-    zero are dropped.  Over a field the module is the sum of the
-    intervals of its bars (Zomorodian and Carlsson), so Y_A counts them
-    with class `line` and Y_B with `dim`.
-
-    Over Z, d_{k+1} is reduced over ZZ and d_k over QQ, which only
-    decides which columns reduce to zero.  Suppose the ZZ reduction
-    raises no NotDivisible and every lead (entry at the lowest row) is
-    +-1.  Its multiples are integers, so the reduced columns of the
-    (k+1)-simplices up to value t span B_k(t), with unit leads at
-    distinct rows.  So B_k(t) is saturated in C_k(t): if m x is the sum
-    of a_j R_j, its entry at the highest lead with a_j != 0 is +-a_j, so
-    m divides a_j, and induction over the other R_j puts x in B_k(t).
-    A saturated sublattice is a direct summand, so C_k(t) / B_k(t) is
-    free, and so are its subgroup H_k(t) and every image of H_k(s) ->
-    H_k(t), of their ranks over Q.  The integer steps are also a
-    reduction over Q, whose pairing is unique, so the bars are the Q
-    bars: Y_A counts them with class `Z` and Y_B with `rank`.  The test is
-    sufficient, not necessary: the column (1, 2) spans a saturated
-    lattice, yet its lead is 2.  Torsion, such as the Klein bottle's Z/2,
-    always gives None.
+    They are the pairs of `_Reduction` and its rows that never die, less
+    the bars of length zero.  The module is the sum of their intervals
+    (over Z, by the proof in `_Reduction`), so Y_A counts them with class
+    `line` (`Z` over Z) and Y_B with `dim` (`rank`).
     """
-    if k < 0:
-        raise FiltrationError("homology degree must be nonnegative")
-    kind, F, _ = parse_coeffs(coeffs)
-    if kind == "Zm":
+    red, n = _Reduction(K, k, coeffs), len(K.critical_values)
+    if red.lead_stop < n:
         return None
-    ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
-    try:
-        R, lows, _ = field_reduce(F, _boundary_columns([s for s, _ in ks], [s for s, _ in above],
-                                                       F.coerce))
-    except NotDivisible:
-        return None
-    if kind == "Z" and any(abs(R[j][low]) != 1 for low, j in lows.items()):
-        return None
-    F = QQ if kind == "Z" else F
-    kept = [i for i in range(len(ks)) if i not in lows]
-    R, _, _ = field_reduce(F, _boundary_columns(K.simplices_of_dim(k - 1),
-                                                [ks[i][0] for i in kept], F.coerce))
-    ends = [(ks[low][1], above[j][1]) for low, j in lows.items()]
-    ends += [(ks[i][1], len(K.critical_values)) for i, c in zip(kept, R) if not c]
+    ends = [(red.born[p], red.death.get(p, n)) for p in red.table]
     return dict(Counter((b + 1, d + 1) for b, d in ends if b < d))
 
 

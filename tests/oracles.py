@@ -30,6 +30,7 @@ from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
     FiltrationError,
+    _Reduction,
     _Stage,
     boundary_matrix,
     parse_coeffs,
@@ -747,15 +748,15 @@ def induced_payload_oracle(src, tgt) -> Mat:
 def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
     """The canonical eps-interleaving of the degree-k homology of K and K2,
     with every morphism computed between two homology stages built
-    afresh at r and r + eps, sharing nothing with the modules' stages."""
-    ring = parse_coeffs(coeffs)
+    afresh at r and r + eps from reductions of their own, sharing
+    nothing with the modules' stages."""
     F, G = persistent_module(K, k, coeffs), persistent_module(K2, k, coeffs)
 
     def family(src, tgt, M, N):
         grid = expected_phi_grid(M, N, eps)
         mors = tuple(make_mor(M.object_at(r), N.object_at(r + eps),
-                              induced_payload_oracle(_Stage(src, k, ring, at=r),
-                                                     _Stage(tgt, k, ring, at=r + eps)))
+                              induced_payload_oracle(_Stage(_Reduction(src, k, coeffs), r),
+                                                     _Stage(_Reduction(tgt, k, coeffs), r + eps)))
                      for r in segment_reps(grid))
         return grid, mors
 

@@ -10,12 +10,11 @@ from gpd.categories import ab, image_iso_class, is_isomorphism, iso_class, make_
 from gpd.exact import (
     MAX_EXPONENT,
     QQ,
-    ZZ,
     LatticeContainmentError,
     LatticeQuotient,
     NonSplitError,
-    NotDivisible,
     PrimeField,
+    RationalField,
     column_space_basis,
     field_kernel,
     field_rank,
@@ -345,33 +344,40 @@ class TestFieldAlgebra:
         assert field_rank(QQ, M) == 1
 
 
-def test_integer_division_is_exact_or_raises():
-    assert ZZ.div(-6, 3) == -2 and ZZ.div(0, -5) == 0
-    with pytest.raises(NotDivisible):
-        ZZ.div(3, 2)
-    assert isinstance(NotDivisible(), ArithmeticError)
+class _CountedRationals(RationalField):
+    """QQ that keeps every quotient it returns."""
+
+    def __init__(self):
+        self.quotients = []
+
+    def div(self, a, b):
+        q = super().div(a, b)
+        self.quotients.append(q)
+        return q
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
-def test_reduction_over_z_keeps_the_lattice_or_raises(m, n, data):
-    """Over ZZ, a reduction that divides exactly has R = M V with V
-    integer and unitriangular, and as many pivots as M has rational rank."""
+def test_rational_reduction_with_int_multiples_keeps_the_lattice(m, n, data):
+    """Where every multiple of the QQ reduction of integer columns is an
+    int, V is integer and unitriangular, R = M V, every entry is an int,
+    and there are as many pivots as M has rational rank."""
     M = Mat.from_rows([[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)],
                       ncols=n)
     cols = [{i: v for i, v in enumerate(col) if v} for col in M.columns()]
-    try:
-        R, lows, V = field_reduce(ZZ, cols, track=True)
-    except NotDivisible:
+    F = _CountedRationals()
+    R, lows, V = field_reduce(F, cols, track=True)
+    assert len(lows) == rref_rank(QQ, M)
+    if any(type(q) is not int for q in F.quotients):
         return
     for j, (r, v) in enumerate(zip(R, V)):
         assert v[j] == 1 and max(v) == j and all(type(x) is int for x in v.values())
+        assert all(type(x) is int for x in r.values())
         combo = {}
         for i, f in v.items():
             for row, x in cols[i].items():
                 combo[row] = combo.get(row, 0) + f * x
         assert r == {row: x for row, x in combo.items() if x}
-    assert len(lows) == rref_rank(QQ, M)
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,18 +386,12 @@ def test_reduction_over_z_keeps_the_lattice_or_raises(m, n, data):
 @example([{0: 1, 1: 2}, {0: 1, 1: 3}])  # pivot 2 does not divide 3
 def test_rational_reduction_of_integer_columns_matches_fractions(cols):
     """Integer columns reduce over QQ to the values the same columns
-    held as Fractions reduce to; where every pivot divides, as over ZZ,
-    every entry stays an int."""
+    held as Fractions reduce to."""
     R, lows, V = field_reduce(QQ, cols, track=True)
     fractions = [{i: Fraction(v) for i, v in c.items()} for c in cols]
     assert (R, lows, V) == field_reduce(QQ, fractions, track=True)
     types = {type(v) for c in R + V for v in c.values()}
     assert types <= {int, Fraction}
-    try:
-        integral = field_reduce(ZZ, cols, track=True)
-    except NotDivisible:
-        return
-    assert integral == (R, lows, V) and types <= {int}
 
 
 @given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))

@@ -26,12 +26,12 @@ from gpd.homology import (
     component_module,
     interleaving_from_perturbation,
     make_complex,
-    parse_coeffs,
     parse_filtration,
     persistent_homology,
     persistent_module,
     perturb,
     _induced_payload,
+    _Reduction,
     _Stage,
 )
 from gpd.homology import facets
@@ -259,9 +259,8 @@ class TestHomology:
             for coeffs in ["Z", "Q", "Zm:4", "Fp:2"]:
                 F = persistent_module(K, 1, coeffs)
                 two_step = evaluate(F, F.values[0], F.values[2])
-                ring = parse_coeffs(coeffs)
-                direct = _induced_payload(_Stage(K, 1, ring, F.values[0]),
-                                          _Stage(K, 1, ring, F.values[2]))
+                red = _Reduction(K, 1, coeffs)
+                direct = _induced_payload(_Stage(red, F.values[0]), _Stage(red, F.values[2]))
                 assert two_step.payload == direct
 
 
@@ -520,6 +519,69 @@ def test_integer_stages_match_snf_oracle_on_bundled_data(name):
         _assert_matches_dense_stages(K, k, "Z", eps=Fr(1, 4), seed=k)
 
 
+def _first_non_unit_lead(K, k):
+    """The index in `K.critical_values` of the first column of d_{k+1},
+    with the simplices in value order, whose lead after reduction over Q
+    is not +-1; the number of values if there is none."""
+    value = dict(zip(K.simplices, K.values))
+    ks, above = (sorted(K.simplices_of_dim(d), key=value.get) for d in (k, k + 1))
+    cols = [{i: x for i, x in enumerate(c) if x} for c in boundary_matrix(ks, above).columns()]
+    R, lows, _ = exact.field_reduce(exact.QQ, cols)
+    leads = [value[above[j]] for low, j in lows.items() if abs(R[j][low]) != 1]
+    return K.critical_values.index(min(leads)) if leads else len(K.critical_values)
+
+
+def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
+    """Exactly the stages from `stop` on are lattice quotients.  Either
+    way the objects are those of the SNF oracle, the generators are int
+    chains, and every induced map, within the module and both ways
+    across a perturbation, is the entrywise oracle's.  Returns the
+    reduction."""
+    red = _Reduction(K, k, "Z")
+    H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
+    assert [st._lq is not None for st in H.stages] == [i > red.stop for i in range(len(H.stages))]
+    assert H.module.objects == snf_integer_homology(K, k)[1].objects
+    assert all(type(x) is int for st in H.stages for row in st.gen_reps.data for x in row)
+    pairs = list(zip(H.stages, H.stages[1:]))
+    for a, b in ((H, H2), (H2, H)):
+        pairs += [(a.stage_at(r), b.stage_at(r + eps))
+                  for r in segment_reps(a.complex.critical_values)]
+    for src, tgt in pairs:
+        assert _induced_payload(src, tgt) == induced_payload_oracle(src, tgt)
+    _assert_matches_dense_stages(K, k, "Z", eps, seed)
+    return red
+
+
+@pytest.mark.parametrize("perturbation", [None, (Fr(1, 8), 1), (Fr(1, 4), 2), (Fr(1, 2), 3)])
+@pytest.mark.parametrize("name", ["klein_bottle.flt", "rp2"])
+def test_integer_stop_is_the_first_non_unit_lead(name, perturbation):
+    """H_1 of the Klein bottle and of RP^2 has torsion, which a lead of 2
+    shows: the stages from its value on are Smith normal forms.  In
+    degree 2 there is no d_3 to stop the reduction, and every stage
+    reads it."""
+    K = parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
+    if perturbation:
+        K = perturb(K, *perturbation)
+    for k in (1, 2):
+        red = _assert_stop_splits_the_integer_stages(K, k)
+        assert red.stop == red.lead_stop == _first_non_unit_lead(K, k)
+        assert (red.stop < len(K.critical_values)) == (k == 1)
+
+
+@pytest.mark.parametrize("triangle", [t for t in itertools.combinations(range(6), 3)
+                                      if t not in {tuple(sorted(u)) for u in RP2_TRIS}])
+def test_integer_stop_at_a_cycle_with_a_fractional_combination(triangle):
+    """RP^2 and one of its ten unused triangles at value 2, in degree 2:
+    d_3 is zero, so no lead stops the reduction, but the cycle the new
+    triangle closes is the triangle plus halves of the others.  That
+    V column alone sets `stop` to value 2, where the stage is a lattice
+    quotient generated by twice the cycle."""
+    K = parse_filtration(rp2_text() + f"\n{' '.join(map(str, triangle))} : 2")
+    red = _assert_stop_splits_the_integer_stages(K, 2)
+    assert (red.lead_stop, K.critical_values[red.stop]) == (len(K.critical_values), 2)
+    assert persistent_module(K, 2, "Z").objects[-1].data == (1, ())
+
+
 def _assert_rank_maps_z_diagram_onto_q(K, k):
     """The rank homomorphism [Z] -> [line], [Z/p^m] -> 0 maps the type A
     diagram over Z onto the one over Q, cell by cell: Q is flat, so
@@ -557,8 +619,9 @@ def test_rank_maps_integer_diagram_onto_rational_one_on_rips():
 
 
 def test_field_stage_reduces_once(monkeypatch):
-    """A field stage runs at most two column reductions (cycles, then
-    boundaries and cycles together); coordinates reuse the second."""
+    """A field stage runs no column reduction of its own: the reduction of
+    the whole filtration runs two (boundaries, then cycles with
+    clearing), and coordinates reuse its table."""
     calls = []
     real = exact.field_reduce
     counting = lambda *args, **kw: calls.append(args) or real(*args, **kw)  # noqa: E731
@@ -568,8 +631,8 @@ def test_field_stage_reduces_once(monkeypatch):
     dims = []
     for coeffs in ("Q", "Fp:2"):
         for k in range(3):
-            stage = _Stage(K, k, parse_coeffs(coeffs), K.critical_values[-1])
-            assert len(calls) <= 2
+            stage = _Stage(_Reduction(K, k, coeffs), K.critical_values[-1])
+            assert len(calls) == 2
             calls.clear()
             assert [stage.coords(g) for g in stage.gen_reps.columns()] == \
                 Mat.identity(stage.obj.data).to_lists()
@@ -583,7 +646,7 @@ def test_rational_stage_on_integer_path_clears_fractional_cycles():
     # a cycle with non-integer entries, such as a generator of a stage
     # where a pivot does not divide, still clears to its coordinates
     K = parse_filtration((DATA / "torus.flt").read_text())
-    stage = _Stage(K, 1, parse_coeffs("Q"), K.critical_values[-1])
+    stage = _Stage(_Reduction(K, 1, "Q"), K.critical_values[-1])
     assert stage.obj.data == 2
     g, h = stage.gen_reps.columns()
     assert stage.coords([Fr(v, 2) for v in g]) == [Fr(1, 2), 0]
@@ -594,9 +657,9 @@ def test_rational_stage_on_integer_path_clears_fractional_cycles():
 
 
 def test_rational_stages_reduce_once_over_the_rationals(monkeypatch):
-    """Every stage over Q runs its two reductions over QQ and no other,
-    also at the Klein bottle's torsion stage, whose pivots do not all
-    divide; the dimensions are those of the dense oracle."""
+    """A module over Q runs two reductions over QQ and no other, whatever
+    its number of stages, also on the Klein bottle, whose pivots do not
+    all divide; the dimensions are those of the dense oracle."""
     rings, quotients = [], []
     real, div = exact.field_reduce, exact.QQ.div
     monkeypatch.setattr(homology, "field_reduce",
@@ -607,7 +670,7 @@ def test_rational_stages_reduce_once_over_the_rationals(monkeypatch):
         for k in range(3):
             rings.clear()
             H = persistent_homology(K, k, "Q")
-            assert rings == [exact.QQ] * (2 * len(H.stages))
+            assert rings == [exact.QQ] * 2
             assert H.module.objects == dense_field_homology(K, k, "Q")[1].objects
         assert any(type(q) is Fr for q in quotients) == (name == "klein_bottle.flt")
         quotients.clear()

@@ -32,14 +32,17 @@ def test_bundled_filtrations_are_reproducible(name, lines):
     ("diagram", "klein_bottle.flt", ["--coeff", "Z"]),
     ("diagram", "torus.flt", ["--coeff", "Q", "--type", "B"]),
     ("stability", "torus.flt", ["--coeff", "Z", "--epsilon", "1/8", "--trials", "2"]),
-], ids=["klein_bottle-Z", "torus-Q", "stability-torus-Z"])
+    ("stability", "klein_bottle.flt", ["--coeff", "Z", "--epsilon", "1/8", "--trials", "2"]),
+], ids=["klein_bottle-Z", "torus-Q", "stability-torus-Z", "stability-klein-Z"])
 def test_tracer_runs_the_cli_unchanged(tmp_path, command, name, options):
     """perfbench/trace_child.py wraps the library's functions by name: a
     traced call exits 0, writes its `calls` map and prints what the
     untraced call prints, byte for byte.  The Klein bottle over Z takes
-    the per-stage path of `gpd diagram`, the torus over Q the barcode;
-    `gpd stability` on the torus over Z checks the interleaving stage by
-    stage and reads every diagram off the bars."""
+    the image-class path of `gpd diagram`, the torus over Q the barcode.
+    `gpd stability` on the torus over Z reads every stage and every
+    diagram off the one reduction of each filtration; on the Klein bottle
+    over Z each module mixes such stages with the Smith normal forms of
+    its torsion stages, and its diagrams come from image classes."""
     argv = [command, "--input", str(DATA / name), "--degree", "1", *options]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     trace = tmp_path / "trace.json"
