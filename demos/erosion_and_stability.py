@@ -33,8 +33,8 @@ pair = interleaving_from_perturbation(H, H2, eps)
 print(f"explicit {eps}-interleaving verifies: {check_interleaving(F, G, pair)}")
 
 # over Z the torus has unit leads only, so both diagrams are read off the bars
-YA_F = filtration_type_A(K, 1, "Z", F)
-YA_G = filtration_type_A(K2, 1, "Z", G)
+YA_F = filtration_type_A(H)
+YA_G = filtration_type_A(H2)
 d = erosion_distance(type_B_from_A(YA_F), type_B_from_A(YA_G)).distance
 print(f"erosion distance between the type B diagrams: {d}  (<= {eps}: {d <= eps})")
 

@@ -101,7 +101,7 @@ def _type_A_from_config(args):
         raise CliError(EXIT_INPUT,
                        f"coefficients {args.coeff} produce category {cat.kind}, "
                        f"not {args.category}")
-    return filtration_type_A(K, args.degree, args.coeff)
+    return filtration_type_A(persistent_homology(K, args.degree, args.coeff))
 
 
 def cmd_diagram(args) -> int:
@@ -138,7 +138,7 @@ def cmd_stability(args) -> int:
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]
     rho = min(gaps) / 4 if gaps else None
     in_hypothesis = rho is not None and eps < rho
-    YA_F = filtration_type_A(K, args.degree, args.coeff, F)
+    YA_F = filtration_type_A(H)
     YB_F = type_B_from_A(YA_F)
 
     lines = ["trial\tinterleaving\tcontinuity\tsemicontinuity"]
@@ -151,7 +151,7 @@ def cmd_stability(args) -> int:
             inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
         except InterleavingGridError as exc:  # the pair is built here: a bug in gpd
             raise CliError(EXIT_INTERNAL, f"internal error: {exc}") from exc
-        YA_G = filtration_type_A(K2, args.degree, args.coeff, G)
+        YA_G = filtration_type_A(H2)
         dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
         if in_hypothesis:

@@ -7,7 +7,8 @@ Z/m coefficients by Smith normal form through presented lattice
 quotients), expresses inclusion-induced maps in canonical homology
 coordinates, and assembles a constructible persistence module.  Every
 type A diagram of a filtration (`filtration_type_A`) is read off the
-bars of that reduction instead where `barcode` decides.
+bars of the same reduction instead where `barcode` decides; the module
+and the diagram share it through one `PersistentHomology`.
 """
 
 from __future__ import annotations
@@ -344,16 +345,29 @@ def _induced_payload(src: _Stage, tgt: _Stage):
 
 @dataclass(frozen=True, eq=False)
 class PersistentHomology:
-    """Persistent homology with the stages its module was computed from:
-    `stages[i]` is the stage of segment i (`stages[0]` the empty complex),
-    so further induced maps, such as an interleaving, reuse them.  Only
-    the caller holds them."""
+    """Persistent homology of one filtration, from its one `_Reduction`:
+    the stages (`stages[i]` the stage of segment i, `stages[0]` the empty
+    complex) and the module are built on first use, so a diagram read off
+    the bars builds neither, and further induced maps, such as an
+    interleaving, reuse the stages.  Only the caller holds them."""
 
     complex: FilteredComplex
     k: int
     coeffs: str
-    stages: tuple
-    module: ConstructibleModule
+    reduction: _Reduction
+
+    @cached_property
+    def stages(self) -> tuple:
+        values = self.complex.critical_values
+        return tuple(_Stage(self.reduction, at=t) for t in segment_reps(values))
+
+    @cached_property
+    def module(self) -> ConstructibleModule:
+        stages = self.stages
+        mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
+                     for a, b in zip(stages, stages[1:]))
+        return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
+                                   tuple(st.obj for st in stages), mors)
 
     def stage_at(self, r) -> _Stage:
         return self.stages[self.module.segment(r)]
@@ -364,17 +378,12 @@ def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHo
 
     Field coefficients give vector-space objects, 'Z' gives finitely
     generated abelian groups, 'Zm:<m>' gives finite abelian groups.
-    Degrees above the complex dimension give zero modules.  Each stage
-    is built once, below the first critical value and at every one, from
-    one `_Reduction` of the whole filtration.
+    Degrees above the complex dimension give zero modules.  The one
+    `_Reduction` of the whole filtration is built here; each stage is
+    read off it once, below the first critical value and at every one,
+    when the module is first asked for.
     """
-    red = _Reduction(K, k, coeffs)
-    stages = tuple(_Stage(red, at=t) for t in segment_reps(K.critical_values))
-    mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
-                 for a, b in zip(stages, stages[1:]))
-    module = ConstructibleModule(stages[0].obj.cat, K.critical_values,
-                                 tuple(st.obj for st in stages), mors)
-    return PersistentHomology(K, k, coeffs, stages, module)
+    return PersistentHomology(K, k, coeffs, _Reduction(K, k, coeffs))
 
 
 def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleModule:
@@ -382,32 +391,33 @@ def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleM
     return persistent_homology(K, k, coeffs).module
 
 
-def barcode(K: FilteredComplex, k: int, coeffs: str) -> dict | None:
-    """Degree-k bars of the sublevel filtration as {(i, j): multiplicity}
-    on the grid `K.critical_values`, 1-based, j = n + 1 for an infinite
-    bar; None for Z/m coefficients, and over Z where a lead is not a unit.
-    They are the pairs of `_Reduction` and its rows that never die, less
+def barcode(H: PersistentHomology) -> dict | None:
+    """Degree-k bars of H's filtration as {(i, j): multiplicity} on the
+    grid `K.critical_values`, 1-based, j = n + 1 for an infinite bar; None
+    for Z/m coefficients, and over Z where a lead is not a unit.  They
+    are the pairs of H's `_Reduction` and its rows that never die, less
     the bars of length zero.  The module is the sum of their intervals
     (over Z, by the proof in `_Reduction`), so Y_A counts them with class
     `line` (`Z` over Z) and Y_B with `dim` (`rank`).
     """
-    red, n = _Reduction(K, k, coeffs), len(K.critical_values)
+    red, n = H.reduction, len(H.complex.critical_values)
     if red.lead_stop < n:
         return None
     ends = [(red.born[p], red.death.get(p, n)) for p in red.table]
     return dict(Counter((b + 1, d + 1) for b, d in ends if b < d))
 
 
-def filtration_type_A(K: FilteredComplex, k: int, coeffs: str, module=None) -> DiagramGrid:
-    """The type A diagram of `persistent_module(K, k, coeffs)`: read off the bars where
-    `barcode` decides, else `type_A_diagram(module)`, the module built here when None."""
-    bars = barcode(K, k, coeffs)
+def filtration_type_A(H: PersistentHomology) -> DiagramGrid:
+    """The type A diagram of `H.module`: read off the bars where `barcode`
+    decides, else `type_A_diagram(H.module)`, so the stages are built
+    only then or when the caller asks for them."""
+    bars = barcode(H)
     if bars is None:  # Z/m coefficients, or a non-unit lead over Z
-        return type_A_diagram(persistent_module(K, k, coeffs) if module is None else module)
-    kind, _, cat = parse_coeffs(coeffs)
+        return type_A_diagram(H.module)
+    kind, _, cat = H.reduction.ring
     cells = {c: a_class(iso_class(make_obj(cat, (m, ()) if kind == "Z" else m)))
              for c, m in bars.items()}
-    return DiagramGrid.make("A", cat, K.critical_values, cells, role="diagram")
+    return DiagramGrid.make("A", cat, H.complex.critical_values, cells, role="diagram")
 
 
 # ---------------------------------------------------------------------------

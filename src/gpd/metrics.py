@@ -6,19 +6,21 @@ eps on each side and disappears once its width drops to zero.  The
 erosion distance between two diagrams is the least eps at which eroded
 morphisms exist in both directions.
 
-One integer scan compares cumulative values, for both directions of the
-erosion check, for `eroded_leq` and for `diagram_leq` (eps = 0).  Both
-grids, and eps, are scaled once by a common denominator, so every eps
-and shifted endpoint s +- eps is an int.  A checked cell then costs at
-most two bisections on an integer grid, one lookup in the other
-diagram's cumulative table (`DiagramGrid.cumulative`, built once per
-diagram) and one order test; Fractions are built only for results.
+One integer sweep (`_sweep`) compares cumulative values, for both
+directions of the erosion check, for `eroded_leq` and for `diagram_leq`
+(eps = 0), the last two at a single candidate.  Both grids, and eps,
+are scaled once by a common denominator, so every eps and shifted
+endpoint s +- eps is an int.  Each diagram's cumulative table
+(`DiagramGrid.cumulative`) is built once, a cell is re-tested only when
+its snapped cell on the other grid moves, and Fractions are built only
+for results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .diagram import DiagramError, DiagramGrid, _snap
@@ -68,30 +70,59 @@ def _scaled(Y: DiagramGrid, D: int) -> tuple:
     return grid, cells, C
 
 
-def _check(D: int, S1: tuple, S2: tuple, eps: int, directions=("2->1", "1->2")):
-    """Eroded morphisms at eps / D in the given directions, as (ok, failing
-    direction, failing interval), for Y1 and Y2 scaled by D.
+def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
+    """(ok, failing direction, failing interval) of eroded morphisms at
+    each eps / D, for the ascending ints eps of `cands` and Y1, Y2 scaled
+    by D.  A direction fails at its lowest-index failing cell, "2->1"
+    before "1->2".
 
-    The eroded diagram's cumulative value at the shrunken cell
-    [s_i + eps, s_j - eps) is its own at [s_i, s_j), so no re-inversion
-    is needed.  `_prepare` has checked that both diagrams live in one
-    group, so values are compared by their coefficients alone.
+    The eroded value at the shrunken cell [start + eps, end - eps) is the
+    cell's own cumulative value, and the target's is read at the cell it
+    snaps to, (i, j).  As eps grows, i rises at eps = grid[i] - start, j
+    falls at eps = end - grid[j - 2], and the cell vanishes for good at
+    eps = ceil((end - start) / 2); the test changes only there.  A heap
+    holds each live cell's next crossing, and a candidate re-snaps and
+    re-tests only the cells it has reached.  `_prepare` has checked that
+    both diagrams live in one group, so coefficients are compared alone.
     """
-    for direction in directions:
-        (_, cells, _), (grid, _, table) = (S2, S1) if direction == "2->1" else (S1, S2)
-        for start, end, val in cells:
+    sides = {"2->1": (S2[1], S1[0], S1[2]), "1->2": (S1[1], S2[0], S2[2])}
+    heap = [(0, d, c) for d in directions for c in range(len(sides[d][0]))]
+    heapify(heap)
+    failing = {d: set() for d in directions}
+    for eps in cands:
+        while heap and heap[0][0] <= eps:
+            _, d, c = heappop(heap)
+            cells, grid, table = sides[d]
+            start, end, val = cells[c]
             p = start + eps
             q = None if end is None else end - eps
             if q is not None and q <= p:
-                continue  # the cell has disappeared into the diagonal
+                failing[d].discard(c)  # the cell has disappeared into the diagonal
+                continue
             i, j = _snap(grid, p, q)
-            if not _leq_coeffs(val.coeffs, table[i][j].coeffs):
-                return False, direction, (Fraction(p, D), None if q is None else Fraction(q, D))
-    return True, None, None
+            if _leq_coeffs(val.coeffs, table[i][j].coeffs):
+                failing[d].discard(c)
+            else:
+                failing[d].add(c)
+            crossings = [grid[i] - start] if i < len(grid) else []
+            if q is not None:
+                crossings.append((end - start + 1) // 2)
+                if j >= 2:
+                    crossings.append(end - grid[j - 2])
+            if crossings:
+                heappush(heap, (min(crossings), d, c))
+        for d in directions:
+            if failing[d]:
+                start, end, _ = sides[d][0][min(failing[d])]
+                yield False, d, (Fraction(start + eps, D),
+                                 None if end is None else Fraction(end - eps, D))
+                break
+        else:
+            yield True, None, None
 
 
 def _prepare(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> tuple:
-    """`_check`'s D, Y1 and Y2 scaled by D, and eps * D, for comparable Y1, Y2."""
+    """`_sweep`'s D, Y1 and Y2 scaled by D, and eps * D, for comparable Y1, Y2."""
     if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
         raise DiagramError("erosion compares diagrams in the same group")
     eps = Fraction(eps)
@@ -110,13 +141,15 @@ def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
 def erosion_witness(Y1: DiagramGrid, Y2: DiagramGrid, eps):
     """(ok, failing direction, failing interval) of the two-sided check,
     run at the common scale of both grids and eps."""
-    return _check(*_prepare(Y1, Y2, eps))
+    D, S1, S2, eps = _prepare(Y1, Y2, eps)
+    return next(_sweep(D, S1, S2, (eps,)))
 
 
 def eroded_leq(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
     """`diagram_leq(erode(Y1, eps), Y2)` by the one-directional check: it
     reads Y1's own table at the shrunken cells and builds no diagram."""
-    return _check(*_prepare(Y1, Y2, eps), ("1->2",))[0]
+    D, S1, S2, eps = _prepare(Y1, Y2, eps)
+    return next(_sweep(D, S1, S2, (eps,), ("1->2",)))[0]
 
 
 def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
@@ -162,14 +195,16 @@ def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
     Candidates are evaluated in ascending order with no monotonicity
     assumption; the first success is therefore the least one.  If none
     succeeds the distance is infinite.  Both diagrams are scaled once,
-    and each candidate is checked in integers with no group additions.
+    and one sweep over the candidates in integers (`_sweep`) re-tests a
+    cell only where its snapped cell moves, with no group additions.
     """
     D, S1, S2, _ = _prepare(Y1, Y2)
+    cands = erosion_candidates(Y1, Y2)
     table = []
     failures = []
     distance = None
-    for eps in erosion_candidates(Y1, Y2):
-        ok, direction, cell = _check(D, S1, S2, eps.numerator * (D // eps.denominator))
+    sweep = _sweep(D, S1, S2, (eps.numerator * (D // eps.denominator) for eps in cands))
+    for eps, (ok, direction, cell) in zip(cands, sweep):
         table.append((eps, ok))
         if ok:
             distance = eps

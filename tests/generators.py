@@ -25,7 +25,9 @@ from gpd.categories import (
     repn,
     vect,
 )
+from gpd.diagram import DiagramGrid
 from gpd.exact import QQ, PrimeField, field_kernel, field_solve, jordan_type
+from gpd.grothendieck import GroupElem
 from gpd.homology import FilteredComplex, make_complex
 from gpd.matrix import Mat
 
@@ -281,3 +283,44 @@ def rips_filtration(dist: list, max_dim: int = 2) -> FilteredComplex:
             val = max(Fraction(dist[a][b]) for a, b in combinations(s, 2))
             items.append((s, val))
     return make_complex(items)
+
+
+def bars_shaped_erosion_pair(rng: random.Random, nvalues: int = 6, ncells: int = 4,
+                             nbars: int = 3, width: int = 2, ninf: int = 2):
+    """Two type B vect/Q diagrams shaped like the benchmark's erosion
+    pairs, on quarter values, so values of the two grids may coincide.
+
+    A has `nvalues` values, an infinite bar at its first one, `ninf - 1`
+    more infinite bars and random finite cells, `ncells` cells in all.  B
+    has `nbars` bars of length `width` born between A's first value and
+    its last minus `width`, none containing another, and `ninf` infinite
+    bars born at and after A's last value.  While eps is below the gap
+    (A's last value minus its first), B -> A passes and A -> B fails at
+    A's first cell.
+    """
+    cat = vect(QQ)
+
+    def diagram(grid, cells):
+        vals = {c: GroupElem("B", cat, (("dim", m),)) for c, m in cells.items()}
+        return DiagramGrid.make("B", cat, grid, vals, role="diagram")
+
+    ga = [Fraction(0)]
+    while ga[-1] - ga[0] < width + nbars:  # room for the bars of B
+        ga = sorted(Fraction(t, 4) for t in rng.sample(range(4 * 12), nvalues))
+    n, lo, top = nvalues, ga[0], ga[-1]
+    cells_a = {(1, n + 1): 1}
+    for _ in range(ninf - 1):
+        i = rng.randint(2, n)
+        cells_a[(i, n + 1)] = cells_a.get((i, n + 1), 0) + 1
+    while len(cells_a) < ncells:
+        i = rng.randint(2, n - 1)
+        j = rng.randint(i + 1, n)
+        cells_a[(i, j)] = cells_a.get((i, j), 0) + rng.randint(1, 2)
+    births = rng.sample([lo + Fraction(t, 4) for t in range(1, int(4 * (top - lo - width)))],
+                        nbars)
+    infs = [top + k for k in range(ninf)]
+    gb = sorted(set(births) | {b + width for b in births} | set(infs))
+    pos = {t: k + 1 for k, t in enumerate(gb)}
+    cells_b = {(pos[b], pos[b + width]): 1 for b in births}
+    cells_b.update(((pos[t], len(gb) + 1), 1) for t in infs)
+    return diagram(ga, cells_a), diagram(gb, cells_b)

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from gpd import cli, homology
 from gpd.diagram import type_A_diagram, type_B_from_A
-from gpd.homology import barcode, filtration_type_A, parse_filtration, persistent_module, perturb
+from gpd.homology import (
+    barcode,
+    filtration_type_A,
+    parse_filtration,
+    persistent_homology,
+    persistent_module,
+    perturb,
+)
 from gpd.serialize import diagram_to_json
 
 from generators import rips_filtration
@@ -47,11 +54,12 @@ def _flt_text(K) -> str:
 def _assert_barcode_matches_stages(K, k, coeffs):
     """Where `barcode` decides, its type A and type B diagrams are those
     of the per-stage module, byte for byte; returns whether it decided."""
-    bars = barcode(K, k, coeffs)
-    if bars is None:
+    H = persistent_homology(K, k, coeffs)
+    if barcode(H) is None:
         return False
     YA = type_A_diagram(persistent_module(K, k, coeffs))
-    got = filtration_type_A(K, k, coeffs)
+    got = filtration_type_A(H)
+    assert "stages" not in vars(H)  # the bars path builds no stage
     assert diagram_to_json(got) == diagram_to_json(YA)
     assert diagram_to_json(type_B_from_A(got)) == diagram_to_json(type_B_from_A(YA))
     return True
@@ -87,17 +95,21 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
     complex or a field.  `gpd stability` makes the same choice for F and
     for every perturbed G, and inverts the image classes of the modules
     it built for the interleaving check, never of a rebuilt one."""
-    decided, complexes, stages, inverted = [], [], [], []
+    decided, complexes, staged, inverted = [], [], [], []
 
-    def counted_barcode(K, *rest):
-        complexes.append(K)
-        bars = barcode(K, *rest)
+    def counted_barcode(H):
+        complexes.append(H.complex)
+        bars = barcode(H)
         decided.append(bars is not None)
         return bars
 
+    def modules_built():
+        return len({id(red) for red in staged})
+
+    real_stage = homology._Stage
     monkeypatch.setattr(homology, "barcode", counted_barcode)
-    monkeypatch.setattr(homology, "persistent_module",
-                        lambda *a: stages.append(a[2]) or persistent_module(*a))
+    monkeypatch.setattr(homology, "_Stage",
+                        lambda red, at: staged.append(red) or real_stage(red, at))
     monkeypatch.setattr(homology, "type_A_diagram",
                         lambda F: inverted.append(F) or type_A_diagram(F))
     runs = [("klein_bottle.flt", "Z", False), ("rp2", "Z", False), ("torus.flt", "Z", True),
@@ -107,12 +119,12 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
         path = tmp_path / "in.flt"
         path.write_text(_flt_text(_named(name)))
         decided.clear()
-        stages.clear()
+        staged.clear()
         inverted.clear()
         argv = ["diagram", "--input", str(path), "--coeff", coeffs, "--degree", "1"]
         assert cli.main(argv + ["--type", "B"]) == 0
         assert decided == [engine], name
-        assert stages == ([] if engine else [coeffs]), name
+        assert modules_built() == (0 if engine else 1), name
         assert len(inverted) == (0 if engine else 1), name
     trials = 2
     runs = [("torus.flt", "Z", True), ("torus.flt", "Q", True), ("torus.flt", "Fp:2", True),
@@ -120,7 +132,7 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
     for name, coeffs, engine in runs:
         decided.clear()
         complexes.clear()
-        stages.clear()
+        staged.clear()
         inverted.clear()
         argv = ["stability", "--input", str(DATA / name), "--coeff", coeffs, "--degree", "1",
                 "--epsilon", "1/8", "--trials", str(trials)]
@@ -128,10 +140,34 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
         assert decided == [engine] * (1 + trials), (name, coeffs)
         K = _named(name)
         assert complexes == [K] + [perturb(K, Fraction(1, 8), t) for t in range(trials)]
-        assert stages == [], (name, coeffs)
+        assert modules_built() == 1 + trials, (name, coeffs)
         assert len(inverted) == (0 if engine else 1 + trials), (name, coeffs)
         assert len({id(F) for F in inverted}) == len(inverted), (name, coeffs)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["stability", "--input", "torus.flt", "--coeff", "Z", "--degree", "1", "--epsilon", "1/8",
+      "--trials", "2"], 3),
+    (["diagram", "--input", "klein_bottle.flt", "--coeff", "Z", "--degree", "1"], 1),
+])
+def test_cli_reduces_each_filtration_once(monkeypatch, capsys, argv, built):
+    """`gpd stability` reduces F's filtration and each perturbed one once,
+    for its module and its diagram alike, and `gpd diagram` on Z H_1 of
+    the Klein bottle reads its stages off the reduction whose bars did
+    not decide."""
+    reductions = []
+
+    class CountedReduction(homology._Reduction):
+        def __init__(self, *args):
+            reductions.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(homology, "_Reduction", CountedReduction)
+    argv = [str(DATA / a) if a.endswith(".flt") else a for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(reductions) == built
 
 
 def _assert_universal_coefficients(K, p):
@@ -143,7 +179,7 @@ def _assert_universal_coefficients(K, p):
 
     below = None
     for k in range(3):
-        bars = barcode(K, k, f"Fp:{p}")
+        bars = barcode(persistent_homology(K, k, f"Fp:{p}"))
         H = snf_integer_homology(K, k)[1]
         for i in range(1, H.n + 1):
             alive = sum(m for (b, d), m in bars.items() if b <= i < d)
@@ -167,8 +203,8 @@ def test_field_bars_obey_universal_coefficients_at_torsion(name, p):
 def test_barcode_rejects_negative_degrees_and_leaves_finite_groups_to_the_stages():
     K = _named("triangle.flt")
     with pytest.raises(homology.FiltrationError, match="nonnegative"):
-        barcode(K, -1, "Q")
-    assert barcode(K, 1, "Zm:3") is None
-    assert barcode(K, 1, "Q") == {(2, 3): 1}
-    assert barcode(K, 0, "Z") == {(1, 2): 2, (1, 3): 1}
-    assert barcode(K, 5, "Fp:2") == {}
+        persistent_homology(K, -1, "Q")
+    assert barcode(persistent_homology(K, 1, "Zm:3")) is None
+    assert barcode(persistent_homology(K, 1, "Q")) == {(2, 3): 1}
+    assert barcode(persistent_homology(K, 0, "Z")) == {(1, 2): 2, (1, 3): 1}
+    assert barcode(persistent_homology(K, 5, "Fp:2")) == {}

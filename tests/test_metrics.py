@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gpd.diagram
 import gpd.grothendieck
+import gpd.metrics
 from gpd.categories import finab, vect
 from gpd.diagram import (
     DiagramError,
@@ -28,7 +29,7 @@ from gpd.metrics import (
     erosion_witness,
 )
 
-from generators import random_interval_sum_module
+from generators import bars_shaped_erosion_pair, random_interval_sum_module
 from oracles import _eroded_leq_oracle, diagram_leq_oracle, erosion_oracle, erosion_witness_oracle
 from test_diagram import diagram_pairs, elem, random_B_diagram
 
@@ -186,8 +187,37 @@ def test_candidate_scan_matches_brute_force():
         assert got == expected
 
 
+# Pairs for the candidate sweep: a cell vanishing exactly at a candidate
+# while another cell's snapped cell moves there, endpoints on values of
+# the other grid, infinite bars, and a pair failing in "1->2" only.
+VANISHING = (bars_diagram({(1, 2): 1, (2, 3): 1}, [0, 2, 3]), bars_diagram({(1, 2): 1}, [0, 3]))
+SHARED_VALUES = (bars_diagram({(1, 3): 1, (2, 4): 1}, [0, 1, 3]),
+                 bars_diagram({(1, 2): 2, (2, 4): 1}, [1, 3, 4]))
+INFINITE = (bars_diagram({(1, 2): 1, (2, 3): 1}, [0, 1]),
+            bars_diagram({(1, 3): 1, (2, 3): 1}, [Fr(1, 2), 2]))
+ONE_TO_TWO = (bars_diagram({(1, 4): 1, (2, 3): 1}, [0, 1, 2, 4]), bars_diagram({(1, 2): 1}, [0, 4]))
+SHAPED = bars_shaped_erosion_pair(random.Random(7))
+
+
+def test_sweep_edge_pairs_have_their_shape():
+    half_widths = {(Y.grid[j - 1] - Y.grid[i - 1]) / 2 for Y in VANISHING for (i, j), _ in Y.cells}
+    assert half_widths & set(erosion_candidates(*VANISHING))
+    assert set(SHARED_VALUES[0].grid) & set(SHARED_VALUES[1].grid)
+    assert all(any(j == Y.n + 1 for (_, j), _ in Y.cells) for Y in INFINITE + SHAPED)
+    for Y1, Y2 in (ONE_TO_TWO, SHAPED):
+        report = erosion_distance(Y1, Y2)
+        assert report.failures and {d for _, d, _ in report.failures} == {"1->2"}
+        assert report == erosion_oracle(Y1, Y2)
+
+
 @settings(max_examples=200, deadline=None)
-@given(diagram_pairs())
+@given(diagram_pairs() | st.integers(0, 2 ** 16).map(
+    lambda seed: bars_shaped_erosion_pair(random.Random(seed))))
+@example(pair=VANISHING)
+@example(pair=SHARED_VALUES)
+@example(pair=INFINITE)
+@example(pair=ONE_TO_TWO)
+@example(pair=SHAPED)
 def test_erosion_report_matches_fraction_oracle(pair):
     Y1, Y2 = pair
     assert erosion_distance(Y1, Y2) == erosion_oracle(Y1, Y2)
@@ -225,6 +255,22 @@ def test_erosion_witness_between_candidates():
     assert got == erosion_witness_oracle(y1, y2, eps) == (False, "2->1", (Fr(1, 7), Fr(20, 7)))
 
 
+def _long_scan_pair():
+    """Two diagrams on 30 values each, 24 cells each at most, whose scan
+    checks more than 1,000 candidates and finds no distance."""
+    rng = random.Random(89)
+    n = 30
+
+    def diagram():
+        grid = sorted(rng.sample(range(n * 97), n))
+        cells = {(i, j): elem("B", CQ, dim=rng.choice([-1, 1, 2]))
+                 for i, j in {(rng.randint(1, n), n + 1) for _ in range(4)}
+                 | {(i, i + rng.randint(1, 5)) for i in rng.sample(range(1, n - 4), 20)}}
+        return DiagramGrid.make("B", CQ, tuple(Fr(t, 97) for t in grid), cells, role="diagram")
+
+    return diagram(), diagram()
+
+
 def test_erosion_scan_adds_only_to_build_two_tables(monkeypatch):
     """The group additions of a scan are those of the two cumulative
     tables, 3 per cell, however many candidates are checked."""
@@ -237,20 +283,31 @@ def test_erosion_scan_adds_only_to_build_two_tables(monkeypatch):
 
     for mod in (gpd.grothendieck, gpd.diagram):
         monkeypatch.setattr(mod, "add", counting_add)
-    rng = random.Random(89)
-    n = 30
-
-    def diagram():
-        grid = sorted(rng.sample(range(n * 97), n))
-        cells = {(i, j): elem("B", CQ, dim=rng.choice([-1, 1, 2]))
-                 for i, j in {(rng.randint(1, n), n + 1) for _ in range(4)}
-                 | {(i, i + rng.randint(1, 5)) for i in rng.sample(range(1, n - 4), 20)}}
-        return DiagramGrid.make("B", CQ, tuple(Fr(t, 97) for t in grid), cells, role="diagram")
-
-    Y1, Y2 = diagram(), diagram()
+    Y1, Y2 = _long_scan_pair()
     report = erosion_distance(Y1, Y2)
     assert report.distance is None and len(report.table) == len(erosion_candidates(Y1, Y2)) > 1000
+    n = Y1.n
     assert count[0] <= 2 * 3 * n * (n + 1) // 2
+
+
+def test_erosion_scan_retests_a_cell_only_when_its_snapped_cell_moves(monkeypatch):
+    """Each support cell is order-tested once, then again only when its
+    snapped row rises or its column falls past a value of the other grid:
+    at most 2 n + 2 tests per cell, n the values of both grids, however
+    many candidates are checked."""
+    count = [0]
+    real = gpd.metrics._leq_coeffs
+
+    def counting_leq(x, y):
+        count[0] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(gpd.metrics, "_leq_coeffs", counting_leq)
+    Y1, Y2 = _long_scan_pair()
+    report = erosion_distance(Y1, Y2)
+    assert len(report.table) > 1000
+    n = len(set(Y1.grid) | set(Y2.grid))
+    assert 0 < count[0] <= (len(Y1.cells) + len(Y2.cells)) * (2 * n + 2)
 
 
 INTEGER_PAIR = (bars_diagram({(1, 2): 1}, [0, 2]), bars_diagram({(1, 2): 1}, [0, 3]))
