@@ -4,11 +4,11 @@ The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients from one column
 reduction of the whole filtration, integer stages from its `stop` on and
 Z/m coefficients by Smith normal form through presented lattice
-quotients), expresses inclusion-induced maps in canonical homology
-coordinates, and assembles a constructible persistence module.  Every
-type A diagram of a filtration (`filtration_type_A`) is read off the
-bars of the same reduction instead where `barcode` decides; the module
-and the diagram share it through one `PersistentHomology`.
+quotients) on chains {k-simplex: coefficient}, reads induced maps as
+canonical coordinates of chains, and assembles a constructible module.
+Every type A diagram of a filtration (`filtration_type_A`) is read off
+the bars of the same reduction where `barcode` decides; the module and
+the diagram share it through one `PersistentHomology`.
 """
 
 from __future__ import annotations
@@ -216,10 +216,11 @@ class _Reduction:
     (`death`).  Those rows are cycles, so the reduction of d_k skips them
     (clearing, Chen and Kerber) and tracks the combinations V; every
     other p whose column reduces to zero has the cycle z_p = V_p.
-    `table` maps each such p to R_j or z_p, columns of lowest row p: those
-    born by stage t are a basis of Z_k(t), those dead by t a basis of
-    B_k(t), and the others, the stage's generators, a basis of H_k(t)
-    (Zomorodian and Carlsson).
+    `table` maps each such p to R_j or z_p, columns of lowest row p, and
+    `chains` maps p to the same column keyed by k-simplex: those born by
+    stage t are a basis of Z_k(t), those dead by t a basis of B_k(t), and
+    the others, the stage's generators, a basis of H_k(t) (Zomorodian and
+    Carlsson).
 
     Over Z the reduction runs over QQ, whose values stay ints while every
     pivot divides.  `lead_stop` is the first value index of a column of
@@ -273,18 +274,21 @@ class _Reduction:
         self.stop = min(self.lead_stop, next(fractional, n)) if integral else n
         self.table = dict(sorted(table.items()))
         self.lows = {p: p for p in self.table}  # the lowest row of each column, for _clear
+        self.index = {s: i for i, s in enumerate(self.k_simplices)}
+        self.chains = {p: {self.k_simplices[i]: x for i, x in c.items()}
+                       for p, c in self.table.items()}
 
 
 class _Stage:
     """Homology of one sublevel complex in one degree, coordinatized.
 
-    Exposes the homology object, ambient cycle representatives of its
-    canonical generators (as chain vectors over the stage's k-simplices),
-    and `coords` to express any cycle of the stage in those generators.
-    Below `red.stop` the generators are the live columns of `red.table`,
-    and `coords` clears a cycle against the table, so maps between such
-    stages are 0/1 partial identities.  From `stop` on the stage is the
-    presented lattice quotient Z_k / B_k, by Smith normal forms.
+    Exposes the homology object, its canonical generators' cycles as
+    chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
+    cycle chain of the stage in those generators.  Below `red.stop` the
+    generators are the live columns of `red.table` (their chains are
+    `red.chains`), and `coords` clears a chain against the table, so maps
+    between such stages are 0/1 partial identities.  From `stop` on the
+    stage is the lattice quotient Z_k / B_k, by Smith normal forms.
     """
 
     def __init__(self, red: _Reduction, at):
@@ -293,37 +297,40 @@ class _Stage:
         self._lq = None
         if n <= red.stop:
             m = bisect_left(red.born, n)
-            self._red, self.k_simplices = red, red.k_simplices[:m]
+            self._red, self._index, self.k_simplices = red, red.index, red.k_simplices[:m]
             self._gens = [p for p in red.table if p < m and red.death.get(p, n) >= n]
-            self.gen_reps = Mat.from_cols([[red.table[p].get(i, arg.zero) for i in range(m)]
-                                           for p in self._gens], nrows=m)
-            g = len(self._gens)
-            self.obj = make_obj(cat, (g, ()) if kind == "Z" else g)
+            self.gen_reps = [red.chains[p] for p in self._gens]
+            self.obj = make_obj(cat, (len(self._gens), ()) if kind == "Z" else len(self._gens))
             return
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
+        self._index, nk = {s: i for i, s in enumerate(ks)}, len(ks)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
-        nk = len(ks)
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
-        if kind == "Z":
-            L = int_kernel(d_k) if k > 0 else Mat.identity(nk)
-            B = d_k1
-        else:
-            m = arg
-            L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) \
-                if k > 0 else Mat.identity(nk)
-            B = d_k1.hstack(Mat.identity(nk).scale(m))
+        if k == 0:
+            L = Mat.identity(nk)
+        elif kind == "Z":
+            L = int_kernel(d_k)
+        else:  # the chains whose boundary is 0 mod m
+            L = preimage_lattice(d_k, Mat.identity(len(below)).scale(arg))
+        B = d_k1 if kind == "Z" else d_k1.hstack(Mat.identity(nk).scale(arg))
         self._lq = LatticeQuotient(L, B)
         rank, invs = self._lq.iso()
-        self.gen_reps = self._lq.generator_reps()
+        self.gen_reps = [{ks[i]: x for i, x in enumerate(col) if x}
+                         for col in self._lq.generator_reps().columns()]
         self.obj = make_obj(cat, (rank, tuple(invs)))
 
-    def coords(self, chain) -> list:
-        """Canonical homology coordinates of a cycle chain vector."""
+    def coords(self, chain: dict) -> list:
+        """Canonical homology coordinates of a cycle chain of this stage;
+        FiltrationError for a chain with a simplex outside the stage."""
+        m = len(self.k_simplices)
+        at = {self._index.get(s, m): v for s, v in chain.items()}
+        if at and max(at) >= m:
+            raise FiltrationError("chain has a simplex outside this stage")
         if self._lq is not None:
-            return self._lq.coords(chain)
+            return self._lq.coords([at.get(i, 0) for i in range(m)])
         red, F = self._red, self._red.ring[1]
-        c = {i: v for i, v in enumerate(map(F.coerce, chain)) if v}
+        c = {i: x for i, v in at.items() if (x := F.coerce(v))}
         steps = dict(_clear(F, c, red.table, red.lows))
         if c:
             raise FiltrationError("chain is not a cycle of this stage")
@@ -332,15 +339,7 @@ class _Stage:
 
 def _induced_payload(src: _Stage, tgt: _Stage):
     """Matrix of the inclusion-induced map in canonical coordinates."""
-    pos = {s: i for i, s in enumerate(tgt.k_simplices)}
-    at = [pos[s] for s in src.k_simplices]
-    cols = []
-    for g in src.gen_reps.columns():
-        chain = [0] * len(pos)
-        for i, v in zip(at, g):
-            chain[i] = v
-        cols.append(tgt.coords(chain))
-    return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
+    return Mat.from_cols([tgt.coords(g) for g in src.gen_reps], nrows=len(tgt.gen_reps))
 
 
 @dataclass(frozen=True, eq=False)

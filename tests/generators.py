@@ -285,6 +285,28 @@ def rips_filtration(dist: list, max_dim: int = 2) -> FilteredComplex:
     return make_complex(items)
 
 
+def grid_complex(m: int, seed: int, klein: bool = False) -> FilteredComplex:
+    """The m x m triangulated torus (m >= 3), or with `klein` the Klein
+    bottle that glues the last column to the first with the rows
+    flipped, filtered by the lower star of seeded vertex values in
+    0..2m^2: each simplex enters at the largest value of its vertices."""
+    rng = random.Random(seed)
+    value = [rng.randint(0, 2 * m * m) for _ in range(m * m)]
+
+    def vertex(i, j):
+        if j == m and klein:
+            i = -i
+        return i % m * m + j % m
+
+    items = {}
+    for i in range(m):
+        for j in range(m):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i, j + 1), vertex(i + 1, j + 1)
+            for s in ((a,), (a, b), (a, c), (a, d), (a, b, d), (a, c, d)):
+                items[tuple(sorted(s))] = max(value[v] for v in s)
+    return make_complex(items.items())
+
+
 def bars_shaped_erosion_pair(rng: random.Random, nvalues: int = 6, ncells: int = 4,
                              nbars: int = 3, width: int = 2, ninf: int = 2):
     """Two type B vect/Q diagrams shaped like the benchmark's erosion

@@ -731,16 +731,16 @@ def dense_interleaving(dense, dense2, eps) -> InterleavingPair:
 
 def induced_payload_oracle(src, tgt) -> Mat:
     """Matrix of the inclusion-induced map between two homology stages:
-    for each generator j of src, one `gen_reps` lookup per k-simplex of
-    src and one position lookup in tgt, then `tgt.coords` of the chain."""
-    pos = {s: i for i, s in enumerate(tgt.k_simplices)}
+    for each generator chain of src, one lookup per k-simplex of src, a
+    check that every simplex of the chain is one of them and one of tgt,
+    then `tgt.coords` of the chain."""
+    inside = set(tgt.k_simplices)
     cols = []
-    for j in range(src.gen_reps.cols):
-        chain = [0] * len(tgt.k_simplices)
-        for i, s in enumerate(src.k_simplices):
-            chain[pos[s]] = src.gen_reps[i, j]
+    for g in src.gen_reps:
+        chain = {s: g[s] for s in src.k_simplices if s in g}
+        assert len(chain) == len(g) and set(chain) <= inside
         cols.append(tgt.coords(chain))
-    return Mat.from_cols(cols, nrows=tgt.gen_reps.cols)
+    return Mat.from_cols(cols, nrows=len(tgt.gen_reps))
 
 
 # --- Interleaving of a perturbation from freshly built stages ----------------

@@ -48,7 +48,7 @@ from oracles import (
     rref_rank,
     snf_integer_homology,
 )
-from generators import rips_filtration
+from generators import grid_complex, rips_filtration
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -327,9 +327,15 @@ class TestPerturbation:
             assert check_interleaving(H.module, H2.module, pair)
 
     @pytest.mark.parametrize("coeffs", ["Z", "Q", "Zm:2", "Fp:2"])
-    @pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt", "empty"])
+    @pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt", "empty",
+                                      "grid-torus-5", "grid-klein-5"])
     def test_interleaving_matches_fresh_stage_oracle(self, name, coeffs):
-        K = parse_filtration("" if name == "empty" else (DATA / name).read_text())
+        """Over Z, grid Klein 5 has `stop` 19 of its 20 values, so table
+        and SNF stages meet across the interleaving."""
+        if name.startswith("grid"):
+            K = grid_complex(5, seed=1, klein=name == "grid-klein-5")
+        else:
+            K = parse_filtration("" if name == "empty" else (DATA / name).read_text())
         eps = Fr(1, 4)
         K2 = perturb(K, eps, seed=7)
         H, H2 = persistent_homology(K, 1, coeffs), persistent_homology(K2, 1, coeffs)
@@ -421,9 +427,9 @@ class TestPersistentHomology:
             q = exact.LatticeQuotient(exact.int_kernel(boundary_matrix(below, tgt.k_simplices)),
                                       boundary_matrix(tgt.k_simplices, above))
             pos = {s: i for i, s in enumerate(tgt.k_simplices)}
-            for g in src.gen_reps.columns():
+            for g in src.gen_reps:
                 x = [0] * len(pos)
-                for s, v in zip(src.k_simplices, g):
+                for s, v in g.items():
                     x[pos[s]] = v
                 expected = q.coords(x)
                 Counted.products = 0
@@ -541,7 +547,7 @@ def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
     H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
     assert [st._lq is not None for st in H.stages] == [i > red.stop for i in range(len(H.stages))]
     assert H.module.objects == snf_integer_homology(K, k)[1].objects
-    assert all(type(x) is int for st in H.stages for row in st.gen_reps.data for x in row)
+    assert all(type(x) is int for st in H.stages for g in st.gen_reps for x in g.values())
     pairs = list(zip(H.stages, H.stages[1:]))
     for a, b in ((H, H2), (H2, H)):
         pairs += [(a.stage_at(r), b.stage_at(r + eps))
@@ -634,11 +640,62 @@ def test_field_stage_reduces_once(monkeypatch):
             stage = _Stage(_Reduction(K, k, coeffs), K.critical_values[-1])
             assert len(calls) == 2
             calls.clear()
-            assert [stage.coords(g) for g in stage.gen_reps.columns()] == \
+            assert [stage.coords(g) for g in stage.gen_reps] == \
                 Mat.identity(stage.obj.data).to_lists()
             assert calls == []
             dims.append(stage.obj.data)
     assert dims == [1, 2, 1] * 2
+
+
+@pytest.mark.parametrize("coeffs", ["Q", "Zm:4"])
+def test_coords_refuse_a_chain_outside_the_stage(coeffs):
+    """On table stages (Q) and SNF stages (Zm:4) alike, a chain holding a
+    k-simplex of a later stage is not a chain of the stage, alone or
+    added to a generator.  On a table stage, neither is a cycle of a
+    later stage whose lowest simplex enters after it, although the
+    table's later columns would clear it."""
+    K = parse_filtration((DATA / "torus.flt").read_text())
+    H = persistent_homology(K, 1, coeffs)
+    assert all((st._lq is None) == (coeffs == "Q") for st in H.stages)
+    refused = 0
+    for st in H.stages:
+        m, inside = len(st.k_simplices), set(st.k_simplices)
+        later = [s for s in H.stages[-1].k_simplices if s not in inside]
+        chains = [{s: 1} for s in later] + [{**g, s: 1} for g in st.gen_reps for s in later]
+        if coeffs == "Q":  # cycles whose lowest simplex enters after the stage
+            chains += [c for p, c in H.reduction.chains.items() if p >= m]
+        for chain in chains:
+            with pytest.raises(FiltrationError, match="outside this stage"):
+                st.coords(chain)
+        refused += len(chains)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("coeffs", ["Q", "Fp:2"])
+def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch, coeffs):
+    """Each connecting map of the module coerces at most one entry per
+    nonzero of its source generators' chains, not one per k-simplex of
+    the target.  `make_mor` coerces the finished matrix on its own, after
+    the map is built, and is not counted."""
+    K = parse_filtration((DATA / "torus.flt").read_text())
+    cls, build = type(homology.parse_coeffs(coeffs)[1]), homology._induced_payload
+    real = cls.coerce
+    coerced, per_map = [], []
+    monkeypatch.setattr(cls, "coerce", lambda self, x: coerced.append(x) or real(self, x))
+
+    def counting(src, tgt):
+        before = len(coerced)
+        M = build(src, tgt)
+        per_map.append((len(coerced) - before, sum(len(g) for g in src.gen_reps)))
+        return M
+
+    monkeypatch.setattr(homology, "_induced_payload", counting)
+    for k in range(3):
+        H = persistent_homology(K, k, coeffs)
+        assert H.module.objects
+    assert len(per_map) == 3 * len(K.critical_values)
+    assert all(n <= nonzeros for n, nonzeros in per_map)
+    assert 0 < sum(n for n, _ in per_map)
 
 
 def test_rational_stage_on_integer_path_clears_fractional_cycles():
@@ -648,12 +705,13 @@ def test_rational_stage_on_integer_path_clears_fractional_cycles():
     K = parse_filtration((DATA / "torus.flt").read_text())
     stage = _Stage(_Reduction(K, 1, "Q"), K.critical_values[-1])
     assert stage.obj.data == 2
-    g, h = stage.gen_reps.columns()
-    assert stage.coords([Fr(v, 2) for v in g]) == [Fr(1, 2), 0]
-    assert stage.coords([Fr(v, 2) + Fr(w, 3) for v, w in zip(g, h)]) == [Fr(1, 2), Fr(1, 3)]
-    assert stage.coords([Fr(v) for v in h]) == [0, 1]
+    g, h = stage.gen_reps
+    assert stage.coords({s: Fr(v, 2) for s, v in g.items()}) == [Fr(1, 2), 0]
+    assert stage.coords({s: Fr(g.get(s, 0), 2) + Fr(h.get(s, 0), 3) for s in g.keys() | h.keys()}) \
+        == [Fr(1, 2), Fr(1, 3)]
+    assert stage.coords({s: Fr(v) for s, v in h.items()}) == [0, 1]
     with pytest.raises(FiltrationError):
-        stage.coords([Fr(1, 2)] + [0] * (len(g) - 1))
+        stage.coords({stage.k_simplices[0]: Fr(1, 2)})
 
 
 def test_rational_stages_reduce_once_over_the_rationals(monkeypatch):
