@@ -19,11 +19,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .diagram import DiagramError, type_A_diagram, type_B_from_A
+from .diagram import DiagramError, type_B_from_A
 from .exact import NonSplitError, parse_rational
 from .grothendieck import NoBGroupError
 from .homology import (
-    component_module,
+    component_type_A,
     filtration_type_A,
     interleaving_from_perturbation,
     parse_coeffs,
@@ -92,7 +92,7 @@ def _rational(text: str) -> Fraction:
 def _type_A_from_config(args):
     K = parse_filtration(_read(args.input))
     if args.category == "finset":
-        return type_A_diagram(component_module(K))
+        return component_type_A(K)
     if args.category == "repn":
         raise CliError(EXIT_UNSUPPORTED,
                        "the endomorphism category does not arise from a filtration")
@@ -177,22 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
                                             "of filtered simplicial complexes")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_module=True):
-        sp.add_argument("--format", choices=["json", "svg", "tsv"], default="json")
-        sp.add_argument("--out", default=None)
-        if with_module:
-            sp.add_argument("--input", required=True)
-            sp.add_argument("--type", choices=["A", "B"], default="A")
-            sp.add_argument("--category",
-                            choices=["finset", "vect", "ab", "finab", "repn"],
-                            default=None,
-                            help="inferred from --coeff when omitted")
-            sp.add_argument("--coeff", default="Z",
-                            help="Z | Q | Fp:<p> | Zm:<m>")
-            sp.add_argument("--degree", type=int, default=0)
-
     sp = sub.add_parser("diagram", help="compute a persistence diagram")
-    common(sp)
+    sp.add_argument("--format", choices=["json", "svg", "tsv"], default="json")
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--type", choices=["A", "B"], default="A")
+    sp.add_argument("--category", choices=["finset", "vect", "ab", "finab", "repn"],
+                    default=None, help="inferred from --coeff when omitted")
+    sp.add_argument("--coeff", default="Z", help="Z | Q | Fp:<p> | Zm:<m>")
+    sp.add_argument("--degree", type=int, default=0)
     sp.set_defaults(fn=cmd_diagram)
 
     sp = sub.add_parser("erosion", help="erosion distance between two diagram files")

@@ -6,9 +6,11 @@ reduction of the whole filtration, integer stages from its `stop` on and
 Z/m coefficients by Smith normal form through presented lattice
 quotients) on chains {k-simplex: coefficient}, reads induced maps as
 canonical coordinates of chains, and assembles a constructible module.
-Every type A diagram of a filtration (`filtration_type_A`) is read off
-the bars of the same reduction where `barcode` decides; the module and
-the diagram share it through one `PersistentHomology`.
+One `PersistentHomology` per filtration and degree runs that reduction
+and holds its stages and module.  Every type A diagram of a filtration
+(`filtration_type_A`) is read off the bars of the same reduction where
+`barcode` decides, and the type A diagram of pi_0 in finite sets
+(`component_type_A`) is always the H_0 barcode.
 """
 
 from __future__ import annotations
@@ -203,9 +205,10 @@ def parse_coeffs(token: str):
     return ("Zm", n, finab())
 
 
-class _Reduction:
-    """One column reduction of the whole filtration in degree k, from
-    which every stage below `stop` reads its homology.
+class PersistentHomology:
+    """Persistent homology of one filtration in degree k: one column
+    reduction of the whole filtration, from which every stage below
+    `stop` reads its homology.
 
     Simplices go in value order (complex order within a value), so a
     stage's k-simplices are a prefix of `k_simplices`, its (k+1)-simplices
@@ -245,12 +248,18 @@ class _Reduction:
     and so are its subgroup H_k(t) and every image of H_k(s) -> H_k(t).
     The test is sufficient, not necessary: the column (1, 2) spans a
     saturated lattice, yet its lead is 2.  Torsion always fails it.
+
+    The stages (`stages[i]` the stage of segment i, `stages[0]` the empty
+    complex) and the module are built on first use, so a diagram read off
+    the bars builds neither, and further induced maps, such as an
+    interleaving, reuse the stages.  Only the caller holds them.
     """
 
     def __init__(self, K: FilteredComplex, k: int, coeffs: str):
         if k < 0:
             raise FiltrationError("homology degree must be nonnegative")
-        self.K, self.k, self.ring = K, k, parse_coeffs(coeffs)
+        self.complex, self.k, self.coeffs = K, k, coeffs
+        self.ring = parse_coeffs(coeffs)
         kind, F, _ = self.ring
         self.stop = self.lead_stop = -1
         if kind == "Zm":
@@ -278,28 +287,44 @@ class _Reduction:
         self.chains = {p: {self.k_simplices[i]: x for i, x in c.items()}
                        for p, c in self.table.items()}
 
+    @cached_property
+    def stages(self) -> tuple:
+        return tuple(_Stage(self, at=t) for t in segment_reps(self.complex.critical_values))
+
+    @cached_property
+    def module(self) -> ConstructibleModule:
+        stages = self.stages
+        mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
+                     for a, b in zip(stages, stages[1:]))
+        return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
+                                   tuple(st.obj for st in stages), mors)
+
+    def stage_at(self, r) -> _Stage:
+        return self.stages[self.module.segment(r)]
+
 
 class _Stage:
     """Homology of one sublevel complex in one degree, coordinatized.
 
     Exposes the homology object, its canonical generators' cycles as
     chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
-    cycle chain of the stage in those generators.  Below `red.stop` the
-    generators are the live columns of `red.table` (their chains are
-    `red.chains`), and `coords` clears a chain against the table, so maps
+    cycle chain of the stage in those generators.  Below `H.stop` the
+    generators are the live columns of `H.table` (their chains are
+    `H.chains`), and `coords` clears a chain against the table, so maps
     between such stages are 0/1 partial identities.  From `stop` on the
     stage is the lattice quotient Z_k / B_k, by Smith normal forms.
     """
 
-    def __init__(self, red: _Reduction, at):
-        K, k, (kind, arg, cat) = red.K, red.k, red.ring
+    def __init__(self, H: PersistentHomology, at):
+        K, k, (kind, arg, cat) = H.complex, H.k, H.ring
         n = bisect_right(K.critical_values, at)
         self._lq = None
-        if n <= red.stop:
-            m = bisect_left(red.born, n)
-            self._red, self._index, self.k_simplices = red, red.index, red.k_simplices[:m]
-            self._gens = [p for p in red.table if p < m and red.death.get(p, n) >= n]
-            self.gen_reps = [red.chains[p] for p in self._gens]
+        if n <= H.stop:
+            m = bisect_left(H.born, n)
+            self._index, self.k_simplices = H.index, H.k_simplices[:m]
+            self._clearing = H.ring[1], H.table, H.lows  # not H: no cycle through H.stages
+            self._gens = [p for p in H.table if p < m and H.death.get(p, n) >= n]
+            self.gen_reps = [H.chains[p] for p in self._gens]
             self.obj = make_obj(cat, (len(self._gens), ()) if kind == "Z" else len(self._gens))
             return
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
@@ -329,9 +354,9 @@ class _Stage:
             raise FiltrationError("chain has a simplex outside this stage")
         if self._lq is not None:
             return self._lq.coords([at.get(i, 0) for i in range(m)])
-        red, F = self._red, self._red.ring[1]
+        F, table, lows = self._clearing
         c = {i: x for i, v in at.items() if (x := F.coerce(v))}
-        steps = dict(_clear(F, c, red.table, red.lows))
+        steps = dict(_clear(F, c, table, lows))
         if c:
             raise FiltrationError("chain is not a cycle of this stage")
         return [steps.get(p, F.zero) for p in self._gens]
@@ -342,47 +367,17 @@ def _induced_payload(src: _Stage, tgt: _Stage):
     return Mat.from_cols([tgt.coords(g) for g in src.gen_reps], nrows=len(tgt.gen_reps))
 
 
-@dataclass(frozen=True, eq=False)
-class PersistentHomology:
-    """Persistent homology of one filtration, from its one `_Reduction`:
-    the stages (`stages[i]` the stage of segment i, `stages[0]` the empty
-    complex) and the module are built on first use, so a diagram read off
-    the bars builds neither, and further induced maps, such as an
-    interleaving, reuse the stages.  Only the caller holds them."""
-
-    complex: FilteredComplex
-    k: int
-    coeffs: str
-    reduction: _Reduction
-
-    @cached_property
-    def stages(self) -> tuple:
-        values = self.complex.critical_values
-        return tuple(_Stage(self.reduction, at=t) for t in segment_reps(values))
-
-    @cached_property
-    def module(self) -> ConstructibleModule:
-        stages = self.stages
-        mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
-                     for a, b in zip(stages, stages[1:]))
-        return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
-                                   tuple(st.obj for st in stages), mors)
-
-    def stage_at(self, r) -> _Stage:
-        return self.stages[self.module.segment(r)]
-
-
 def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHomology:
     """Degree-k persistent homology of the sublevel filtration.
 
     Field coefficients give vector-space objects, 'Z' gives finitely
     generated abelian groups, 'Zm:<m>' gives finite abelian groups.
     Degrees above the complex dimension give zero modules.  The one
-    `_Reduction` of the whole filtration is built here; each stage is
-    read off it once, below the first critical value and at every one,
-    when the module is first asked for.
+    reduction of the whole filtration runs here; each stage is read off
+    it once, below the first critical value and at every one, when the
+    module is first asked for.
     """
-    return PersistentHomology(K, k, coeffs, _Reduction(K, k, coeffs))
+    return PersistentHomology(K, k, coeffs)
 
 
 def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleModule:
@@ -394,16 +389,25 @@ def barcode(H: PersistentHomology) -> dict | None:
     """Degree-k bars of H's filtration as {(i, j): multiplicity} on the
     grid `K.critical_values`, 1-based, j = n + 1 for an infinite bar; None
     for Z/m coefficients, and over Z where a lead is not a unit.  They
-    are the pairs of H's `_Reduction` and its rows that never die, less
-    the bars of length zero.  The module is the sum of their intervals
-    (over Z, by the proof in `_Reduction`), so Y_A counts them with class
-    `line` (`Z` over Z) and Y_B with `dim` (`rank`).
+    are the pairs of H's reduction and its rows that never die, less the
+    bars of length zero.  The module is the sum of their intervals (over
+    Z, by the proof in `PersistentHomology`), so Y_A counts them with
+    class `line` (`Z` over Z) and Y_B with `dim` (`rank`).
     """
-    red, n = H.reduction, len(H.complex.critical_values)
-    if red.lead_stop < n:
+    n = len(H.complex.critical_values)
+    if H.lead_stop < n:
         return None
-    ends = [(red.born[p], red.death.get(p, n)) for p in red.table]
+    ends = [(H.born[p], H.death.get(p, n)) for p in H.table]
     return dict(Counter((b + 1, d + 1) for b, d in ends if b < d))
+
+
+def _bars_type_A(bars: dict, cat, values) -> DiagramGrid:
+    """Y_A on the grid `values` of the sum of the intervals `bars`, as
+    `barcode` gives them: a bar of multiplicity m has the class of m
+    copies of the rank-one object of `cat`."""
+    cells = {c: a_class(iso_class(make_obj(cat, (m, ()) if cat == ab() else m)))
+             for c, m in bars.items()}
+    return DiagramGrid.make("A", cat, values, cells, role="diagram")
 
 
 def filtration_type_A(H: PersistentHomology) -> DiagramGrid:
@@ -413,47 +417,26 @@ def filtration_type_A(H: PersistentHomology) -> DiagramGrid:
     bars = barcode(H)
     if bars is None:  # Z/m coefficients, or a non-unit lead over Z
         return type_A_diagram(H.module)
-    kind, _, cat = H.reduction.ring
-    cells = {c: a_class(iso_class(make_obj(cat, (m, ()) if kind == "Z" else m)))
-             for c, m in bars.items()}
-    return DiagramGrid.make("A", cat, H.complex.critical_values, cells, role="diagram")
+    return _bars_type_A(bars, H.ring[2], H.complex.critical_values)
 
 
 # ---------------------------------------------------------------------------
-# Connected components as a set-valued module (merge tree)
+# Connected components: pi_0 read off the H_0 bars
 # ---------------------------------------------------------------------------
 
-def component_module(K: FilteredComplex) -> ConstructibleModule:
-    """Pi_0 of the sublevel filtration, valued in finite sets.
+def component_type_A(K: FilteredComplex) -> DiagramGrid:
+    """The type A diagram of pi_0 of the sublevel filtration, valued in
+    finite sets under disjoint union (a merge tree; it has no type B
+    diagram).
 
-    Components at each stage are ordered by their smallest vertex; the
-    connecting maps send a component to the one absorbing it.
+    The image of pi_0(K_s) -> pi_0(K_t) has as many points as the rank
+    of H_0(K_s) -> H_0(K_t) over any field: both count the components of
+    K_t that meet K_s.  Moebius inversion is the same on both rank
+    functions, so the diagram is the H_0 barcode (Cohen-Steiner,
+    Edelsbrunner and Harer), here over F_2, with class [pt] per bar.
     """
-    cat = finset()
-    values = K.critical_values
-
-    def components(at):
-        verts = [s[0] for s in K.simplices_of_dim(0, at=at)]
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in K.simplices_of_dim(1, at=at):
-            parent[find(a)] = find(b)
-        groups = {}
-        for v in verts:
-            groups.setdefault(find(v), []).append(v)
-        return sorted(min(g) for g in groups.values()), {v: min(groups[find(v)]) for v in verts}
-
-    comps = [components(t) for t in segment_reps(values)]
-    objs = tuple(make_obj(cat, len(reps)) for reps, _ in comps)
-    mors = tuple(make_mor(objs[i], objs[i + 1], tuple(b.index(root_of[r]) for r in a))
-                 for i, ((a, _), (b, root_of)) in enumerate(zip(comps, comps[1:])))
-    return ConstructibleModule(cat, values, objs, mors)
+    return _bars_type_A(barcode(persistent_homology(K, 0, "Fp:2")), finset(),
+                        K.critical_values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gpd.categories import (
     ab,
     ab_relations,
     compose,
+    finset,
     image_iso_class,
     iso_from_invariants,
     make_mor,
@@ -30,10 +31,10 @@ from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
     FiltrationError,
-    _Reduction,
     _Stage,
     boundary_matrix,
     parse_coeffs,
+    persistent_homology,
     persistent_module,
 )
 from gpd.matrix import Mat
@@ -752,15 +753,53 @@ def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
     nothing with the modules' stages."""
     F, G = persistent_module(K, k, coeffs), persistent_module(K2, k, coeffs)
 
+    def stage(L, r):
+        return _Stage(persistent_homology(L, k, coeffs), r)
+
     def family(src, tgt, M, N):
         grid = expected_phi_grid(M, N, eps)
         mors = tuple(make_mor(M.object_at(r), N.object_at(r + eps),
-                              induced_payload_oracle(_Stage(_Reduction(src, k, coeffs), r),
-                                                     _Stage(_Reduction(tgt, k, coeffs), r + eps)))
+                              induced_payload_oracle(stage(src, r), stage(tgt, r + eps)))
                      for r in segment_reps(grid))
         return grid, mors
 
     return InterleavingPair(eps, *family(K, K2, F, G), *family(K2, K, G, F))
+
+
+# --- Connected components by union-find at every segment (merge tree) -----
+
+def component_module(K) -> ConstructibleModule:
+    """Pi_0 of the sublevel filtration, valued in finite sets, from a
+    union-find of each stage's vertices and edges.
+
+    Components at each stage are ordered by their smallest vertex; the
+    connecting maps send a component to the one absorbing it.
+    """
+    cat = finset()
+    values = K.critical_values
+
+    def components(at):
+        verts = [s[0] for s in K.simplices_of_dim(0, at=at)]
+        parent = {v: v for v in verts}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a, b in K.simplices_of_dim(1, at=at):
+            parent[find(a)] = find(b)
+        groups = {}
+        for v in verts:
+            groups.setdefault(find(v), []).append(v)
+        return sorted(min(g) for g in groups.values()), {v: min(groups[find(v)]) for v in verts}
+
+    comps = [components(t) for t in segment_reps(values)]
+    objs = tuple(make_obj(cat, len(reps)) for reps, _ in comps)
+    mors = tuple(make_mor(objs[i], objs[i + 1], tuple(b.index(root_of[r]) for r in a))
+                 for i, ((a, _), (b, root_of)) in enumerate(zip(comps, comps[1:])))
+    return ConstructibleModule(cat, values, objs, mors)
 
 
 # --- The interleaving check, per rep by bisection ---------------------------

@@ -3,6 +3,7 @@ stays its oracle, and against the universal coefficient theorem."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from gpd import cli, homology
 from gpd.diagram import type_A_diagram, type_B_from_A
 from gpd.homology import (
     barcode,
+    component_type_A,
     filtration_type_A,
+    make_complex,
     parse_filtration,
     persistent_homology,
     persistent_module,
@@ -21,8 +24,8 @@ from gpd.homology import (
 )
 from gpd.serialize import diagram_to_json
 
-from generators import rips_filtration
-from oracles import snf_integer_homology
+from generators import grid_complex, rips_filtration
+from oracles import component_module, snf_integer_homology
 from test_homology import _complexes, rp2_text
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
@@ -150,24 +153,69 @@ def test_cli_diagram_falls_back_exactly_where_barcode_returns_none(monkeypatch, 
     (["stability", "--input", "torus.flt", "--coeff", "Z", "--degree", "1", "--epsilon", "1/8",
       "--trials", "2"], 3),
     (["diagram", "--input", "klein_bottle.flt", "--coeff", "Z", "--degree", "1"], 1),
+    (["diagram", "--input", "torus.flt", "--category", "finset"], 1),
 ])
 def test_cli_reduces_each_filtration_once(monkeypatch, capsys, argv, built):
     """`gpd stability` reduces F's filtration and each perturbed one once,
-    for its module and its diagram alike, and `gpd diagram` on Z H_1 of
-    the Klein bottle reads its stages off the reduction whose bars did
-    not decide."""
-    reductions = []
+    for its module and its diagram alike; `gpd diagram` on Z H_1 of the
+    Klein bottle reads its stages off the reduction whose bars did not
+    decide, and `--category finset` reads pi_0 off the H_0 bars of one
+    reduction and builds no stage."""
+    reductions, stages = [], []
 
-    class CountedReduction(homology._Reduction):
+    class CountedHomology(homology.PersistentHomology):
         def __init__(self, *args):
             reductions.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(homology, "_Reduction", CountedReduction)
+    class CountedStage(homology._Stage):
+        def __init__(self, *args, **kwargs):
+            stages.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "PersistentHomology", CountedHomology)
+    monkeypatch.setattr(homology, "_Stage", CountedStage)
     argv = [str(DATA / a) if a.endswith(".flt") else a for a in argv]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(reductions) == built
+    assert bool(stages) == ("finset" not in argv)
+
+
+def _random_graph(seed):
+    """A seeded graph on 1 to 8 vertices with values in halves, often
+    with isolated vertices; each edge enters at or after its ends."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    items = {(v,): Fraction(rng.randint(0, 6), 2) for v in range(n)}
+    for a, b in combinations(range(n), 2):
+        if rng.random() < 0.3:
+            items[(a, b)] = max(items[(a,)], items[(b,)]) + rng.randint(0, 2)
+    return make_complex(items.items())
+
+
+_PI0_INPUTS = {
+    **{name: (lambda name=name: _named(name))
+       for name in ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2", "rips",
+                    "triangle.flt@1/4#2", "torus.flt@1/8#1", "torus.flt@1/2#3",
+                    "klein_bottle.flt@1/8#1", "klein_bottle.flt@1/2#2", "rp2@1/4#1"]},
+    **{f"grid-{kind}-{m}": (lambda m=m, kind=kind: grid_complex(m, m, klein=kind == "klein"))
+       for m in (3, 5, 8) for kind in ("torus", "klein")},
+    **{f"graph-{seed}": (lambda seed=seed: _random_graph(seed)) for seed in range(30)},
+    "empty": lambda: make_complex([]),
+    "isolated-vertices": lambda: parse_filtration("0 : 0\n1 : 1\n2 : 1\n3 : 5/2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PI0_INPUTS))
+def test_components_diagram_is_the_h0_barcode(name):
+    """`gpd diagram --category finset` reads pi_0 off the H_0 bars: it is
+    the type A diagram of the merge tree that union-find builds stage by
+    stage, byte for byte."""
+    K = _PI0_INPUTS[name]()
+    got, want = component_type_A(K), type_A_diagram(component_module(K))
+    assert got == want
+    assert diagram_to_json(got) == diagram_to_json(want)
 
 
 def _assert_universal_coefficients(K, p):

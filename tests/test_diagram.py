@@ -24,13 +24,14 @@ from gpd.diagram import (
 )
 from gpd.exact import QQ, PrimeField
 from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, add, zero_elem
-from gpd.homology import component_module, parse_filtration, persistent_module, perturb
+from gpd.homology import parse_filtration, persistent_module, perturb
 from gpd.matrix import Mat
 from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
 
 from generators import ALL_CATS, random_interval_sum_module, random_module, splice_steps
 from oracles import (
     classical_diagram_gf2,
+    component_module,
     cumulative_at_oracle,
     cumulative_oracle,
     full_grid_type_A,

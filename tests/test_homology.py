@@ -1,6 +1,5 @@
 """Filtration parsing, exact homology, perturbation, and interleavings."""
 
-import gc
 import itertools
 import random
 import sys
@@ -23,7 +22,6 @@ from gpd.homology import (
     MissingFaceError,
     ValueInversionError,
     boundary_matrix,
-    component_module,
     interleaving_from_perturbation,
     make_complex,
     parse_filtration,
@@ -31,7 +29,6 @@ from gpd.homology import (
     persistent_module,
     perturb,
     _induced_payload,
-    _Reduction,
     _Stage,
 )
 from gpd.homology import facets
@@ -40,6 +37,7 @@ from gpd.pmodule import check_interleaving, composite_mor, evaluate, segment_rep
 
 from oracles import (
     assert_snf_sides_match_oracle,
+    component_module,
     dense_field_homology,
     dense_interleaving,
     image_iso_class_oracle,
@@ -259,8 +257,8 @@ class TestHomology:
             for coeffs in ["Z", "Q", "Zm:4", "Fp:2"]:
                 F = persistent_module(K, 1, coeffs)
                 two_step = evaluate(F, F.values[0], F.values[2])
-                red = _Reduction(K, 1, coeffs)
-                direct = _induced_payload(_Stage(red, F.values[0]), _Stage(red, F.values[2]))
+                H = persistent_homology(K, 1, coeffs)
+                direct = _induced_payload(_Stage(H, F.values[0]), _Stage(H, F.values[2]))
                 assert two_step.payload == direct
 
 
@@ -364,10 +362,12 @@ class TestPersistentHomology:
         assert persistent_module(H.complex, 1, "Q") == H.module
 
     def test_stages_are_owned_by_the_caller(self):
+        """No stage refers back to its `PersistentHomology`, so dropping
+        it frees its stages at once, without the cycle collector."""
         H = persistent_homology(parse_filtration((DATA / "torus.flt").read_text()), 1, "Z")
         ref = weakref.ref(H.stages[-1])
+        assert H.module.objects
         del H
-        gc.collect()
         assert ref() is None
 
     def test_smith_normal_forms_of_klein_bottle_h1(self, monkeypatch):
@@ -542,10 +542,9 @@ def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
     way the objects are those of the SNF oracle, the generators are int
     chains, and every induced map, within the module and both ways
     across a perturbation, is the entrywise oracle's.  Returns the
-    reduction."""
-    red = _Reduction(K, k, "Z")
+    persistent homology."""
     H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
-    assert [st._lq is not None for st in H.stages] == [i > red.stop for i in range(len(H.stages))]
+    assert [st._lq is not None for st in H.stages] == [i > H.stop for i in range(len(H.stages))]
     assert H.module.objects == snf_integer_homology(K, k)[1].objects
     assert all(type(x) is int for st in H.stages for g in st.gen_reps for x in g.values())
     pairs = list(zip(H.stages, H.stages[1:]))
@@ -555,7 +554,7 @@ def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
     for src, tgt in pairs:
         assert _induced_payload(src, tgt) == induced_payload_oracle(src, tgt)
     _assert_matches_dense_stages(K, k, "Z", eps, seed)
-    return red
+    return H
 
 
 @pytest.mark.parametrize("perturbation", [None, (Fr(1, 8), 1), (Fr(1, 4), 2), (Fr(1, 2), 3)])
@@ -569,9 +568,9 @@ def test_integer_stop_is_the_first_non_unit_lead(name, perturbation):
     if perturbation:
         K = perturb(K, *perturbation)
     for k in (1, 2):
-        red = _assert_stop_splits_the_integer_stages(K, k)
-        assert red.stop == red.lead_stop == _first_non_unit_lead(K, k)
-        assert (red.stop < len(K.critical_values)) == (k == 1)
+        H = _assert_stop_splits_the_integer_stages(K, k)
+        assert H.stop == H.lead_stop == _first_non_unit_lead(K, k)
+        assert (H.stop < len(K.critical_values)) == (k == 1)
 
 
 @pytest.mark.parametrize("triangle", [t for t in itertools.combinations(range(6), 3)
@@ -583,8 +582,8 @@ def test_integer_stop_at_a_cycle_with_a_fractional_combination(triangle):
     V column alone sets `stop` to value 2, where the stage is a lattice
     quotient generated by twice the cycle."""
     K = parse_filtration(rp2_text() + f"\n{' '.join(map(str, triangle))} : 2")
-    red = _assert_stop_splits_the_integer_stages(K, 2)
-    assert (red.lead_stop, K.critical_values[red.stop]) == (len(K.critical_values), 2)
+    H = _assert_stop_splits_the_integer_stages(K, 2)
+    assert (H.lead_stop, K.critical_values[H.stop]) == (len(K.critical_values), 2)
     assert persistent_module(K, 2, "Z").objects[-1].data == (1, ())
 
 
@@ -637,7 +636,7 @@ def test_field_stage_reduces_once(monkeypatch):
     dims = []
     for coeffs in ("Q", "Fp:2"):
         for k in range(3):
-            stage = _Stage(_Reduction(K, k, coeffs), K.critical_values[-1])
+            stage = _Stage(persistent_homology(K, k, coeffs), K.critical_values[-1])
             assert len(calls) == 2
             calls.clear()
             assert [stage.coords(g) for g in stage.gen_reps] == \
@@ -663,7 +662,7 @@ def test_coords_refuse_a_chain_outside_the_stage(coeffs):
         later = [s for s in H.stages[-1].k_simplices if s not in inside]
         chains = [{s: 1} for s in later] + [{**g, s: 1} for g in st.gen_reps for s in later]
         if coeffs == "Q":  # cycles whose lowest simplex enters after the stage
-            chains += [c for p, c in H.reduction.chains.items() if p >= m]
+            chains += [c for p, c in H.chains.items() if p >= m]
         for chain in chains:
             with pytest.raises(FiltrationError, match="outside this stage"):
                 st.coords(chain)
@@ -703,7 +702,7 @@ def test_rational_stage_on_integer_path_clears_fractional_cycles():
     # a cycle with non-integer entries, such as a generator of a stage
     # where a pivot does not divide, still clears to its coordinates
     K = parse_filtration((DATA / "torus.flt").read_text())
-    stage = _Stage(_Reduction(K, 1, "Q"), K.critical_values[-1])
+    stage = _Stage(persistent_homology(K, 1, "Q"), K.critical_values[-1])
     assert stage.obj.data == 2
     g, h = stage.gen_reps
     assert stage.coords({s: Fr(v, 2) for s, v in g.items()}) == [Fr(1, 2), 0]
