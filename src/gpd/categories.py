@@ -213,6 +213,8 @@ def make_mor(src: Obj, tgt: Obj, payload) -> Mor:
 
 def _ab_canonical_payload(tgt: Obj, M: Mat) -> Mat:
     rank, invs = tgt.data
+    if not invs:
+        return M
     rows = M.to_lists()
     for j, d in enumerate(invs):
         rows[rank + j] = [v % d for v in rows[rank + j]]

@@ -15,6 +15,7 @@ inversion, so Y_B = pi(Y_A) cell by cell (`type_B_from_A`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,8 @@ from .exact import (
     lattice_intersection,
     preimage_lattice,
 )
-from .grothendieck import GroupElem, NoBGroupError, a_class, add, b_class, sub, zero_elem
+from .grothendieck import (GroupElem, NoBGroupError, _make_elem, a_class, add, b_class, sub,
+                           zero_elem)
 from .categories import iso_class, iso_from_invariants, make_obj
 from .matrix import Mat
 
@@ -85,23 +87,29 @@ class DiagramGrid:
 
     @cached_property
     def cumulative(self) -> tuple:
-        """Table C with C[i][j] the sum of the cells (h, k) with h <= i and
-        k >= j, for 1 <= i < j <= n + 1; row 0 is zero.
-
-        Built once per grid by the suffix-sum recurrence
-        C(i, j) = Y(i, j) + C(i - 1, j) + C(i, j + 1) - C(i - 1, j + 1),
-        three group additions per cell.  Entries with j <= i are None.
-        """
-        n = self.n
-        z = zero_elem(self.group, self.cat)
-        y = self.as_dict()
-        rows = [[z] * (n + 3)]
-        for i in range(1, n + 1):
-            above, row = rows[-1], [None] * (n + 2) + [z]
-            for j in range(n + 1, i, -1):
-                row[j] = sub(add(add(y.get((i, j), z), above[j]), row[j + 1]), above[j + 1])
-            rows.append(row)
-        return tuple(map(tuple, rows))
+        """C(i, j), the sum of the cells (h, k) with h <= i and k >= j, on
+        the support: (rows, cols, table), the distinct rows and columns of
+        the cells ascending, and table[a][b] = C(rows[a], cols[b]) where
+        rows[a] < cols[b].  Any other C(i, j) is the entry at the largest
+        row <= i and the smallest column >= j, or zero if there is none.
+        Row a adds the suffix sums of its own cells to row a - 1 up to its
+        last column, as coefficient dicts; further right it repeats row
+        a - 1.  So each new entry becomes a GroupElem once."""
+        rows = sorted({i for (i, _), _ in self.cells})
+        cols = sorted({j for (_, j), _ in self.cells})
+        own: dict = {}
+        for (i, j), v in self.cells:
+            own.setdefault(i, {})[bisect_left(cols, j)] = dict(v.coeffs)
+        table, sums, row = [], [{}] * len(cols), [zero_elem(self.group, self.cat)] * len(cols)
+        for i in rows:
+            suffix, sums, row = Counter(), list(sums), list(row)
+            for b in range(max(own[i]), bisect_right(cols, i) - 1, -1):
+                suffix.update(own[i].get(b, {}))
+                sums[b] = s = Counter(sums[b])
+                s.update(suffix)
+                row[b] = _make_elem(self.group, self.cat, s)
+            table.append(tuple(row))
+        return tuple(rows), tuple(cols), tuple(table)
 
 
 def _zero(d: DiagramGrid) -> GroupElem:
@@ -141,22 +149,22 @@ def cumulate(Y: DiagramGrid) -> DiagramGrid:
     """Inverse of mobius_invert: sum the diagram over the upper-left cone."""
     if Y.role != "diagram":
         raise DiagramError("cumulation expects a diagram")
-    n, C = Y.n, Y.cumulative
-    cells = {(i, j): C[i][j] for i in range(1, n + 1) for j in range(i + 1, n + 2)}
+    cells = {(i, j): cumulative_at_cell(Y, i, j) for i in range(1, Y.n + 1)
+             for j in range(i + 1, Y.n + 2)}
     return DiagramGrid.make(Y.group, Y.cat, Y.grid, cells, role="constructible")
 
 
 def cumulative_at_cell(Y: DiagramGrid, i: int, j: int) -> GroupElem:
-    """Sum of Y over cells (h, k) with h <= i and k >= j.
+    """Sum of Y over cells (h, k) with h <= i and k >= j (`Y.cumulative`).
 
     Row i = 0, below the grid, sums nothing; any other cell must lie in
     1 <= i < j <= n + 1.
     """
-    if i == 0:
-        return _zero(Y)
-    if not 1 <= i < j <= Y.n + 1:
+    if i and not 1 <= i < j <= Y.n + 1:
         raise DiagramError(f"cell ({i}, {j}) is outside the grid")
-    return Y.cumulative[i][j]
+    rows, cols, table = Y.cumulative
+    a, b = bisect_right(rows, i) - 1, bisect_left(cols, j)
+    return table[a][b] if a >= 0 and b < len(cols) else _zero(Y)
 
 
 def _snap(grid, p, q=None) -> tuple:

@@ -251,8 +251,10 @@ class PersistentHomology:
 
     The stages (`stages[i]` the stage of segment i, `stages[0]` the empty
     complex) and the module are built on first use, so a diagram read off
-    the bars builds neither, and further induced maps, such as an
-    interleaving, reuse the stages.  Only the caller holds them.
+    the bars builds neither.  A connecting map between stages below `stop`
+    is read off `born` and `death` (`_partial_identity`), with no
+    clearing; an interleaving reuses the stages.  Only the caller holds
+    them.
     """
 
     def __init__(self, K: FilteredComplex, k: int, coeffs: str):
@@ -294,8 +296,8 @@ class PersistentHomology:
     @cached_property
     def module(self) -> ConstructibleModule:
         stages = self.stages
-        mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b))
-                     for a, b in zip(stages, stages[1:]))
+        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if b._lq is None
+                              else _induced_payload(a, b)) for a, b in zip(stages, stages[1:]))
         return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
                                    tuple(st.obj for st in stages), mors)
 
@@ -310,9 +312,10 @@ class _Stage:
     chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
     cycle chain of the stage in those generators.  Below `H.stop` the
     generators are the live columns of `H.table` (their chains are
-    `H.chains`), and `coords` clears a chain against the table, so maps
-    between such stages are 0/1 partial identities.  From `stop` on the
-    stage is the lattice quotient Z_k / B_k, by Smith normal forms.
+    `H.chains`), `coords` clears a chain against the table, and maps
+    between such stages are 0/1 partial identities (`_partial_identity`).
+    From `stop` on the stage is the lattice quotient Z_k / B_k, by Smith
+    normal forms.
     """
 
     def __init__(self, H: PersistentHomology, at):
@@ -345,26 +348,43 @@ class _Stage:
                          for col in self._lq.generator_reps().columns()]
         self.obj = make_obj(cat, (rank, tuple(invs)))
 
-    def coords(self, chain: dict) -> list:
+    def coords(self, chain: dict, cleared: dict | None = None) -> list:
         """Canonical homology coordinates of a cycle chain of this stage;
-        FiltrationError for a chain with a simplex outside the stage."""
+        FiltrationError for a chain with a simplex outside the stage.
+        Below `stop` a chain clears against the table alike at every
+        stage, and `cleared` keeps that, by id, for other stages of H."""
         m = len(self.k_simplices)
-        at = {self._index.get(s, m): v for s, v in chain.items()}
-        if at and max(at) >= m:
-            raise FiltrationError("chain has a simplex outside this stage")
         if self._lq is not None:
+            at = {self._index.get(s, m): v for s, v in chain.items()}
+            if at and max(at) >= m:
+                raise FiltrationError("chain has a simplex outside this stage")
             return self._lq.coords([at.get(i, 0) for i in range(m)])
         F, table, lows = self._clearing
-        c = {i: x for i, v in at.items() if (x := F.coerce(v))}
-        steps = dict(_clear(F, c, table, lows))
-        if c:
+        cleared = {} if cleared is None else cleared
+        if id(chain) not in cleared:
+            at = {self._index.get(s, len(self._index)): v for s, v in chain.items()}
+            c = {i: x for i, v in at.items() if (x := F.coerce(v))}
+            cleared[id(chain)] = chain, max(at, default=-1), dict(_clear(F, c, table, lows)), c
+        _, top, steps, rest = cleared[id(chain)]  # the chain keeps its id unique
+        if top >= m:
+            raise FiltrationError("chain has a simplex outside this stage")
+        if rest:
             raise FiltrationError("chain is not a cycle of this stage")
         return [steps.get(p, F.zero) for p in self._gens]
 
 
-def _induced_payload(src: _Stage, tgt: _Stage):
+def _induced_payload(src: _Stage, tgt: _Stage, cleared: dict | None = None):
     """Matrix of the inclusion-induced map in canonical coordinates."""
-    return Mat.from_cols([tgt.coords(g) for g in src.gen_reps], nrows=len(tgt.gen_reps))
+    return Mat.from_cols([tgt.coords(g, cleared) for g in src.gen_reps], nrows=len(tgt.gen_reps))
+
+
+def _partial_identity(src: _Stage, tgt: _Stage):
+    """`_induced_payload` between two stages of one H below its `stop`,
+    read off `born` and `death`: generator p goes to p while it is alive
+    at tgt and to 0 once it is dead (its column is R_j, a boundary)."""
+    F, gens = tgt._clearing[0], tgt._gens
+    return Mat.from_cols([[F.one if q == p else F.zero for q in gens] for p in src._gens],
+                         nrows=len(gens))
 
 
 def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHomology:
@@ -484,10 +504,10 @@ def interleaving_from_perturbation(H: PersistentHomology, H2: PersistentHomology
 
     def family(src: PersistentHomology, tgt: PersistentHomology):
         grid = expected_phi_grid(src.module, tgt.module, eps)
-        mors = []
+        mors, cleared = [], {}  # each source chain is cleared against tgt's table once
         for r in segment_reps(grid):
             a, b = src.stage_at(r), tgt.stage_at(r + eps)
-            mors.append(make_mor(a.obj, b.obj, _induced_payload(a, b)))
+            mors.append(make_mor(a.obj, b.obj, _induced_payload(a, b, cleared)))
         return grid, tuple(mors)
 
     pg, phi = family(H, H2)

@@ -10,10 +10,10 @@ One integer sweep (`_sweep`) compares cumulative values, for both
 directions of the erosion check, for `eroded_leq` and for `diagram_leq`
 (eps = 0), the last two at a single candidate.  Both grids, and eps,
 are scaled once by a common denominator, so every eps and shifted
-endpoint s +- eps is an int.  Each diagram's cumulative table
-(`DiagramGrid.cumulative`) is built once, a cell is re-tested only when
-its snapped cell on the other grid moves, and Fractions are built only
-for results.
+endpoint s +- eps is an int.  Each diagram's cumulative table, on the
+rows and columns of its support (`DiagramGrid.cumulative`), is built
+once, a cell is re-tested only when its snapped cell on the other grid
+moves, and Fractions are built only for results.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .diagram import DiagramError, DiagramGrid, _snap
+from .diagram import DiagramError, DiagramGrid, _snap, cumulative_at_cell
 from .grothendieck import _leq_coeffs
 
 
@@ -63,11 +63,11 @@ def _scale(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> int:
 
 def _scaled(Y: DiagramGrid, D: int) -> tuple:
     """Y's grid times D as ints, its support cells as (start, end or None
-    for infinity, cumulative value) in the same units, and its table."""
+    for infinity, cumulative value) in the same units, and Y."""
     grid = [t.numerator * (D // t.denominator) for t in Y.grid]
-    n, C = Y.n, Y.cumulative
-    cells = [(grid[i - 1], None if j == n + 1 else grid[j - 1], C[i][j]) for (i, j), _ in Y.cells]
-    return grid, cells, C
+    cells = [(grid[i - 1], None if j == Y.n + 1 else grid[j - 1], cumulative_at_cell(Y, i, j))
+             for (i, j), _ in Y.cells]
+    return grid, cells, Y
 
 
 def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
@@ -92,7 +92,7 @@ def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
     for eps in cands:
         while heap and heap[0][0] <= eps:
             _, d, c = heappop(heap)
-            cells, grid, table = sides[d]
+            cells, grid, Y = sides[d]
             start, end, val = cells[c]
             p = start + eps
             q = None if end is None else end - eps
@@ -100,7 +100,7 @@ def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
                 failing[d].discard(c)  # the cell has disappeared into the diagonal
                 continue
             i, j = _snap(grid, p, q)
-            if _leq_coeffs(val.coeffs, table[i][j].coeffs):
+            if _leq_coeffs(val.coeffs, cumulative_at_cell(Y, i, j).coeffs):
                 failing[d].discard(c)
             else:
                 failing[d].add(c)

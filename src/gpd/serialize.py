@@ -23,8 +23,8 @@ class SerializeError(ValueError):
 
 
 def rat_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """A Fraction or an int as `p` or `p/q`."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _field_token(field) -> str:
@@ -59,10 +59,6 @@ def _cat_from_json(d: dict):
     return makers[kind]()
 
 
-def _scalar_str(x) -> str:
-    return rat_str(x) if isinstance(x, Fraction) else str(x)
-
-
 def _scalar_from_str(s: str, field):
     return parse_rational(s) if isinstance(field, RationalField) else int(s)
 
@@ -73,12 +69,12 @@ def _label_key_str(group: str, cat, key) -> str:
             return key  # 'pt', 'line', 'Z'
         if key[0] == "t":
             return f"t:{key[1]}:{key[2]}"
-        return f"j:{_scalar_str(key[1])}:{key[2]}"
+        return f"j:{rat_str(key[1])}:{key[2]}"
     if isinstance(key, str):
         return key  # 'dim', 'rank'
     if isinstance(key, int) and cat.kind == "finab":
         return f"p:{key}"
-    return f"ev:{_scalar_str(key)}"
+    return f"ev:{rat_str(key)}"
 
 
 def _label_key_parse(group: str, cat, tok: str):
@@ -164,12 +160,12 @@ def _pretty_key(group: str, cat, key) -> str:
         if key[0] == "t":
             p, m = key[1], key[2]
             return f"Z/{p ** m}"
-        return f"J({_scalar_str(key[1])},{key[2]})"
+        return f"J({rat_str(key[1])},{key[2]})"
     if isinstance(key, str):
         return key
     if isinstance(key, int) and cat.kind == "finab":
         return f"len_{key}"
-    return f"ev {_scalar_str(key)}"
+    return f"ev {rat_str(key)}"
 
 
 def diagram_to_tsv(d: DiagramGrid) -> str:

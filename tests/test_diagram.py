@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpd.diagram
+import gpd.grothendieck
 from gpd.categories import ab, finab, finset, identity_obj, make_mor, make_obj, repn, vect
 from gpd.diagram import (
     DiagramError,
@@ -113,6 +115,62 @@ def test_cumulative_table_matches_cell_by_cell_oracle(pair, data):
     p = data.draw(rationals)
     q = data.draw(st.none() | rationals.filter(lambda q: q > p))
     assert cumulative_at(Y, p, q) == cumulative_at_oracle(Y, p, q)
+
+
+@st.composite
+def sparse_diagram_grids(draw):
+    """A diagram on 20-60 grid values whose support holds 5-50% of the
+    cells, with random signed labels, in one of the groups above."""
+    group, cat, keys = draw(st.sampled_from(DIAGRAM_GROUPS))
+    n, density = draw(st.integers(20, 60)), draw(st.floats(0.05, 0.5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
+    support = {c: _make_elem(group, cat, {rng.choice(keys): rng.choice([-2, -1, 1, 2, 3])})
+               for c in rng.sample(cells, max(1, round(density * len(cells))))}
+    grid = sorted(rng.sample(range(4 * n), n))
+    return DiagramGrid.make(group, cat, tuple(Fr(t, 3) for t in grid), support, role="diagram")
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_diagram_grids(), st.randoms(use_true_random=False))
+def test_cumulative_table_matches_the_oracle_on_large_sparse_grids(Y, rng):
+    """The support table on grids where it is much smaller than the grid:
+    every cell of `cumulate` inverts back to Y, and the support cells,
+    their neighbours and random cells match the cell-by-cell oracle."""
+    n = Y.n
+    assert mobius_invert(cumulate(Y)).cells == Y.cells
+    cells = {(i, j) for i in range(n + 1) for j in range(i + 1, n + 2)}
+    near = {(h + a, k + b) for (h, k), _ in Y.cells for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    for i, j in sorted(cells & near) + rng.sample(sorted(cells), 50):
+        assert cumulative_at_cell(Y, i, j) == cumulative_oracle(Y, i, j)
+
+
+def test_cumulative_table_adds_on_the_support_only(monkeypatch):
+    """A 60-value grid with 5 support cells: the table has at most 5 x 5
+    entries, and at most one group operation is made per entry (the
+    full table made three additions per grid cell, 5,490 here)."""
+    count = [0]
+
+    def counting(f):
+        def wrapped(*args):
+            count[0] += 1
+            return f(*args)
+        return wrapped
+
+    for name in ("add", "sub", "_make_elem"):
+        wrapped = counting(getattr(gpd.grothendieck, name))
+        for mod in (gpd.grothendieck, gpd.diagram):
+            monkeypatch.setattr(mod, name, wrapped, raising=False)
+    rng = random.Random(3)
+    cat = vect(QQ)
+    cells = {(i, i + rng.randint(1, 61 - i)): elem("B", cat, dim=1)
+             for i in rng.sample(range(1, 61), 5)}
+    Y = DiagramGrid.make("B", cat, tuple(Fr(t) for t in range(60)), cells, role="diagram")
+    count[0] = 0
+    Y.cumulative
+    assert 0 < count[0] <= 36
+    rows, cols, _ = Y.cumulative
+    assert len(rows) == len(cols) == 5
 
 
 def test_cumulative_at_cell_domain():

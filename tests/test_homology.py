@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd import exact, homology
-from gpd.categories import image_iso_class
+from gpd.categories import image_iso_class, make_mor
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
@@ -281,6 +281,30 @@ def test_induced_maps_match_entrywise_oracle(name, coeffs):
             assert fast == slow
             assert [list(map(type, r)) for r in fast.data] == \
                 [list(map(type, r)) for r in slow.data]
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Q", "Fp:2", "Zm:4"])
+def test_module_maps_match_the_entrywise_oracle(coeffs):
+    """Each connecting map of H.module, read off `born` and `death` where
+    both stages are below `stop`, equals `make_mor` of the entrywise
+    oracle on the same pair of stages, in degrees 0-2: on the bundled
+    data as given and perturbed, and on grid tori and Klein bottles,
+    whose H_1 over Z has a table stage followed by an SNF stage."""
+    inputs = [grid_complex(5, 1), grid_complex(5, 1, klein=True)]
+    for name in ("torus.flt", "klein_bottle.flt", "triangle.flt"):
+        K = parse_filtration((DATA / name).read_text())
+        inputs += [K, perturb(K, Fr(1, 4), seed=2)]
+    kinds = Counter()
+    for K in inputs:
+        for k in range(3):
+            H = persistent_homology(K, k, coeffs)
+            for a, b, mor in zip(H.stages, H.stages[1:], H.module.morphisms):
+                assert mor == make_mor(a.obj, b.obj, induced_payload_oracle(a, b))
+                kinds[a._lq is None, b._lq is None] += 1
+    if coeffs == "Z":
+        assert kinds[True, False] > 0 and kinds[True, True] > 0
+    else:
+        assert list(kinds) == [(coeffs != "Zm:4",) * 2]
 
 
 class TestComponents:
@@ -670,31 +694,54 @@ def test_coords_refuse_a_chain_outside_the_stage(coeffs):
     assert refused > 0
 
 
-@pytest.mark.parametrize("coeffs", ["Q", "Fp:2"])
+@pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Z"])
 def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch, coeffs):
-    """Each connecting map of the module coerces at most one entry per
-    nonzero of its source generators' chains, not one per k-simplex of
-    the target.  `make_mor` coerces the finished matrix on its own, after
-    the map is built, and is not counted."""
-    K = parse_filtration((DATA / "torus.flt").read_text())
-    cls, build = type(homology.parse_coeffs(coeffs)[1]), homology._induced_payload
+    """A connecting map of the module between two stages below `stop` is
+    read off `born` and `death` and coerces nothing; one into a stage
+    from `stop` on coerces at most one entry per nonzero of its source
+    generators' chains, not one per k-simplex of the target.  Each
+    direction of an interleaving clears a source chain once, however
+    many of its maps read it: it coerces at most one entry per nonzero
+    of its distinct source chains.  `make_mor` coerces the finished
+    matrix on its own, after the map is built, and is not counted."""
+    cls = type(homology.parse_coeffs(coeffs)[1])
     real = cls.coerce
     coerced, per_map = [], []
     monkeypatch.setattr(cls, "coerce", lambda self, x: coerced.append(x) or real(self, x))
 
-    def counting(src, tgt):
-        before = len(coerced)
-        M = build(src, tgt)
-        per_map.append((len(coerced) - before, sum(len(g) for g in src.gen_reps)))
-        return M
+    def counting(build):
+        def wrapped(src, tgt, *rest):
+            before = len(coerced)
+            M = build(src, tgt, *rest)
+            per_map.append((build, tgt._lq is None, len(coerced) - before,
+                            sum(len(g) for g in src.gen_reps)))
+            return M
+        return wrapped
 
-    monkeypatch.setattr(homology, "_induced_payload", counting)
-    for k in range(3):
-        H = persistent_homology(K, k, coeffs)
-        assert H.module.objects
-    assert len(per_map) == 3 * len(K.critical_values)
-    assert all(n <= nonzeros for n, nonzeros in per_map)
-    assert 0 < sum(n for n, _ in per_map)
+    for name in ("_induced_payload", "_partial_identity"):
+        monkeypatch.setattr(homology, name, counting(getattr(homology, name)))
+    targets = Counter()
+    for name in ("torus.flt", "klein_bottle.flt"):
+        K = parse_filtration((DATA / name).read_text())
+        for k in range(3):
+            per_map.clear()
+            H = persistent_homology(K, k, coeffs)
+            assert H.module.objects
+            assert len(per_map) == len(K.critical_values)
+            for build, table, n, nonzeros in per_map:
+                assert (build.__name__ == "_partial_identity") == table
+                assert n == 0 if table else n <= nonzeros
+                targets[table] += 1
+        K2 = perturb(K, Fr(1, 8), seed=1)
+        H, H2 = persistent_homology(K, 1, coeffs), persistent_homology(K2, 1, coeffs)
+        H.module, H2.module
+        per_map.clear()
+        interleaving_from_perturbation(H, H2, Fr(1, 8))
+        distinct = {id(g): len(g) for L in (H, H2) for stage in L.stages for g in stage.gen_reps}
+        n = sum(n for _, _, n, _ in per_map)
+        assert n <= sum(distinct.values())
+        assert n > 0 or not any(table and nonzeros for _, table, _, nonzeros in per_map)
+    assert targets[True] and bool(targets[False]) == (coeffs == "Z")  # Z: Klein bottle H_1
 
 
 def test_rational_stage_on_integer_path_clears_fractional_cycles():
