@@ -239,26 +239,28 @@ def _ab_check_well_defined(src: Obj, tgt: Obj, M: Mat):
 
 
 def identity_mor(a: Obj) -> Mor:
+    """The identity of a; over ab its payload is canonical, as invariant factors are >= 2."""
     if a.cat.kind == FINSET:
         return Mor(a, a, tuple(range(a.data)))
-    n = obj_ngens(a)
-    if a.cat.kind in (AB, FINAB):
-        return make_mor(a, a, Mat.identity(n))
-    F = a.cat.field
-    return Mor(a, a, Mat.identity(n, one=F.one, zero=F.zero))
+    n, F = obj_ngens(a), a.cat.field
+    return Mor(a, a, Mat.identity(n) if F is None else Mat.identity(n, one=F.one, zero=F.zero))
 
 
 def compose(g: Mor, f: Mor) -> Mor:
-    """g after f."""
+    """g after f, not re-validated: over ab the product is only reduced
+    modulo the target's invariant factors, and a composite through a
+    zero object is the zero map, read off the shapes with no product."""
     if f.tgt != g.src:
         raise CategoryError("composition mismatch: target of f is not source of g")
     cat = f.cat
     if cat.kind == FINSET:
         return Mor(f.src, g.tgt, tuple(g.payload[v] for v in f.payload))
+    if not (g.payload.rows and g.payload.cols and f.payload.cols):
+        return Mor(f.src, g.tgt, Mat.zero(g.payload.rows, f.payload.cols))
     M = g.payload @ f.payload
     if cat.kind in (VECT, REPN):
         return Mor(f.src, g.tgt, M.map(cat.field.coerce))
-    return make_mor(f.src, g.tgt, M)
+    return Mor(f.src, g.tgt, _ab_canonical_payload(g.tgt, M))
 
 
 def is_isomorphism(f: Mor) -> bool:

@@ -37,7 +37,13 @@ from .exact import (
 )
 from .grothendieck import a_class
 from .matrix import Mat
-from .pmodule import ConstructibleModule, InterleavingPair, expected_phi_grid, segment_reps
+from .pmodule import (
+    ConstructibleModule,
+    InterleavingPair,
+    _segments,
+    expected_phi_grid,
+    segment_reps,
+)
 
 
 class FiltrationError(ValueError):
@@ -504,9 +510,11 @@ def interleaving_from_perturbation(H: PersistentHomology, H2: PersistentHomology
 
     def family(src: PersistentHomology, tgt: PersistentHomology):
         grid = expected_phi_grid(src.module, tgt.module, eps)
+        reps = segment_reps(grid)
         mors, cleared = [], {}  # each source chain is cleared against tgt's table once
-        for r in segment_reps(grid):
-            a, b = src.stage_at(r), tgt.stage_at(r + eps)
+        for i, j in zip(_segments(src.module.values, reps),
+                        _segments(tgt.module.values, [r + eps for r in reps])):
+            a, b = src.stages[i], tgt.stages[j]
             mors.append(make_mor(a.obj, b.obj, _induced_payload(a, b, cleared)))
         return grid, tuple(mors)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .categories import (
     Category,
@@ -73,9 +74,9 @@ def composite_mor(F: ConstructibleModule, a: int, b: int) -> Mor:
     """Composite of connecting morphisms from segment a to segment b."""
     if not 0 <= a <= b <= F.n:
         raise ModuleError(f"bad segment pair ({a}, {b})")
-    m = identity_mor(F.objects[a])
-    for i in range(a + 1, b + 1):
-        m = compose(F.morphisms[i - 1], m)
+    m = identity_mor(F.objects[a]) if a == b else F.morphisms[a]
+    for i in range(a + 1, b):
+        m = compose(F.morphisms[i], m)
     return m
 
 
@@ -211,7 +212,7 @@ def _one_direction(A, B, there, back, a0, a2, b1, t0, k1) -> bool:
     of B at r + eps, t0 the entry of there at r and k1 that of back at
     r + eps.  Each list steps by at most one between consecutive reps.
     A(a0 -> a2) is one running composite, extended as a2 advances and
-    rebuilt when a0 does.
+    rebuilt by composite_mor, with no identity factor, when a0 does.
     """
     run, ra, rc, last = None, -1, -1, None
     for k in range(len(t0)):
@@ -230,7 +231,7 @@ def _one_direction(A, B, there, back, a0, a2, b1, t0, k1) -> bool:
             continue
         last = key
         if a0[k] != ra:
-            run, ra, rc = identity_mor(A.objects[a0[k]]), a0[k], a0[k]
+            run, ra, rc = composite_mor(A, a0[k], a2[k]), a0[k], a2[k]
         while rc < a2[k]:
             run = compose(A.morphisms[rc], run)
             rc += 1
@@ -247,37 +248,44 @@ def check_interleaving(F: ConstructibleModule, G: ConstructibleModule,
     expected merged grids or its morphisms do not match the evaluations
     of F and G; returns False when the interleaving identities fail.
 
-    One sweep over the reps, one per segment of the grid of all s,
-    s - eps and s - 2 eps for s critical in F or G: r, r + eps and
-    r + 2 eps are mapped once, by merge walks, to segment indices of F,
-    G and both pair grids, and every check reads only those indices.
+    One integer event sweep: the values of F and G and eps are scaled
+    once by their common denominator D.  Each rep r (one per segment of
+    the grid of all s, s - eps and s - 2 eps for s critical in F or G),
+    r + eps and r + 2 eps are mapped once, by merge walks over ints, to
+    segment indices of F, G and both pair grids, and every check reads
+    only those indices.  Fractions are built only for the expected pair
+    grids and for error messages.
     """
     eps = pair.eps
     if eps < 0:
         raise InterleavingGridError("negative interleaving parameter")
-    if pair.phi_grid != expected_phi_grid(F, G, eps):
+    D = lcm(*(v.denominator for v in F.values + G.values + (eps,)))
+    fv, gv, (e,) = ([v.numerator * (D // v.denominator) for v in xs]
+                    for xs in (F.values, G.values, (eps,)))
+    phi_grid, psi_grid = sorted({*fv, *(v - e for v in gv)}), sorted({*gv, *(v - e for v in fv)})
+    if pair.phi_grid != tuple(Fraction(v, D) for v in phi_grid):
         raise InterleavingGridError("phi is not given on the merged grid of F and shifted G")
-    if pair.psi_grid != expected_phi_grid(G, F, eps):
+    if pair.psi_grid != tuple(Fraction(v, D) for v in psi_grid):
         raise InterleavingGridError("psi is not given on the merged grid of G and shifted F")
     if len(pair.phi) != len(pair.phi_grid) + 1 or len(pair.psi) != len(pair.psi_grid) + 1:
         raise InterleavingGridError("one morphism per segment is required")
 
-    points = set()
-    for s in F.values + G.values:
-        points.update((s, s - eps, s - 2 * eps))
-    reps = segment_reps(tuple(sorted(points)))
-    up1 = [r + eps for r in reps]
-    up2 = [r + eps for r in up1]
-    f0, f1, f2 = (_segments(F.values, xs) for xs in (reps, up1, up2))
-    g0, g1, g2 = (_segments(G.values, xs) for xs in (reps, up1, up2))
-    p0, p1 = (_segments(pair.phi_grid, xs) for xs in (reps, up1))
-    q0, q1 = (_segments(pair.psi_grid, xs) for xs in (reps, up1))
+    points = sorted({p for s in fv + gv for p in (s, s - e, s - 2 * e)})
+    reps = [points[0] - D] + points if points else [0]
+    up1 = [r + e for r in reps]
+    up2 = [r + e for r in up1]
+    f0, f1, f2 = (_segments(fv, xs) for xs in (reps, up1, up2))
+    g0, g1, g2 = (_segments(gv, xs) for xs in (reps, up1, up2))
+    p0, p1 = (_segments(phi_grid, xs) for xs in (reps, up1))
+    q0, q1 = (_segments(psi_grid, xs) for xs in (reps, up1))
 
-    for k, r in enumerate(reps):
+    for k in range(len(reps)):
         phi, psi = pair.phi[p0[k]], pair.psi[q0[k]]
         if phi.src != F.objects[f0[k]] or phi.tgt != G.objects[g1[k]]:
+            r = Fraction(reps[k], D)
             raise InterleavingGridError(f"phi at {r} does not map F({r}) to G({r} + eps)")
         if psi.src != G.objects[g0[k]] or psi.tgt != F.objects[f1[k]]:
+            r = Fraction(reps[k], D)
             raise InterleavingGridError(f"psi at {r} does not map G({r}) to F({r} + eps)")
 
     return _one_direction(F, G, pair.phi, pair.psi, f0, f2, g1, p0, q1) and \

@@ -17,8 +17,8 @@ from gpd.categories import (
     Mor,
     ab,
     ab_relations,
-    compose,
     finset,
+    identity_mor,
     image_iso_class,
     iso_from_invariants,
     make_mor,
@@ -44,7 +44,6 @@ from gpd.pmodule import (
     InterleavingPair,
     composite_mor,
     dX_A,
-    evaluate,
     expected_phi_grid,
     segment_reps,
 )
@@ -802,6 +801,27 @@ def component_module(K) -> ConstructibleModule:
     return ConstructibleModule(cat, values, objs, mors)
 
 
+# --- Composition through the validating constructor ------------------------
+
+def compose_oracle(g: Mor, f: Mor) -> Mor:
+    """g after f by the dense product, validated and reduced by make_mor
+    like any payload given from outside."""
+    if f.tgt != g.src:
+        raise ValueError("composition mismatch")
+    if f.cat.kind == "finset":
+        return make_mor(f.src, g.tgt, tuple(g.payload[v] for v in f.payload))
+    return make_mor(f.src, g.tgt, dense_mul(g.payload, f.payload))
+
+
+def _evaluate_oracle(F: ConstructibleModule, p, q) -> Mor:
+    """F(p <= q), composed from the identity at p through compose_oracle."""
+    a, b = F.segment(p), F.segment(q)
+    m = identity_mor(F.objects[a])
+    for i in range(a, b):
+        m = compose_oracle(F.morphisms[i], m)
+    return m
+
+
 # --- The interleaving check, per rep by bisection ---------------------------
 
 def check_interleaving_oracle(F: ConstructibleModule, G: ConstructibleModule,
@@ -813,7 +833,8 @@ def check_interleaving_oracle(F: ConstructibleModule, G: ConstructibleModule,
     of F and G; returns False when the interleaving identities fail.
 
     Every morphism is looked up by bisection at its rep and every
-    evaluation of F or G composes from an identity.
+    evaluation of F or G composes from an identity, every composite
+    through `compose_oracle`.
     """
     eps = pair.eps
     if eps < 0:
@@ -844,16 +865,16 @@ def check_interleaving_oracle(F: ConstructibleModule, G: ConstructibleModule,
 
     for r1, r2 in zip(reps, reps[1:]):
         # naturality squares against the connecting morphisms
-        if compose(phi_at(r2), evaluate(F, r1, r2)) != \
-                compose(evaluate(G, r1 + eps, r2 + eps), phi_at(r1)):
+        if compose_oracle(phi_at(r2), _evaluate_oracle(F, r1, r2)) != \
+                compose_oracle(_evaluate_oracle(G, r1 + eps, r2 + eps), phi_at(r1)):
             return False
-        if compose(psi_at(r2), evaluate(G, r1, r2)) != \
-                compose(evaluate(F, r1 + eps, r2 + eps), psi_at(r1)):
+        if compose_oracle(psi_at(r2), _evaluate_oracle(G, r1, r2)) != \
+                compose_oracle(_evaluate_oracle(F, r1 + eps, r2 + eps), psi_at(r1)):
             return False
     for r in reps:
-        if compose(psi_at(r + eps), phi_at(r)) != evaluate(F, r, r + 2 * eps):
+        if compose_oracle(psi_at(r + eps), phi_at(r)) != _evaluate_oracle(F, r, r + 2 * eps):
             return False
-        if compose(phi_at(r + eps), psi_at(r)) != evaluate(G, r, r + 2 * eps):
+        if compose_oracle(phi_at(r + eps), psi_at(r)) != _evaluate_oracle(G, r, r + 2 * eps):
             return False
     return True
 

@@ -39,6 +39,7 @@ from generators import ALL_CATS, random_automorphism, random_mor, random_obj
 from oracles import (
     FiniteGroupTable,
     cyclic_decomposition_by_profile,
+    compose_oracle,
     image_iso_class_oracle,
     is_unimodular,
     rref_rank,
@@ -235,6 +236,31 @@ class TestGeneric:
             lhs = compose(direct_sum_mor(g, g2), direct_sum_mor(f, f2))
             rhs = direct_sum_mor(compose(g, f), compose(g2, f2))
             assert lhs == rhs
+
+
+def _raw_payload(m: Mor, rng) -> Mor:
+    """m built as Mor directly, the torsion rows of its payload moved off
+    their canonical residues by multiples of the invariant factors."""
+    rank, invs = m.tgt.data
+    rows = m.payload.to_lists()
+    for j, d in enumerate(invs):
+        rows[rank + j] = [v + d * rng.randint(-2, 3) for v in rows[rank + j]]
+    return Mor(m.src, m.tgt, Mat.from_rows(rows, ncols=m.payload.cols))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_CATS), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=2, max_size=2), st.integers(0, 2 ** 32))
+def test_compose_matches_the_validating_oracle(cat, zero, raw, seed):
+    # compose neither re-validates a composite nor multiplies through a
+    # zero object; make_mor of the dense product must agree exactly
+    rng = random.Random(seed)
+    a, b, c = (identity_obj(cat) if z else random_obj(cat, rng, max_size=3) for z in zero)
+    f, g = random_mor(a, b, rng), random_mor(b, c, rng)
+    assume(None not in (f, g))  # finset has no map into the empty set
+    if cat.kind in ("ab", "finab"):
+        f, g = (_raw_payload(m, rng) if r else m for m, r in zip((f, g), raw))
+    assert compose(g, f) == compose_oracle(g, f)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpd import categories
 from gpd.categories import Mor, compose, identity_mor, identity_obj, make_mor, make_obj, vect
 from gpd.diagram import cumulative_at, type_A_diagram
 from gpd.exact import QQ
@@ -364,3 +365,39 @@ def test_mutated_pairs_reach_every_outcome():
         pair = _MUTATIONS[seed % len(_MUTATIONS)](pair, rng)
         seen.add(kind(_outcome(check_interleaving, F, G, pair)))
     assert seen == {True, False, "negative", "merged grid", "one morphism", "does not map"}
+
+
+@pytest.mark.parametrize("family", ["phi", "psi"])
+def test_grid_error_names_the_rep_below_the_grid(family):
+    # the sweep runs on the grid scaled to ints, but the rep before the
+    # first point is that point minus 1, printed as a Fraction
+    F, G, pair = _bundled_pair("torus.flt", "Z", Fr(1, 8), 1)
+    mors = getattr(pair, family)
+    bad = next(m for m in reversed(mors) if m.src != mors[0].src)
+    pair = _set(pair, family, 0, bad)
+    out = _outcome(check_interleaving, F, G, pair)
+    assert out == _outcome(check_interleaving_oracle, F, G, pair)
+    points = {p for s in F.values + G.values for p in (s, s - pair.eps, s - 2 * pair.eps)}
+    r = min(points) - 1
+    assert r.denominator > 1 and out.startswith(f"InterleavingGridError: {family} at {r} ")
+
+
+def test_check_interleaving_work_follows_the_nonzero_maps(monkeypatch):
+    # ten perturbations each of the bundled torus and Klein bottle over Z:
+    # composites through a zero object multiply nothing, no running
+    # composite starts from an identity product, and no composite is
+    # re-validated by make_mor
+    pairs = [_bundled_pair(name, "Z", Fr(1, 8), seed)
+             for name in ("torus.flt", "klein_bottle.flt") for seed in range(1, 11)]
+    calls = {"mul": 0, "make_mor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Mat, "mul", counted("mul", Mat.mul))
+    monkeypatch.setattr(categories, "make_mor", counted("make_mor", categories.make_mor))
+    assert all(check_interleaving(F, G, pair) for F, G, pair in pairs)
+    assert calls["mul"] <= 1300 and calls["make_mor"] == 0
