@@ -19,7 +19,6 @@ from math import prod
 from .exact import (
     QQ,
     LatticeQuotient,
-    PrimeField,
     _columns,
     column_space_basis,
     field_rank,
@@ -313,9 +312,6 @@ class IsoClass:
     def mult(self) -> dict:
         return dict(self.items)
 
-    def total(self) -> int:
-        return sum(c for _, c in self.items)
-
     def __repr__(self):
         return f"IsoClass({dict(self.items)!r})"
 
@@ -459,49 +455,3 @@ def direct_sum_obj(a: Obj, b: Obj) -> Obj:
     for i in range(m):
         rows.append(tuple(F.zero for _ in range(n)) + tuple(B[i, j] for j in range(m)))
     return Obj(cat, Mat.from_rows(rows, ncols=n + m))
-
-
-def _ab_sum_presentation(a: Obj, b: Obj) -> LatticeQuotient:
-    """Presentation of a (+) b on the concatenated generators of a and b."""
-    ga, gb = obj_ngens(a), obj_ngens(b)
-    Ra, Rb = ab_relations(a), ab_relations(b)
-    top = Ra.hstack(Mat.zero(ga, Rb.cols))
-    bot = Mat.zero(gb, Ra.cols).hstack(Rb)
-    return LatticeQuotient(Mat.identity(ga + gb), top.vstack(bot))
-
-
-def direct_sum_mor(f: Mor, g: Mor) -> Mor:
-    """Block direct sum with sources and targets in canonical form."""
-    cat = f.cat
-    if cat != g.cat:
-        raise CategoryError("direct sum across categories")
-    src = direct_sum_obj(f.src, g.src)
-    tgt = direct_sum_obj(f.tgt, g.tgt)
-    if cat.kind == FINSET:
-        table = f.payload + tuple(v + f.tgt.data for v in g.payload)
-        return make_mor(src, tgt, table)
-    if cat.kind in (VECT, REPN):
-        F = cat.field
-        r1, c1 = f.payload.rows, f.payload.cols
-        r2, c2 = g.payload.rows, g.payload.cols
-        rows = []
-        for i in range(r1):
-            rows.append(tuple(f.payload[i, j] for j in range(c1))
-                        + tuple(F.zero for _ in range(c2)))
-        for i in range(r2):
-            rows.append(tuple(F.zero for _ in range(c1))
-                        + tuple(g.payload[i, j] for j in range(c2)))
-        return make_mor(src, tgt, Mat.from_rows(rows, ncols=c1 + c2))
-    # abelian groups: translate the block map through canonical coordinates
-    qs = _ab_sum_presentation(f.src, g.src)
-    qt = _ab_sum_presentation(f.tgt, g.tgt)
-    ga, gb = obj_ngens(f.src), obj_ngens(g.src)
-    block_cols = []
-    for col in qs.generator_reps().columns():
-        xa = col[:ga]
-        xb = col[ga:]
-        ya = [sum(f.payload[i, k] * xa[k] for k in range(ga)) for i in range(obj_ngens(f.tgt))]
-        yb = [sum(g.payload[i, k] * xb[k] for k in range(gb)) for i in range(obj_ngens(g.tgt))]
-        block_cols.append(qt.coords(tuple(ya) + tuple(yb)))
-    payload = Mat.from_cols(block_cols, nrows=qt.ngens)
-    return make_mor(src, tgt, payload)

@@ -609,10 +609,6 @@ class LatticeQuotient:
     def iso(self) -> tuple[int, list[int]]:
         return self.free_rank, list(self.torsion_orders)
 
-    @property
-    def ngens(self) -> int:
-        return self.free_rank + len(self.torsion_rows)
-
     def coords(self, x) -> list[int]:
         """Coordinates of an ambient vector x of L in the canonical generators."""
         columns = self._U_columns

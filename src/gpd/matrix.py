@@ -84,11 +84,6 @@ class Mat:
         return Mat(self.rows, self.cols + other.cols,
                    tuple(self.data[i] + other.data[i] for i in range(self.rows)))
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Mat(self.rows + other.rows, self.cols, self.data + other.data)
-
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         return Mat(self.rows, len(idx),

@@ -3,8 +3,9 @@
 A module is stored discretely: strictly increasing rational critical
 values s_1 < ... < s_n, one object per segment (the object before s_1 is
 always the monoidal identity), and one connecting morphism per critical
-value.  Evaluation at real parameters composes connecting morphisms, so
-the within-segment isomorphism requirement holds by construction.
+value.  The morphism F(p <= q) is `composite_mor` between the segments
+of p and q, so the within-segment isomorphism requirement holds by
+construction.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .categories import (
     Mor,
     Obj,
     compose,
-    direct_sum_mor,
-    direct_sum_obj,
     identity_mor,
     identity_obj,
     image_iso_class,
@@ -78,41 +77,6 @@ def composite_mor(F: ConstructibleModule, a: int, b: int) -> Mor:
     for i in range(a + 1, b):
         m = compose(F.morphisms[i], m)
     return m
-
-
-def evaluate(F: ConstructibleModule, p, q) -> Mor:
-    """The morphism F(p <= q)."""
-    if p > q:
-        raise ModuleError("evaluate needs p <= q")
-    return composite_mor(F, F.segment(p), F.segment(q))
-
-
-def common_refinement(F: ConstructibleModule, G: ConstructibleModule):
-    """Both modules re-gridded on the union of their critical sets."""
-    if F.cat != G.cat:
-        raise ModuleError("refinement across categories")
-    merged = tuple(sorted(set(F.values) | set(G.values)))
-    return _regrid(F, merged), _regrid(G, merged)
-
-
-def _regrid(F: ConstructibleModule, values: tuple) -> ConstructibleModule:
-    if not set(F.values) <= set(values):
-        raise ModuleError("refinement grid must contain the original critical values")
-    objs = [identity_obj(F.cat)]
-    mors = []
-    prev = None
-    for t in values:
-        objs.append(F.object_at(t))
-        mors.append(evaluate(F, prev if prev is not None else t - 1, t))
-        prev = t
-    return ConstructibleModule(F.cat, values, tuple(objs), tuple(mors))
-
-
-def module_direct_sum(F: ConstructibleModule, G: ConstructibleModule) -> ConstructibleModule:
-    F, G = common_refinement(F, G)
-    objs = tuple(direct_sum_obj(a, b) for a, b in zip(F.objects, G.objects))
-    mors = tuple(direct_sum_mor(f, g) for f, g in zip(F.morphisms, G.morphisms))
-    return ConstructibleModule(F.cat, F.values, objs, mors)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import log10
 from .categories import ab, finab, finset, repn, vect
 from .diagram import DiagramGrid
 from .exact import MAX_EXPONENT, MAX_MODULUS, QQ, PrimeField, RationalField, parse_rational
-from .grothendieck import GroupElem, _make_elem
+from .grothendieck import GroupElem, NoBGroupError, _make_elem
 
 
 class SerializeError(ValueError):
@@ -60,7 +60,13 @@ def _cat_from_json(d: dict):
 
 
 def _scalar_from_str(s: str, field):
-    return parse_rational(s) if isinstance(field, RationalField) else int(s)
+    """A field element: a rational over Q, a residue 0 <= x < p over F_p."""
+    if isinstance(field, RationalField):
+        return parse_rational(s)
+    x = int(s)
+    if not 0 <= x < field.p:
+        raise SerializeError(f"{s[:40]!r} is not a residue mod {field.p}")
+    return x
 
 
 def _label_key_str(group: str, cat, key) -> str:
@@ -78,28 +84,47 @@ def _label_key_str(group: str, cat, key) -> str:
 
 
 def _label_key_parse(group: str, cat, tok: str):
+    """The basis key that `tok` names in the group of (group, cat):
+    A has pt (finset), line (vect), Z and t:p:m (ab), t:p:m (finab) and
+    j:lam:m (repn); B has dim (vect), rank (ab), p:<p> (finab) and
+    ev:lam (repn).  Any other token raises SerializeError."""
+    kind = cat.kind
+    head, _, rest = tok.partition(":")
     if group == "A":
-        if tok in ("pt", "line", "Z"):
+        if tok == {"finset": "pt", "vect": "line", "ab": "Z"}.get(kind):
             return tok
-        head, a, b = tok.split(":")
-        if head == "t":  # Z/p**m, which TSV and SVG print in full
+        if head == "t" and kind in ("ab", "finab"):  # Z/p**m, which TSV and SVG print in full
+            a, b = rest.split(":")
             p, m = int(a), int(b)
             if not (2 <= p <= MAX_MODULUS and m >= 1 and m * log10(p) <= MAX_EXPONENT + 1
                     and p ** m < 10 ** MAX_EXPONENT):
                 raise SerializeError(f"label {tok[:40]!r} needs 2 <= p <= {MAX_MODULUS}, "
                                      f"m >= 1 and p**m of at most {MAX_EXPONENT} digits")
             return ("t", p, m)
-        if head == "j":
-            return ("j", _scalar_from_str(a, cat.field), int(b))
+        if head == "j" and kind == "repn":
+            a, b = rest.split(":")
+            lam, m = _scalar_from_str(a, cat.field), int(b)
+            if m < 1:
+                raise SerializeError(f"label {tok[:40]!r} needs a block size m >= 1")
+            return ("j", lam, m)
     else:
-        if tok in ("dim", "rank"):
+        if tok == {"vect": "dim", "ab": "rank"}.get(kind):
             return tok
-        head, _, rest = tok.partition(":")
-        if head == "p":
-            return int(rest)
-        if head == "ev":
+        if head == "p" and kind == "finab":
+            p = int(rest)
+            if not 2 <= p <= MAX_MODULUS:
+                raise SerializeError(f"label {tok[:40]!r} needs 2 <= p <= {MAX_MODULUS}")
+            return p
+        if head == "ev" and kind == "repn":
             return _scalar_from_str(rest, cat.field)
-    raise SerializeError(f"bad label key {tok!r}")
+    raise SerializeError(f"label key {tok[:40]!r} is not a basis key of {group}({kind})")
+
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float, string or boolean raises."""
+    if type(x) is not int:
+        raise SerializeError(f"{what} must be an integer, got {repr(x)[:40]}")
+    return x
 
 
 def diagram_to_json(d: DiagramGrid) -> str:
@@ -124,14 +149,24 @@ def diagram_from_json(text: str) -> DiagramGrid:
         if group not in ("A", "B"):
             raise SerializeError(f"unknown group tag {group!r}")
         cat = _cat_from_json(doc["group"])
+        if group == "B" and not cat.abelian:
+            raise NoBGroupError("finite sets have no exact-sequence Grothendieck group")
         role = doc["group"].get("role", "diagram")
         grid = tuple(parse_rational(t) for t in doc["grid"])
         n = len(grid)
         cells = {}
         for c in doc["cells"]:
-            j = n + 1 if c["j_or_inf"] == "inf" else int(c["j_or_inf"])
-            coeffs = {_label_key_parse(group, cat, k): int(v) for k, v in c["label"].items()}
-            cells[(int(c["i"]), j)] = _make_elem(group, cat, coeffs)
+            i = _json_int(c["i"], "i")
+            j = n + 1 if c["j_or_inf"] == "inf" else _json_int(c["j_or_inf"], "j_or_inf")
+            coeffs = {}
+            for tok, v in c["label"].items():
+                key = _label_key_parse(group, cat, tok)
+                if key in coeffs:
+                    raise SerializeError(f"label of cell ({i}, {j}) names {tok[:40]!r} twice")
+                coeffs[key] = _json_int(v, "a multiplicity")
+            if (i, j) in cells:
+                raise SerializeError(f"cell ({i}, {j}) is listed twice")
+            cells[(i, j)] = _make_elem(group, cat, coeffs)
         return DiagramGrid.make(group, cat, grid, cells, role=role)
     except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError,
             RecursionError) as exc:

@@ -13,8 +13,6 @@ from gpd.categories import (
     Mor,
     Obj,
     ab,
-    direct_sum_mor,
-    direct_sum_obj,
     finab,
     finset,
     identity_mor,
@@ -232,32 +230,26 @@ def random_interval_sum_module(field, rng: random.Random, nvals: int = 4, nints:
     Returns (module, bars) where bars is a dict (i, j) -> multiplicity on
     the 1-based grid, j = nvals + 1 meaning infinity.
     """
-    from gpd.pmodule import ConstructibleModule, module_direct_sum
+    from gpd.pmodule import ConstructibleModule
 
     cat = vect(field)
     values = tuple(Fraction(v) for v in sorted(rng.sample(range(0, 10), nvals)))
     bars: dict = {}
-    modules = []
+    draws = []
     for _ in range(nints):
         i = rng.randint(1, nvals)
         j = rng.randint(i + 1, nvals + 1)
         bars[(i, j)] = bars.get((i, j), 0) + 1
-        objs = [make_obj(cat, 0)]
-        mors = []
-        for k in range(1, nvals + 1):
-            dim = 1 if i <= k < j else 0
-            objs.append(make_obj(cat, dim))
-            prev = objs[-2].data
-            payload = Mat.from_rows([[field.one] * prev for _ in range(dim)], ncols=prev) \
-                if dim and prev else Mat.zero(dim, prev, zero=field.zero)
-            mors.append(make_mor(objs[-2], objs[-1], payload))
-        modules.append(ConstructibleModule(cat, values, tuple(objs), tuple(mors)))
-    total = modules[0]
-    for m in modules[1:]:
-        total = module_direct_sum(total, m)
+        draws.append((i, j))
+    # segment k has one line per interval alive there, in draw order; the
+    # connecting maps carry each line that lives on to itself
+    alive = [[b for b, (i, j) in enumerate(draws) if i <= k < j] for k in range(nvals + 1)]
+    objs = [make_obj(cat, len(a)) for a in alive]
+    mors = [make_mor(objs[k - 1], objs[k],
+                     Mat.from_rows([[field.one if r == c else field.zero for c in alive[k - 1]]
+                                    for r in alive[k]], ncols=len(alive[k - 1])))
+            for k in range(1, nvals + 1)]
     # conjugate each stage by a random invertible matrix
-    objs = list(total.objects)
-    mors = list(total.morphisms)
     changes = [Mat.identity(objs[0].data, one=field.one, zero=field.zero)]
     for i in range(1, len(objs)):
         changes.append(random_invertible(field, objs[i].data, rng))
@@ -267,7 +259,7 @@ def random_interval_sum_module(field, rng: random.Random, nvals: int = 4, nints:
         Pprev_inv = field_solve(field, changes[i - 1],
                                 Mat.identity(objs[i - 1].data, one=field.one, zero=field.zero))
         new_mors.append(make_mor(objs[i - 1], objs[i], (Pi @ m.payload @ Pprev_inv).map(field.coerce)))
-    return ConstructibleModule(cat, total.values, tuple(objs), tuple(new_mors)), bars
+    return ConstructibleModule(cat, values, tuple(objs), tuple(new_mors)), bars
 
 
 def rips_filtration(dist: list, max_dim: int = 2) -> FilteredComplex:

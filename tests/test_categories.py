@@ -15,7 +15,6 @@ from gpd.categories import (
     Mor,
     ab,
     compose,
-    direct_sum_mor,
     direct_sum_obj,
     finab,
     finset,
@@ -223,19 +222,6 @@ class TestGeneric:
             b = random_obj(cat, rng)
             s = direct_sum_obj(a, b)
             assert iso_class(s).mult() == iso_union(iso_class(a), iso_class(b)).mult()
-
-    @pytest.mark.parametrize("cat", [c for c in ALL_CATS if c.kind != "finset"],
-                             ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
-    def test_direct_sum_of_morphisms_composes_blockwise(self, cat):
-        rng = random.Random(17)
-        for _ in range(8):
-            a, b, c_ = (random_obj(cat, rng) for _ in range(3))
-            f, g = random_mor(a, b, rng), random_mor(b, c_, rng)
-            a2, b2, c2 = (random_obj(cat, rng) for _ in range(3))
-            f2, g2 = random_mor(a2, b2, rng), random_mor(b2, c2, rng)
-            lhs = compose(direct_sum_mor(g, g2), direct_sum_mor(f, f2))
-            rhs = direct_sum_mor(compose(g, f), compose(g2, f2))
-            assert lhs == rhs
 
 
 def _raw_payload(m: Mor, rng) -> Mor:

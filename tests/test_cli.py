@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gpd import cli, metrics
 from gpd.cli import main
 from gpd.diagram import DiagramGrid
+from gpd.grothendieck import NoBGroupError
 from gpd.homology import interleaving_from_perturbation
 from gpd.serialize import SerializeError, diagram_from_json
 
@@ -322,6 +323,76 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--input", str(dest), "--format", "json")
         assert code == 0 and out == dest.read_text()
 
+    @pytest.mark.parametrize("tag, category, field, accepted, refused", [
+        ("A", "finset", None, "pt", ["line", "Z", "dim"]),
+        ("A", "vect", "Q", "line", ["Z", "pt", "t:2:1", "dim"]),
+        ("A", "ab", None, "Z", ["line", "rank", "j:1:1", "p:2"]),
+        ("A", "finab", None, "t:3:2", ["Z", "p:3"]),
+        ("A", "repn", "Q", "j:1/2:3", ["j:0:-3", "j:1:0", "line", "ev:1"]),
+        ("A", "repn", "F3", "j:2:1", ["j:3:1", "j:-1:1", "j:1/2:1"]),
+        ("B", "vect", "F2", "dim", ["rank", "line", "ev:0"]),
+        ("B", "ab", None, "rank", ["p:3", "dim", "Z"]),
+        ("B", "finab", None, "p:3", ["p:-5", "p:1", "p:2147483649", "ev:3", "rank"]),
+        ("B", "repn", "Q", "ev:-1/2", ["dim", "p:2", "j:1:1"]),
+        ("B", "repn", "F5", "ev:4", ["ev:5", "ev:-1"]),
+    ])
+    def test_label_keys_of_the_group_only(self, capsys, tmp_path, tag, category, field,
+                                          accepted, refused):
+        """A label key is a basis key of the file's group and category;
+        any other key exits 2, even one of another category."""
+        src = tmp_path / "keys.json"
+        for key in [accepted, *refused]:
+            doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {key: 1}}],
+                   "group": {"tag": tag, "category": category, "field": field,
+                             "role": "diagram"}}
+            src.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "convert", "--input", str(src))
+            if key == accepted:
+                assert code == 0 and json.loads(out)["cells"][0]["label"] == {key: 1}
+            else:
+                assert (code, out) == (2, ""), key
+                assert err.startswith("error: bad diagram file"), key
+
+    def test_type_B_finset_file_unsupported(self, capsys, tmp_path):
+        src = tmp_path / "finset.json"
+        src.write_text(json.dumps({"grid": ["0"], "cells": [],
+                                   "group": {"tag": "B", "category": "finset"}}))
+        for argv in (["convert", "--input", str(src)], ["erosion", str(src), str(src)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "") and "finite sets" in err
+
+    @pytest.mark.parametrize("cell", [
+        {"i": 1.9, "j_or_inf": 2, "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": 2.5, "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": 2, "label": {"dim": 2.9}},
+        {"i": True, "j_or_inf": 2, "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": True, "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": 2, "label": {"dim": True}},
+        {"i": "1", "j_or_inf": 2, "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": "2", "label": {"dim": 1}},
+        {"i": 1, "j_or_inf": 2, "label": {"dim": "1"}},
+    ])
+    def test_cell_numbers_are_json_integers(self, capsys, tmp_path, cell):
+        src = tmp_path / "cell.json"
+        src.write_text(json.dumps({"grid": ["0", "1"], "cells": [cell],
+                                   "group": {"tag": "B", "category": "vect", "field": "Q"}}))
+        code, out, err = run(capsys, "convert", "--input", str(src))
+        assert (code, out) == (2, "") and err.startswith("error: bad diagram file")
+
+    @pytest.mark.parametrize("category, cells", [
+        ("vect", [{"i": 1, "j_or_inf": "inf", "label": {"dim": 1}},
+                  {"i": 1, "j_or_inf": "inf", "label": {"dim": 5}}]),
+        ("repn", [{"i": 1, "j_or_inf": "inf", "label": {"ev:1/2": 1, "ev:2/4": 1}}]),
+    ], ids=["cell", "label-key"])
+    def test_repeated_cell_or_label_key_exit_2(self, capsys, tmp_path, category, cells):
+        """A cell listed twice, or one basis key named twice in a label,
+        would silently replace the first."""
+        src = tmp_path / "twice.json"
+        src.write_text(json.dumps({"grid": ["0"], "cells": cells,
+                                   "group": {"tag": "B", "category": category, "field": "Q"}}))
+        code, out, err = run(capsys, "convert", "--input", str(src))
+        assert (code, out) == (2, "") and err.startswith("error: bad diagram file")
+
 
 _KEYS = ["grid", "cells", "group", "tag", "category", "field", "role", "i", "j_or_inf", "label"]
 _TOKENS = ["A", "B", "ab", "finab", "vect", "repn", "finset", "Q", "F2", "F4", "inf", "0", "1/2",
@@ -367,6 +438,10 @@ def test_diagram_from_json_raises_only_serialize_errors(text):
     try:
         d = diagram_from_json(text)
     except SerializeError:
+        return
+    except NoBGroupError:  # a type B file of finite sets: exit 3, not a parse error
+        group = json.loads(text)["group"]
+        assert (group["tag"], group["category"]) == ("B", "finset")
         return
     assert isinstance(d, DiagramGrid)
 

@@ -26,9 +26,16 @@ from gpd.diagram import (
 )
 from gpd.exact import QQ, PrimeField
 from gpd.grothendieck import GroupElem, NoBGroupError, _make_elem, add, zero_elem
-from gpd.homology import parse_filtration, persistent_module, perturb
+from gpd.homology import (
+    filtration_type_A,
+    make_complex,
+    parse_filtration,
+    persistent_homology,
+    persistent_module,
+    perturb,
+)
 from gpd.matrix import Mat
-from gpd.pmodule import ConstructibleModule, dX_A, module_direct_sum
+from gpd.pmodule import ConstructibleModule, dX_A
 
 from generators import ALL_CATS, random_interval_sum_module, random_module, splice_steps
 from oracles import (
@@ -228,29 +235,41 @@ def test_diagram_matches_quadrant_count_oracle():
         assert got == expected
 
 
-def diagram_add(d1: DiagramGrid, d2: DiagramGrid) -> DiagramGrid:
-    if (d1.group, d1.cat, d1.grid, d1.role) != (d2.group, d2.cat, d2.grid, d2.role):
-        raise DiagramError("diagrams live on different grids or groups")
-    cells = d1.as_dict()
-    for key, val in d2.cells:
-        cells[key] = add(cells[key], val) if key in cells else val
-    return DiagramGrid.make(d1.group, d1.cat, d1.grid, cells, role=d1.role)
+def diagram_sum(parts, grid) -> DiagramGrid:
+    """The cellwise sum of diagrams in one group, each re-indexed on
+    `grid`, which holds all of their grids."""
+    n, index = len(grid), {v: k for k, v in enumerate(grid, start=1)}
+    cells = {}
+    for d in parts:
+        for (i, j), val in d.cells:
+            key = (index[d.grid[i - 1]], n + 1 if j == d.n + 1 else index[d.grid[j - 1]])
+            cells[key] = add(cells[key], val) if key in cells else val
+    return DiagramGrid.make(d.group, d.cat, grid, cells, role=d.role)
 
 
-def test_diagram_additive_under_direct_sum():
-    rng = random.Random(53)
-    for cat in [vect(QQ), finab(), ab(), repn(QQ)]:
-        for _ in range(5):
-            # share the grid so the diagrams are directly comparable
-            F = random_module(cat, rng, max_values=3)
-            G = random_module(cat, rng, max_values=3)
-            S = module_direct_sum(F, G)
-            from gpd.pmodule import common_refinement
-            Fr_, Gr_ = common_refinement(F, G)
-            assert type_A_diagram(S).cells == \
-                diagram_add(type_A_diagram(Fr_), type_A_diagram(Gr_)).cells
-            assert type_B_diagram(S).cells == \
-                diagram_add(type_B_diagram(Fr_), type_B_diagram(Gr_)).cells
+def disjoint_union(K, L):
+    """K and L side by side, L's vertices numbered after K's."""
+    shift = len(K.simplices_of_dim(0))
+    return make_complex([*zip(K.simplices, K.values),
+                         *((tuple(v + shift for v in s), x) for s, x in zip(L.simplices, L.values))])
+
+
+def test_diagram_additive_under_disjoint_union():
+    """H_k(K + L) = H_k(K) (+) H_k(L) at every stage, and the maps are
+    the sums too, so every diagram of the union is the sum of those of
+    the parts on the merged grid: type A from image classes and from
+    `filtration_type_A`, and type B."""
+    K, L = (perturb(parse_filtration((DATA / name).read_text()), Fr(1, 4), seed=5)
+            for name in ("torus.flt", "klein_bottle.flt"))
+    U = disjoint_union(K, L)
+    for coeffs in ["Z", "Q", "Fp:2", "Zm:4"]:
+        for k in range(3):
+            H = persistent_homology(U, k, coeffs)
+            parts = [filtration_type_A(persistent_homology(X, k, coeffs)) for X in (K, L)]
+            YA = type_A_diagram(H.module)
+            assert YA == filtration_type_A(H) == diagram_sum(parts, U.critical_values)
+            assert type_B_from_A(YA) == \
+                diagram_sum([type_B_from_A(Y) for Y in parts], U.critical_values)
 
 
 def test_cumulative_at_snaps_rational_endpoints():

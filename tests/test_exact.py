@@ -229,8 +229,9 @@ class TestQuotientInvariants:
         assert q.generator_reps() == o.generator_reps()
         for x in members(3).columns():
             assert q.coords(x) == o.coords(x)
-        assert [q.coords(g) for g in q.generator_reps().columns()] == \
-            [[int(i == j) for j in range(q.ngens)] for i in range(q.ngens)]
+        reps = q.generator_reps()
+        assert [q.coords(g) for g in reps.columns()] == \
+            [[int(i == j) for j in range(reps.cols)] for i in range(reps.cols)]
         # a random column, often outside L, among the generators of B
         cols = B.columns()
         cols.insert(rng.randint(0, len(cols)), [rng.randint(-3, 3) for _ in range(L.rows)])

@@ -33,7 +33,7 @@ from gpd.homology import (
 )
 from gpd.homology import facets
 from gpd.matrix import Mat
-from gpd.pmodule import check_interleaving, composite_mor, evaluate, segment_reps
+from gpd.pmodule import check_interleaving, composite_mor, segment_reps
 
 from oracles import (
     assert_snf_sides_match_oracle,
@@ -256,7 +256,7 @@ class TestHomology:
             K = parse_filtration((DATA / name).read_text())
             for coeffs in ["Z", "Q", "Zm:4", "Fp:2"]:
                 F = persistent_module(K, 1, coeffs)
-                two_step = evaluate(F, F.values[0], F.values[2])
+                two_step = composite_mor(F, 1, 3)
                 H = persistent_homology(K, 1, coeffs)
                 direct = _induced_payload(_Stage(H, F.values[0]), _Stage(H, F.values[2]))
                 assert two_step.payload == direct

@@ -1,4 +1,4 @@
-"""Constructible modules: evaluation, refinement, sums, interleavings."""
+"""Constructible modules: segments, image classes, interleavings."""
 
 import random
 from dataclasses import replace
@@ -27,12 +27,9 @@ from gpd.pmodule import (
     InterleavingPair,
     ModuleError,
     check_interleaving,
-    common_refinement,
     composite_mor,
     dX_A,
-    evaluate,
     expected_phi_grid,
-    module_direct_sum,
     segment_reps,
 )
 
@@ -86,12 +83,16 @@ def test_validation_rejects_bad_data():
         ConstructibleModule(cat, (1.0,), (e, v), (m,))
 
 
+def morphism_at(F: ConstructibleModule, p, q) -> Mor:
+    return composite_mor(F, F.segment(p), F.segment(q))
+
+
 def test_evaluate_snaps_to_segments():
     F = interval_module(QQ, [0, 1, 2], 1, 3)  # alive on [0, 2)
-    assert evaluate(F, Fr(0), Fr(3, 2)).payload == Mat.from_rows([[Fr(1)]], ncols=1)
-    assert evaluate(F, Fr(0), Fr(2)).tgt.data == 0
-    assert evaluate(F, Fr(-1), Fr(0)).src.data == 0
-    assert evaluate(F, Fr(1, 2), Fr(1, 2)) == identity_mor(F.object_at(Fr(1, 2)))
+    assert morphism_at(F, Fr(0), Fr(3, 2)).payload == Mat.from_rows([[Fr(1)]], ncols=1)
+    assert morphism_at(F, Fr(0), Fr(2)).tgt.data == 0
+    assert morphism_at(F, Fr(-1), Fr(0)).src.data == 0
+    assert morphism_at(F, Fr(1, 2), Fr(1, 2)) == identity_mor(F.object_at(Fr(1, 2)))
 
 
 def test_shift_moves_critical_values():
@@ -99,30 +100,6 @@ def test_shift_moves_critical_values():
     G = shift(F, Fr(1, 2))
     assert G.values == (Fr(-1, 2), Fr(3, 2))
     assert G.object_at(Fr(-1, 2)).data == F.object_at(Fr(0)).data == 1
-
-
-@pytest.mark.parametrize("cat", ALL_CATS, ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
-def test_refinement_preserves_evaluation(cat):
-    rng = random.Random(23)
-    for _ in range(6):
-        F = random_module(cat, rng)
-        G = random_module(cat, rng)
-        Fr_, Gr_ = common_refinement(F, G)
-        assert Fr_.values == Gr_.values == tuple(sorted(set(F.values) | set(G.values)))
-        probes = set(Fr_.values) | {v - Fr(1, 2) for v in Fr_.values} | {Fr_.values[-1] + 1}
-        for p in sorted(probes):
-            for q in sorted(probes):
-                if p <= q:
-                    assert evaluate(F, p, q) == evaluate(Fr_, p, q)
-
-
-def test_direct_sum_of_intervals():
-    F = interval_module(QQ, [0, 1, 2], 1, 2)
-    G = interval_module(QQ, [0, 1, 2], 2, 4)
-    S = module_direct_sum(F, G)
-    assert [o.data for o in S.objects] == [0, 1, 1, 1]
-    # at s_1 only F lives; at s_2 only G; the connecting map kills F's line
-    assert S.morphisms[1].payload.is_zero()
 
 
 def test_dX_A_of_interval_module():
@@ -233,7 +210,7 @@ def test_interleaving_naturality_can_fail():
 def self_interleaving(F: ConstructibleModule, eps) -> InterleavingPair:
     """F eps-interleaved with itself by its own maps F(r <= r + eps)."""
     grid = expected_phi_grid(F, F, eps)
-    mors = tuple(evaluate(F, t, t + eps) for t in segment_reps(grid))
+    mors = tuple(composite_mor(F, F.segment(t), F.segment(t + eps)) for t in segment_reps(grid))
     return InterleavingPair(eps, grid, mors, grid, mors)
 
 

@@ -1,11 +1,13 @@
 """The bundled data files are what tools/generate_data.py writes, and the
 benchmark's tracer still runs the CLI."""
 
+import ast
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,59 @@ def test_tracer_runs_the_cli_unchanged(tmp_path, argv):
     if argv[0] == "erosion":
         extra = record["extra"]
         assert extra["metrics.candidates_total"] >= extra["metrics.candidates_evaluated"] > 0
+
+
+# Public names of src/gpd kept although nothing outside their own
+# definition refers to them, each with its reason.  A name that gains a
+# caller leaves this dict.
+UNCALLED_EXEMPT = {
+    "grothendieck.leq": "the translation invariant order of the group, kept with repn and "
+                        "sympy for ACCEPTANCE 9; the erosion sweep runs _leq_coeffs directly",
+}
+
+
+def _names(tree: ast.AST) -> Counter:
+    return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+
+
+def _imported(tree: ast.AST) -> set:
+    """(module, name) for each name imported from a gpd module, and each
+    attribute read off a gpd module imported whole (`from gpd import
+    categories`); a relative import is read inside the gpd package."""
+    refs, whole = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = "gpd" + (f".{node.module}" if node.module else "") if node.level else node.module
+            for alias in node.names:
+                if mod == "gpd":
+                    whole[alias.asname or alias.name] = alias.name
+                elif mod.startswith("gpd."):
+                    refs.add((mod[4:], alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in whole:
+            refs.add((whole[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level def or class of src/gpd is referred to
+    outside its own definition: in its own module, elsewhere in src/gpd,
+    in demos/, tools/ or the acceptance gate.  Read with ast, so a
+    docstring or comment that names a function does not count.  The
+    names without one are exactly those of UNCALLED_EXEMPT."""
+    src = ROOT / "src" / "gpd"
+    users = [*src.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text()) for path in users}
+    imported = set().union(*(_imported(tree) for tree in trees.values()))
+    uncalled = []
+    for path in sorted(src.glob("*.py")):
+        tree = trees[path]
+        names = _names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if names[node.name] == _names(node)[node.name] and \
+                        (path.stem, node.name) not in imported:
+                    uncalled.append(f"{path.stem}.{node.name}")
+    assert sorted(uncalled) == sorted(UNCALLED_EXEMPT)
