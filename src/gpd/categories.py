@@ -12,7 +12,6 @@ equality of morphisms is structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -26,7 +25,7 @@ from .exact import (
     field_solve,
     jordan_type,
 )
-from .matrix import Mat
+from .matrix import Mat, Value, _set
 
 FINSET = "finset"
 VECT = "vect"
@@ -39,8 +38,7 @@ class CategoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(Value):
     kind: str
     field: object = None  # QQ or PrimeField, for vect and repn
 
@@ -83,10 +81,20 @@ def repn(field=QQ) -> Category:
 # Objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(Value):
+    __slots__ = ("cat", "data")
+    __hash__ = Value.__hash__  # a class defining __eq__ alone is unhashable
     cat: Category
     data: object
+
+    def __init__(self, cat, data):
+        _set(self, "cat", cat)
+        _set(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not Obj:
+            return NotImplemented
+        return self.data == other.data and self.cat == other.cat
 
     def __repr__(self):
         return f"Obj({self.cat.kind}, {self.data!r})"
@@ -156,11 +164,22 @@ def ab_relations(a: Obj) -> Mat:
 # Morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(Value):
+    __slots__ = ("src", "tgt", "payload")
+    __hash__ = Value.__hash__  # a class defining __eq__ alone is unhashable
     src: Obj
     tgt: Obj
     payload: object
+
+    def __init__(self, src, tgt, payload):
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
+        _set(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mor:
+            return NotImplemented
+        return self.payload == other.payload and self.src == other.src and self.tgt == other.tgt
 
     @property
     def cat(self) -> Category:
@@ -297,8 +316,7 @@ def is_isomorphism(f: Mor) -> bool:
 # Isomorphism classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoClass:
+class IsoClass(Value):
     """Canonical multiset of indecomposable descriptors.
 
     Descriptors: 'pt' (singleton set), 'line' (1-dim space), 'Z'

@@ -11,35 +11,15 @@ file that cannot be read or written; 3 unsupported group/category
 combination; 4 any other exception, or an interleaving that `stability`
 built itself and that is not given on its grids, which is a bug in gpd
 and is reported without a traceback.
+
+Each subcommand, and the exit-code mapping in `main`, imports only the
+layers it runs: `erosion` and `convert` never load homology or pmodule.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-
-from .diagram import DiagramError, type_B_from_A
-from .exact import NonSplitError, parse_rational
-from .grothendieck import NoBGroupError
-from .homology import (
-    component_type_A,
-    filtration_type_A,
-    interleaving_from_perturbation,
-    parse_coeffs,
-    parse_filtration,
-    persistent_homology,
-    perturb,
-)
-from .metrics import eroded_leq, erosion_distance
-from .pmodule import InterleavingGridError, check_interleaving
-from .serialize import (
-    diagram_from_json,
-    diagram_to_json,
-    diagram_to_svg,
-    diagram_to_tsv,
-    rat_str,
-)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,45 +58,48 @@ def _write_out(text: str, out: str | None):
 
 
 def _emit(d, args):
-    emit = {"json": diagram_to_json, "svg": diagram_to_svg, "tsv": diagram_to_tsv}[args.format]
+    from . import serialize
+
+    emit = {"json": serialize.diagram_to_json, "svg": serialize.diagram_to_svg,
+            "tsv": serialize.diagram_to_tsv}[args.format]
     _write_out(emit(d), args.out)
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(EXIT_INPUT, f"bad rational {text!r}") from None
-
-
 def _type_A_from_config(args):
-    K = parse_filtration(_read(args.input))
+    from . import homology
+
+    K = homology.parse_filtration(_read(args.input))
     if args.category == "finset":
-        return component_type_A(K)
+        return homology.component_type_A(K)
     if args.category == "repn":
         raise CliError(EXIT_UNSUPPORTED,
                        "the endomorphism category does not arise from a filtration")
-    cat = parse_coeffs(args.coeff)[2]
+    cat = homology.parse_coeffs(args.coeff)[2]
     if args.category not in (None, cat.kind):
         raise CliError(EXIT_INPUT,
                        f"coefficients {args.coeff} produce category {cat.kind}, "
                        f"not {args.category}")
-    return filtration_type_A(persistent_homology(K, args.degree, args.coeff))
+    return homology.filtration_type_A(homology.persistent_homology(K, args.degree, args.coeff))
 
 
 def cmd_diagram(args) -> int:
+    from . import diagram
+
     Y = _type_A_from_config(args)
-    _emit(Y if args.type == "A" else type_B_from_A(Y), args)
+    _emit(Y if args.type == "A" else diagram.type_B_from_A(Y), args)
     return EXIT_OK
 
 
 def cmd_erosion(args) -> int:
-    d1 = diagram_from_json(_read(args.diagram_a))
-    d2 = diagram_from_json(_read(args.diagram_b))
+    from . import diagram, metrics, serialize
+
+    d1 = serialize.diagram_from_json(_read(args.diagram_a))
+    d2 = serialize.diagram_from_json(_read(args.diagram_b))
     try:
-        report = erosion_distance(d1, d2)
-    except DiagramError as exc:
+        report = metrics.erosion_distance(d1, d2)
+    except diagram.DiagramError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
+    rat_str = serialize.rat_str
     lines = [f"distance\t{'inf' if report.distance is None else rat_str(report.distance)}",
              "candidate\tok"]
     lines += [f"{rat_str(eps)}\t{'yes' if ok else 'no'}" for eps, ok in report.table]
@@ -125,37 +108,43 @@ def cmd_erosion(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    K = parse_filtration(_read(args.input))
-    eps = _rational(args.epsilon)
+    from . import diagram, exact, homology, metrics, pmodule
+
+    K = homology.parse_filtration(_read(args.input))
+    try:
+        eps = exact.parse_rational(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(EXIT_INPUT, f"bad rational {args.epsilon!r}") from None
     if eps < 0:
         raise CliError(EXIT_INPUT, "epsilon must be nonnegative")
     if args.trials <= 0:
         raise CliError(EXIT_INPUT, "trials must be positive")
     if args.trials > MAX_TRIALS:
         raise CliError(EXIT_INPUT, f"trials must be at most {MAX_TRIALS}")
-    H = persistent_homology(K, args.degree, args.coeff)
+    H = homology.persistent_homology(K, args.degree, args.coeff)
     F = H.module
     gaps = [b - a for a, b in zip(F.values, F.values[1:])]
     rho = min(gaps) / 4 if gaps else None
     in_hypothesis = rho is not None and eps < rho
-    YA_F = filtration_type_A(H)
-    YB_F = type_B_from_A(YA_F)
+    YA_F = homology.filtration_type_A(H)
+    YB_F = diagram.type_B_from_A(YA_F)
 
     lines = ["trial\tinterleaving\tcontinuity\tsemicontinuity"]
     ok_all = True
     for trial in range(args.trials):
-        K2 = perturb(K, eps, seed=args.seed + trial)
-        H2 = persistent_homology(K2, args.degree, args.coeff)
+        K2 = homology.perturb(K, eps, seed=args.seed + trial)
+        H2 = homology.persistent_homology(K2, args.degree, args.coeff)
         G = H2.module
         try:
-            inter_ok = check_interleaving(F, G, interleaving_from_perturbation(H, H2, eps))
-        except InterleavingGridError as exc:  # the pair is built here: a bug in gpd
+            inter_ok = pmodule.check_interleaving(
+                F, G, homology.interleaving_from_perturbation(H, H2, eps))
+        except pmodule.InterleavingGridError as exc:  # the pair is built here: a bug in gpd
             raise CliError(EXIT_INTERNAL, f"internal error: {exc}") from exc
-        YA_G = filtration_type_A(H2)
-        dist = erosion_distance(YB_F, type_B_from_A(YA_G)).distance
+        YA_G = homology.filtration_type_A(H2)
+        dist = metrics.erosion_distance(YB_F, diagram.type_B_from_A(YA_G)).distance
         cont_ok = dist is not None and dist <= eps
         if in_hypothesis:
-            semi_ok = eroded_leq(YA_F, YA_G, eps)
+            semi_ok = metrics.eroded_leq(YA_F, YA_G, eps)
             semi_txt = "pass" if semi_ok else "FAIL"
         else:
             semi_ok, semi_txt = True, "skipped"
@@ -167,7 +156,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    _emit(diagram_from_json(_read(args.input)), args)
+    from . import serialize
+
+    _emit(serialize.diagram_from_json(_read(args.input)), args)
     return EXIT_OK
 
 
@@ -219,15 +210,18 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NoBGroupError, NonSplitError) as exc:
+    except Exception as exc:
+        from . import exact, grothendieck
+
+        if isinstance(exc, (grothendieck.NoBGroupError, exact.NonSplitError)):
+            code = EXIT_UNSUPPORTED
+        elif isinstance(exc, ValueError):  # FiltrationError, SerializeError, DiagramError, ...
+            code = EXIT_INPUT
+        else:  # a bug in gpd, never a theorem violation
+            print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:  # FiltrationError, SerializeError, DiagramError, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # a bug in gpd, never a theorem violation
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return code
 
 
 if __name__ == "__main__":

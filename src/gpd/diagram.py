@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,15 +31,14 @@ from .exact import (
 from .grothendieck import (GroupElem, NoBGroupError, _make_elem, a_class, add, b_class, sub,
                            zero_elem)
 from .categories import iso_class, iso_from_invariants, make_obj
-from .matrix import Mat
+from .matrix import Mat, Value
 
 
 class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DiagramGrid:
+class DiagramGrid(Value):
     """Grid-indexed function into a Grothendieck group.
 
     role is 'constructible' for cumulative interval data and 'diagram'
@@ -244,8 +242,7 @@ def diagram_leq(d1: DiagramGrid, d2: DiagramGrid) -> bool:
 # Positivity of quotient-group diagrams via explicit subquotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(Value):
     ok: bool
     negative_cells: tuple  # cells of Y with some negative coefficient
     witnesses: tuple  # sorted ((i, j), GroupElem) from subquotients

@@ -17,11 +17,11 @@ arithmetic and builds Fractions only where a pivot does not divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
-from .matrix import Mat
+from .matrix import Mat, Value
 
 
 class NonSplitError(Exception):
@@ -36,8 +36,7 @@ class NonSplitError(Exception):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Value):
     """U @ M @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_r.
 
     `smith_normal_form` builds one side: U and Uinv, with V None, or V,
@@ -323,13 +322,18 @@ class RationalField:
         return hash("QQ")
 
 
+def is_prime(p: int) -> bool:
+    """Trial division up to the integer square root of p."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 class PrimeField:
     """The field F_p; elements are int residues in [0, p)."""
 
     def __init__(self, p: int):
         if p > MAX_MODULUS:
             raise ValueError(f"prime {p} exceeds {MAX_MODULUS}")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -10,22 +10,32 @@ pi: A -> B; isomorphism classes reach B only through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .categories import FINSET, Category, IsoClass, _descriptor_key
+from .matrix import Value, _set
 
 
 class NoBGroupError(Exception):
     """The category of finite sets is not abelian and has no quotient group."""
 
 
-@dataclass(frozen=True)
-class GroupElem:
+class GroupElem(Value):
     """Element of the split ('A') or quotient ('B') Grothendieck group."""
 
+    __slots__ = ("group", "cat", "coeffs")
+    __hash__ = Value.__hash__  # a class defining __eq__ alone is unhashable
     group: str  # 'A' or 'B'
     cat: Category
     coeffs: tuple  # sorted tuple of (basis key, nonzero int)
+
+    def __init__(self, group, cat, coeffs):
+        _set(self, "group", group)
+        _set(self, "cat", cat)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElem:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.group == other.group and self.cat == other.cat
 
     def mult(self) -> dict:
         return dict(self.coeffs)

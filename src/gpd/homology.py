@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,7 +35,7 @@ from .exact import (
     preimage_lattice,
 )
 from .grothendieck import a_class
-from .matrix import Mat
+from .matrix import Mat, Value
 from .pmodule import (
     ConstructibleModule,
     InterleavingPair,
@@ -73,8 +72,7 @@ class ValueInversionError(_FaceError):
     problem = "appears before its face"
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(Value):
     """Simplices (sorted vertex tuples, ordered by dimension then
     vertices) with one rational filtration value each."""
 

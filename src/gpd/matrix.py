@@ -6,15 +6,75 @@ no floating point is allowed anywhere in this library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Mat:
+class Value:
+    """Base of the immutable value classes.  A subclass's annotated names
+    are its fields, a class attribute of the same name a default, and
+    `__post_init__` checks them once set.  Equality and hash go by class
+    and field tuple; assignment raises AttributeError.  Hot subclasses
+    add `__slots__` and a direct `__init__` and `__eq__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        given = dict(**dict(zip(names, args)), **kwargs)  # a name given twice raises TypeError
+        if len(args) > len(names) or not given.keys() <= set(names):
+            raise TypeError(f"bad arguments for {cls.__name__}")
+        for name in names:
+            if name in given:
+                _set(self, name, given[name])
+            elif name not in cls.__dict__:  # a default is read through the class
+                raise TypeError(f"{cls.__name__} needs {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Mat(Value):
+    __slots__ = ("rows", "cols", "data")
+    __hash__ = Value.__hash__  # a class defining __eq__ alone is unhashable
     rows: int
     cols: int
     data: tuple  # tuple of row tuples
+
+    def __init__(self, rows, cols, data):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: int | None = None) -> "Mat":

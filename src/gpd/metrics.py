@@ -18,13 +18,13 @@ moves, and Fractions are built only for results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .diagram import DiagramError, DiagramGrid, _snap, cumulative_at_cell
 from .grothendieck import _leq_coeffs
+from .matrix import Value
 
 
 def erode(Y: DiagramGrid, eps) -> DiagramGrid:
@@ -174,8 +174,7 @@ def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
     return tuple(Fraction(c, D) for c in cands)
 
 
-@dataclass(frozen=True)
-class ErosionReport:
+class ErosionReport(Value):
     """Outcome of an erosion-distance scan.
 
     distance is None for infinity.  table lists every evaluated

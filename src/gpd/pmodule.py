@@ -11,7 +11,6 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,6 +25,7 @@ from .categories import (
     is_isomorphism,
 )
 from .grothendieck import a_class
+from .matrix import Value
 
 
 class ModuleError(ValueError):
@@ -36,8 +36,7 @@ class InterleavingGridError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConstructibleModule:
+class ConstructibleModule(Value):
     cat: Category
     values: tuple  # s_1 < ... < s_n, exact rationals
     objects: tuple  # O_0 ... O_n with O_0 the identity object
@@ -130,8 +129,7 @@ def dX_A(F: ConstructibleModule):
 # Interleavings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterleavingPair:
+class InterleavingPair(Value):
     """Candidate eps-interleaving between F and G.
 
     phi holds one morphism F(r) -> G(r + eps) per segment of its grid

@@ -14,7 +14,8 @@ from math import log10
 
 from .categories import ab, finab, finset, repn, vect
 from .diagram import DiagramGrid
-from .exact import MAX_EXPONENT, MAX_MODULUS, QQ, PrimeField, RationalField, parse_rational
+from .exact import (MAX_EXPONENT, MAX_MODULUS, QQ, PrimeField, RationalField, is_prime,
+                    parse_rational)
 from .grothendieck import GroupElem, NoBGroupError, _make_elem
 
 
@@ -96,9 +97,9 @@ def _label_key_parse(group: str, cat, tok: str):
         if head == "t" and kind in ("ab", "finab"):  # Z/p**m, which TSV and SVG print in full
             a, b = rest.split(":")
             p, m = int(a), int(b)
-            if not (2 <= p <= MAX_MODULUS and m >= 1 and m * log10(p) <= MAX_EXPONENT + 1
-                    and p ** m < 10 ** MAX_EXPONENT):
-                raise SerializeError(f"label {tok[:40]!r} needs 2 <= p <= {MAX_MODULUS}, "
+            if not (p <= MAX_MODULUS and is_prime(p) and m >= 1
+                    and m * log10(p) <= MAX_EXPONENT + 1 and p ** m < 10 ** MAX_EXPONENT):
+                raise SerializeError(f"label {tok[:40]!r} needs a prime p <= {MAX_MODULUS}, "
                                      f"m >= 1 and p**m of at most {MAX_EXPONENT} digits")
             return ("t", p, m)
         if head == "j" and kind == "repn":
@@ -112,8 +113,8 @@ def _label_key_parse(group: str, cat, tok: str):
             return tok
         if head == "p" and kind == "finab":
             p = int(rest)
-            if not 2 <= p <= MAX_MODULUS:
-                raise SerializeError(f"label {tok[:40]!r} needs 2 <= p <= {MAX_MODULUS}")
+            if not (p <= MAX_MODULUS and is_prime(p)):
+                raise SerializeError(f"label {tok[:40]!r} needs a prime p <= {MAX_MODULUS}")
             return p
         if head == "ev" and kind == "repn":
             return _scalar_from_str(rest, cat.field)

@@ -1,18 +1,18 @@
 """Command-line interface: subcommands, output formats, and exit codes."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpd import cli, metrics
+from gpd import cli, homology, metrics, pmodule
 from gpd.cli import main
 from gpd.diagram import DiagramGrid
 from gpd.grothendieck import NoBGroupError
 from gpd.homology import interleaving_from_perturbation
+from gpd.pmodule import InterleavingPair
 from gpd.serialize import SerializeError, diagram_from_json
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
@@ -205,8 +205,8 @@ class TestStability:
 
     def test_one_persistent_homology_per_filtration(self, capsys, monkeypatch):
         calls = []
-        real = cli.persistent_homology
-        monkeypatch.setattr(cli, "persistent_homology",
+        real = homology.persistent_homology
+        monkeypatch.setattr(homology, "persistent_homology",
                             lambda *args: calls.append(args) or real(*args))
         code, _, _ = run(capsys, "stability", "--input", str(DATA / "torus.flt"),
                          "--degree", "1", "--epsilon", "1/8", "--trials", "3")
@@ -300,6 +300,26 @@ class TestConvert:
         src.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "convert", "--input", str(src), "--format", "tsv")
         assert code == 0 and f"[Z/{2 ** m}]" in out
+
+    @pytest.mark.parametrize("tag, category, label, prime", [
+        ("A", "ab", "t:4:1", False), ("A", "finab", "t:6:1", False), ("B", "finab", "p:4", False),
+        ("A", "ab", "t:2:2", True), ("B", "finab", "p:2", True),
+        ("A", "ab", "t:2147483647:1", True),
+    ])
+    def test_torsion_label_needs_a_prime(self, capsys, tmp_path, tag, category, label, prime):
+        """ℤ/4 is t:2:2, never t:4:1: a non-prime p in a torsion label
+        would name one group two ways, so both commands refuse it."""
+        doc = {"grid": ["0"], "cells": [{"i": 1, "j_or_inf": "inf", "label": {label: 1}}],
+               "group": {"tag": tag, "category": category, "role": "diagram"}}
+        src = tmp_path / "cell.json"
+        src.write_text(json.dumps(doc))
+        for argv in (["convert", "--input", str(src)], ["erosion", str(src), str(src)]):
+            code, out, err = run(capsys, *argv)
+            if prime:
+                assert code == 0 and out and err == ""
+            else:
+                assert code == 2 and out == "" and err.startswith("error: bad diagram file")
+                assert "prime" in err
 
     def test_deeply_nested_diagram_exit_2(self, capsys, tmp_path):
         src = tmp_path / "deep.json"
@@ -464,16 +484,17 @@ def _raise_boom(*args):
 
 def _pair_off_grid(H, H2, eps):
     pair = interleaving_from_perturbation(H, H2, eps)
-    return replace(pair, phi_grid=pair.phi_grid + (max(pair.phi_grid, default=0) + 1,))
+    return InterleavingPair(pair.eps, pair.phi_grid + (max(pair.phi_grid, default=0) + 1,),
+                            pair.phi, pair.psi_grid, pair.psi)
 
 
-# One case per exit-code clause of the README: (clause, code, argv, a
-# name in gpd.cli replaced for the case or None).
+# One case per exit-code clause of the README: (clause, code, argv, and
+# (module, name, replacement) for a name of gpd replaced for the case, or None).
 _EXIT_CASES = [
     ("success", 0, ["convert", "--input", "{data}/sample_a.json"], None),
     ("stability check failed", 1, ["stability", "--input", "{data}/triangle.flt",
                                    "--epsilon", "1/8", "--trials", "1"],
-     ("check_interleaving", lambda *args: False)),
+     (pmodule, "check_interleaving", lambda *args: False)),
     ("malformed filtration", 2, ["diagram", "--input", "{tmp}/bad.flt"], None),
     ("malformed diagram", 2, ["convert", "--input", "{tmp}/bad.json"], None),
     ("unreadable input", 2, ["erosion", "{tmp}/missing.json", "{data}/sample_a.json"], None),
@@ -488,10 +509,10 @@ _EXIT_CASES = [
     ("category repn", 3, ["diagram", "--input", "{data}/triangle.flt", "--category", "repn"],
      None),
     ("internal error", 4, ["erosion", "{data}/sample_a.json", "{data}/sample_b.json"],
-     ("erosion_distance", _raise_boom)),
+     (metrics, "erosion_distance", _raise_boom)),
     ("interleaving off its grid", 4, ["stability", "--input", "{data}/triangle.flt",
                                       "--epsilon", "1/8", "--trials", "1"],
-     ("interleaving_from_perturbation", _pair_off_grid)),
+     (homology, "interleaving_from_perturbation", _pair_off_grid)),
 ]
 
 
@@ -501,7 +522,7 @@ def test_exit_code_per_readme_clause(capsys, monkeypatch, tmp_path, clause, code
     (tmp_path / "bad.flt").write_text("0 : 0\n1 : 2\n0 1 : 1\n")
     (tmp_path / "bad.json").write_text("{not json")
     if patch is not None:
-        monkeypatch.setattr(cli, *patch)
+        monkeypatch.setattr(*patch)
     got, out, err = run(capsys, *[a.format(data=DATA, tmp=tmp_path) for a in argv])
     assert got == code
     if code >= 2:

@@ -21,6 +21,7 @@ from gpd.exact import (
     field_reduce,
     field_solve,
     int_kernel,
+    is_prime,
     jordan_type,
     lattice_basis,
     lattice_intersection,
@@ -321,6 +322,18 @@ class TestQuotientInvariants:
         assert "basis" in vars(q) and "_U_columns" not in vars(q)
         assert q.coords([6]) == [1]
         assert "_U_columns" in vars(q)
+
+
+def test_is_prime_matches_a_sieve_and_bounds_prime_fields():
+    composite = {a * b for a in range(2, 32) for b in range(a, 500 // a + 1)}
+    primes = [p for p in range(2, 500) if p not in composite]
+    assert [p for p in range(500) if is_prime(p)] == primes
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 - 3)
+    assert is_prime(46337) and not is_prime(46337 ** 2)  # the largest prime <= isqrt(2 ** 31)
+    assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+    for p in (-7, 0, 1, 4, 2 ** 31 - 3, 2 ** 31):
+        with pytest.raises(ValueError):
+            PrimeField(p)
 
 
 class TestFieldAlgebra:

@@ -1,7 +1,6 @@
 """Constructible modules: segments, image classes, interleavings."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as Fr
 from functools import lru_cache
 from pathlib import Path
@@ -35,6 +34,13 @@ from gpd.pmodule import (
 
 from generators import ALL_CATS, random_module, random_mor
 from oracles import check_interleaving_oracle
+
+
+def _with(pair, **changes):
+    """A copy of the interleaving pair with some fields changed."""
+    fields = {name: getattr(pair, name) for name in ("eps", "phi_grid", "phi", "psi_grid", "psi")}
+    return InterleavingPair(**{**fields, **changes})
+
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
 
@@ -198,7 +204,7 @@ def test_interleaving_naturality_can_fail():
     psi = list(pair.psi)
     phi[k] = make_mor(o, o, Mat.from_rows([[Fr(2)]], ncols=1))
     psi[k] = make_mor(o, o, Mat.from_rows([[Fr(1, 2)]], ncols=1))
-    pair = replace(pair, phi=tuple(phi), psi=tuple(psi))
+    pair = _with(pair, phi=tuple(phi), psi=tuple(psi))
     for a, b in zip(pair.phi, pair.psi):
         assert compose(b, a) == compose(a, b) == identity_mor(a.src)
     assert check_interleaving(F, F, pair) is False
@@ -254,7 +260,7 @@ def _entry(pair, rng):
 def _set(pair, family, i, m):
     mors = list(getattr(pair, family))
     mors[i] = m
-    return replace(pair, **{family: tuple(mors)})
+    return _with(pair, **{family: tuple(mors)})
 
 
 def _replace_entry(pair, rng):
@@ -273,20 +279,20 @@ def _swap_entries(pair, rng):
 def _drop_entry(pair, rng):
     family, i = _entry(pair, rng)
     mors = getattr(pair, family)
-    return replace(pair, **{family: mors[:i] + mors[i + 1:]})
+    return _with(pair, **{family: mors[:i] + mors[i + 1:]})
 
 
 def _shift_grid(pair, rng):
     family = rng.choice(("phi_grid", "psi_grid"))
     grid = getattr(pair, family)
     if grid and rng.random() < 0.5:  # truncated instead of shifted
-        return replace(pair, **{family: grid[:-1]})
+        return _with(pair, **{family: grid[:-1]})
     delta = Fr(rng.choice((-1, 1)), rng.randint(1, 4))
-    return replace(pair, **{family: tuple(v + delta for v in grid)})
+    return _with(pair, **{family: tuple(v + delta for v in grid)})
 
 
 def _negative_eps(pair, rng):
-    return replace(pair, eps=-pair.eps - Fr(rng.randint(1, 4), 4))
+    return _with(pair, eps=-pair.eps - Fr(rng.randint(1, 4), 4))
 
 
 def _noncanonical_entry(pair, rng):

@@ -1,5 +1,6 @@
-"""The bundled data files are what tools/generate_data.py writes, and the
-benchmark's tracer still runs the CLI."""
+"""The bundled data files are what tools/generate_data.py writes, the
+benchmark's tracer still runs the CLI, each CLI subcommand loads only the
+layers it runs, and public names have callers."""
 
 import ast
 import importlib.util
@@ -126,3 +127,51 @@ def test_every_public_function_has_a_caller():
                         (path.stem, node.name) not in imported:
                     uncalled.append(f"{path.stem}.{node.name}")
     assert sorted(uncalled) == sorted(UNCALLED_EXEMPT)
+
+
+# Runs a statement in a fresh interpreter and writes to stderr the names
+# it adds to sys.modules.
+_PROBE = ("import sys; base = set(sys.modules); {}; "
+          "sys.stderr.write(repr(sorted(set(sys.modules) - base)))")
+_HEAVY = {"dataclasses", "inspect", "ast"}
+
+
+def _modules_added(statement: str) -> tuple[set, str]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run([sys.executable, "-c", _PROBE.format(statement)], capture_output=True,
+                         text=True, env=env, cwd=ROOT, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return set(ast.literal_eval(res.stderr)), res.stdout
+
+
+def test_importing_the_cli_loads_no_layer():
+    added, _ = _modules_added("import gpd.cli")
+    assert {m for m in added if m.startswith("gpd")} == {"gpd", "gpd.cli"}
+    assert not added & _HEAVY
+
+
+@pytest.mark.parametrize("argv", [
+    ["erosion", "sample_a.json", "sample_b.json"],
+    ["convert", "--input", "sample_b.json", "--format", "svg"],
+], ids=["erosion", "convert"])
+def test_diagram_file_commands_load_no_homology(argv):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    added, out = _modules_added(f"from gpd.cli import main; main({argv!r})")
+    assert out and "gpd.serialize" in added
+    assert not added & {"gpd.homology", "gpd.pmodule", *_HEAVY}
+
+
+def test_library_generates_no_code():
+    """No module of src/gpd imports dataclasses or typing, or calls exec,
+    eval or compile."""
+    for path in (ROOT / "src" / "gpd").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if not node.level else []
+            else:
+                modules = []
+            assert not {m.partition(".")[0] for m in modules} & {"dataclasses", "typing"}, path
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval", "compile"), path
