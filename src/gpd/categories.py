@@ -12,7 +12,6 @@ equality of morphisms is structural equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from .exact import (
@@ -25,6 +24,7 @@ from .exact import (
     field_solve,
     jordan_type,
 )
+from .grothendieck import GroupElem, _make_elem, add
 from .matrix import Mat, Value, _set
 
 FINSET = "finset"
@@ -313,42 +313,8 @@ def is_isomorphism(f: Mor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism classes
+# Isomorphism classes, as effective elements of the split group A
 # ---------------------------------------------------------------------------
-
-class IsoClass(Value):
-    """Canonical multiset of indecomposable descriptors.
-
-    Descriptors: 'pt' (singleton set), 'line' (1-dim space), 'Z'
-    (infinite cyclic), ('t', p, m) for Z/p^m, ('j', lam, m) for a Jordan
-    block of size m at eigenvalue lam.
-    """
-
-    cat: Category
-    items: tuple  # sorted tuple of (descriptor, positive count)
-
-    def mult(self) -> dict:
-        return dict(self.items)
-
-    def __repr__(self):
-        return f"IsoClass({dict(self.items)!r})"
-
-
-def _descriptor_key(d):
-    if isinstance(d, str):
-        return (0, d, 0, 0)
-    if d[0] == "t":
-        return (1, "", d[1], d[2])
-    return (2, "", Fraction(d[1]) if not isinstance(d[1], int) else d[1], d[2])
-
-
-def _make_iso(cat: Category, counter: dict) -> IsoClass:
-    items = tuple(sorted(((d, c) for d, c in counter.items() if c),
-                         key=lambda it: _descriptor_key(it[0])))
-    if any(c < 0 for _, c in items):
-        raise CategoryError("negative multiplicity in an isomorphism class")
-    return IsoClass(cat, items)
-
 
 def _prime_power_parts(d: int):
     """Primary decomposition of a cyclic group order d >= 2."""
@@ -367,7 +333,7 @@ def _prime_power_parts(d: int):
     return parts
 
 
-def iso_from_invariants(cat: Category, rank: int, invs) -> IsoClass:
+def iso_from_invariants(cat: Category, rank: int, invs) -> GroupElem:
     counter: dict = {}
     if rank:
         counter["Z"] = rank
@@ -375,14 +341,14 @@ def iso_from_invariants(cat: Category, rank: int, invs) -> IsoClass:
         for p, m in _prime_power_parts(d):
             key = ("t", p, m)
             counter[key] = counter.get(key, 0) + 1
-    return _make_iso(cat, counter)
+    return _make_elem("A", cat, counter)
 
 
-def invariants_from_iso(c: IsoClass) -> tuple[int, tuple[int, ...]]:
+def invariants_from_iso(c: GroupElem) -> tuple[int, tuple[int, ...]]:
     """Rebuild (free rank, invariant-factor chain) from a primary multiset."""
     rank = 0
     primary: dict = {}
-    for d, cnt in c.items:
+    for d, cnt in c.coeffs:
         if d == "Z":
             rank = cnt
         else:
@@ -400,12 +366,12 @@ def invariants_from_iso(c: IsoClass) -> tuple[int, tuple[int, ...]]:
     return rank, tuple(chains)
 
 
-def iso_class(a: Obj) -> IsoClass:
+def iso_class(a: Obj) -> GroupElem:
     cat = a.cat
     if cat.kind == FINSET:
-        return _make_iso(cat, {"pt": a.data})
+        return _make_elem("A", cat, {"pt": a.data})
     if cat.kind == VECT:
-        return _make_iso(cat, {"line": a.data})
+        return _make_elem("A", cat, {"line": a.data})
     if cat.kind in (AB, FINAB):
         rank, invs = a.data
         return iso_from_invariants(cat, rank, invs)
@@ -413,10 +379,10 @@ def iso_class(a: Obj) -> IsoClass:
     for lam, size in jordan_type(a.data, cat.field):
         key = ("j", lam, size)
         counter[key] = counter.get(key, 0) + 1
-    return _make_iso(cat, counter)
+    return _make_elem("A", cat, counter)
 
 
-def image_iso_class(f: Mor) -> IsoClass:
+def image_iso_class(f: Mor) -> GroupElem:
     """Isomorphism class of the epi-mono image of f.
 
     Over ab with a torsion-free target the image is a subgroup of a free
@@ -426,9 +392,9 @@ def image_iso_class(f: Mor) -> IsoClass:
     """
     cat = f.cat
     if cat.kind == FINSET:
-        return _make_iso(cat, {"pt": len(set(f.payload))})
+        return _make_elem("A", cat, {"pt": len(set(f.payload))})
     if cat.kind == VECT:
-        return _make_iso(cat, {"line": field_rank(cat.field, f.payload)})
+        return _make_elem("A", cat, {"line": field_rank(cat.field, f.payload)})
     if cat.kind == AB and not f.tgt.data[1]:
         return iso_from_invariants(cat, field_rank(QQ, f.payload), ())
     if cat.kind in (AB, FINAB):
@@ -442,15 +408,6 @@ def image_iso_class(f: Mor) -> IsoClass:
     return iso_class(make_obj(cat, field_solve(F, W, (f.tgt.data @ W).map(F.coerce))))
 
 
-def iso_union(a: IsoClass, b: IsoClass) -> IsoClass:
-    if a.cat != b.cat:
-        raise CategoryError("isomorphism classes from different categories")
-    counter = dict(a.items)
-    for d, c in b.items:
-        counter[d] = counter.get(d, 0) + c
-    return _make_iso(a.cat, counter)
-
-
 # ---------------------------------------------------------------------------
 # Direct sums
 # ---------------------------------------------------------------------------
@@ -462,7 +419,7 @@ def direct_sum_obj(a: Obj, b: Obj) -> Obj:
     if cat.kind in (FINSET, VECT):
         return Obj(cat, a.data + b.data)
     if cat.kind in (AB, FINAB):
-        rank, invs = invariants_from_iso(iso_union(iso_class(a), iso_class(b)))
+        rank, invs = invariants_from_iso(add(iso_class(a), iso_class(b)))
         return make_obj(cat, (rank, invs))
     A, B = a.data, b.data
     n, m = A.rows, B.rows

@@ -19,7 +19,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
-from .categories import AB, FINAB, FINSET, REPN, VECT, ab_relations
+from .categories import (AB, FINAB, FINSET, REPN, VECT, ab_relations, iso_class,
+                         iso_from_invariants, make_obj)
 from .exact import (
     LatticeQuotient,
     column_space_basis,
@@ -28,9 +29,7 @@ from .exact import (
     lattice_intersection,
     preimage_lattice,
 )
-from .grothendieck import (GroupElem, NoBGroupError, _make_elem, a_class, add, b_class, sub,
-                           zero_elem)
-from .categories import iso_class, iso_from_invariants, make_obj
+from .grothendieck import GroupElem, NoBGroupError, _make_elem, add, b_class, sub, zero_elem
 from .matrix import Mat, Value
 
 
@@ -297,7 +296,7 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
             L1 = lattice_intersection(L1, Kl)
             L0 = lattice_intersection(L0, Kl)
         rank, invs = LatticeQuotient(L1, L0).iso()
-        return b_class(a_class(iso_from_invariants(cat, rank, invs)))
+        return b_class(iso_from_invariants(cat, rank, invs))
     if kind not in (VECT, REPN):
         raise DiagramError(f"unknown category kind {kind!r}")
     # the subspaces W1 >= W0 of obj, then the class of their dimensions
@@ -317,7 +316,7 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
 
 
 def _obj_class(cat, data) -> GroupElem:
-    return b_class(a_class(iso_class(make_obj(cat, data))))
+    return b_class(iso_class(make_obj(cat, data)))
 
 
 def _intersection_basis(Fld, U: Mat, W: Mat) -> Mat:

@@ -4,13 +4,15 @@ The split group A (free on indecomposable classes) and the
 exact-sequence quotient group B are both represented in explicit free
 bases, so group elements are finitely supported integer maps and the
 translation invariant order is componentwise nonnegativity of the
-difference.  B is a quotient of A, and `b_class` is the quotient map
+difference.  The isomorphism class of an object is an effective element
+of A.  B is a quotient of A, and `b_class` is the quotient map
 pi: A -> B; isomorphism classes reach B only through it.
 """
 
 from __future__ import annotations
 
-from .categories import FINSET, Category, IsoClass, _descriptor_key
+from fractions import Fraction
+
 from .matrix import Value, _set
 
 
@@ -24,7 +26,7 @@ class GroupElem(Value):
     __slots__ = ("group", "cat", "coeffs")
     __hash__ = Value.__hash__  # a class defining __eq__ alone is unhashable
     group: str  # 'A' or 'B'
-    cat: Category
+    cat: object  # categories.Category
     coeffs: tuple  # sorted tuple of (basis key, nonzero int)
 
     def __init__(self, group, cat, coeffs):
@@ -48,23 +50,29 @@ class GroupElem(Value):
 
 
 def _key_sort(group: str, key):
-    if group == "A":
-        return _descriptor_key(key)
-    return (0, key) if isinstance(key, str) else (1, key)
+    """The basis order of both groups, names first.  The basis of A is
+    the indecomposables: 'pt' (singleton set), 'line' (1-dim space), 'Z'
+    (infinite cyclic), ('t', p, m) for Z/p^m and ('j', lam, m) for a
+    Jordan block of size m at eigenvalue lam.  The basis of B is 'dim',
+    'rank', and the primes or eigenvalues that carry a length."""
+    if isinstance(key, str):
+        return (0, key)
+    if group == "B":
+        return (1, key)
+    kind, x, m = key
+    if kind == "t":
+        return (1, x, m)
+    return (2, Fraction(x) if not isinstance(x, int) else x, m)
 
 
-def _make_elem(group: str, cat: Category, counter: dict) -> GroupElem:
+def _make_elem(group: str, cat, counter: dict) -> GroupElem:
     items = tuple(sorted(((k, v) for k, v in counter.items() if v),
                          key=lambda it: _key_sort(group, it[0])))
     return GroupElem(group, cat, items)
 
 
-def zero_elem(group: str, cat: Category) -> GroupElem:
+def zero_elem(group: str, cat) -> GroupElem:
     return GroupElem(group, cat, ())
-
-
-def a_class(c: IsoClass) -> GroupElem:
-    return _make_elem("A", c.cat, dict(c.items))
 
 
 def b_class(x: GroupElem) -> GroupElem:
@@ -80,7 +88,7 @@ def b_class(x: GroupElem) -> GroupElem:
     if x.group != "A":
         raise ValueError("the quotient map acts on split-group elements")
     cat = x.cat
-    if cat.kind == FINSET:
+    if not cat.abelian:
         raise NoBGroupError("finite sets have no exact-sequence Grothendieck group")
     counter: dict = {}
     for d, cnt in x.coeffs:

@@ -34,7 +34,6 @@ from .exact import (
     parse_rational,
     preimage_lattice,
 )
-from .grothendieck import a_class
 from .matrix import Mat, Value
 from .pmodule import (
     ConstructibleModule,
@@ -96,10 +95,6 @@ class FilteredComplex(Value):
     @cached_property
     def critical_values(self) -> tuple:
         return tuple(sorted(set(self.values)))
-
-    @property
-    def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
 
     @cached_property
     def _by_dim(self) -> dict:
@@ -305,9 +300,6 @@ class PersistentHomology:
         return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
                                    tuple(st.obj for st in stages), mors)
 
-    def stage_at(self, r) -> _Stage:
-        return self.stages[self.module.segment(r)]
-
 
 class _Stage:
     """Homology of one sublevel complex in one degree, coordinatized.
@@ -429,7 +421,7 @@ def _bars_type_A(bars: dict, cat, values) -> DiagramGrid:
     """Y_A on the grid `values` of the sum of the intervals `bars`, as
     `barcode` gives them: a bar of multiplicity m has the class of m
     copies of the rank-one object of `cat`."""
-    cells = {c: a_class(iso_class(make_obj(cat, (m, ()) if cat == ab() else m)))
+    cells = {c: iso_class(make_obj(cat, (m, ()) if cat == ab() else m))
              for c, m in bars.items()}
     return DiagramGrid.make("A", cat, values, cells, role="diagram")
 

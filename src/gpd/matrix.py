@@ -159,16 +159,6 @@ class Mat(Value):
     def scale(self, c) -> "Mat":
         return self.map(lambda v: c * v)
 
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(a + b for a, b in zip(ra, rb))
-                         for ra, rb in zip(self.data, other.data)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self.data for v in r)
-
     def to_lists(self) -> list[list]:
         return [list(r) for r in self.data]
 

@@ -17,14 +17,12 @@ from math import lcm
 from .categories import (
     Category,
     Mor,
-    Obj,
     compose,
     identity_mor,
     identity_obj,
     image_iso_class,
     is_isomorphism,
 )
-from .grothendieck import a_class
 from .matrix import Value
 
 
@@ -63,9 +61,6 @@ class ConstructibleModule(Value):
     def segment(self, r) -> int:
         """Index i with r in [s_i, s_{i+1}); 0 before s_1."""
         return bisect_right(self.values, r)
-
-    def object_at(self, r) -> Obj:
-        return self.objects[self.segment(r)]
 
 
 def composite_mor(F: ConstructibleModule, a: int, b: int) -> Mor:
@@ -121,7 +116,7 @@ def dX_A(F: ConstructibleModule):
             while at < b:
                 comp = compose(F.morphisms[at], comp)
                 at += 1
-            cells[(i, j)] = a_class(image_iso_class(comp))
+            cells[(i, j)] = image_iso_class(comp)
     return DiagramGrid.make("A", F.cat, F.values, cells, role="constructible")
 
 

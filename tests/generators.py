@@ -149,7 +149,8 @@ def random_automorphism(a: Obj, rng: random.Random) -> Mor:
     c = F.coerce(rng.randint(-2, 2))
     # c*I + A is invertible exactly when -c is not an eigenvalue of A
     if rng.random() < 0.5 and all(lam != F.coerce(-c) for lam, _ in jordan_type(A, F)):
-        M = M.scale(c).add(A)
+        M = Mat(A.rows, A.cols, tuple(tuple(c * m + x for m, x in zip(rm, ra))
+                                      for rm, ra in zip(M.data, A.data)))
     scale = F.coerce(rng.choice([v for v in (1, 2, 3, -1) if F.coerce(v) != F.zero]))
     return make_mor(a, a, M.scale(scale))
 

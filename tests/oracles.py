@@ -529,7 +529,7 @@ def _b_label(c) -> dict:
     indecomposables: dimension, free rank, p-power length per prime
     (torsion dies over Z), total Jordan block size per eigenvalue."""
     label: dict = {}
-    for d, cnt in c.items:
+    for d, cnt in c.coeffs:
         if d == "line":
             key, amount = "dim", cnt
         elif d == "Z":
@@ -757,7 +757,7 @@ def interleaving_oracle(K, K2, k, coeffs, eps) -> InterleavingPair:
 
     def family(src, tgt, M, N):
         grid = expected_phi_grid(M, N, eps)
-        mors = tuple(make_mor(M.object_at(r), N.object_at(r + eps),
+        mors = tuple(make_mor(M.objects[M.segment(r)], N.objects[N.segment(r + eps)],
                               induced_payload_oracle(stage(src, r), stage(tgt, r + eps)))
                      for r in segment_reps(grid))
         return grid, mors
@@ -858,9 +858,11 @@ def check_interleaving_oracle(F: ConstructibleModule, G: ConstructibleModule,
         return pair.psi[bisect_right(pair.psi_grid, r)]
 
     for r in reps:
-        if phi_at(r).src != F.object_at(r) or phi_at(r).tgt != G.object_at(r + eps):
+        if phi_at(r).src != F.objects[F.segment(r)] or \
+                phi_at(r).tgt != G.objects[G.segment(r + eps)]:
             raise InterleavingGridError(f"phi at {r} does not map F({r}) to G({r} + eps)")
-        if psi_at(r).src != G.object_at(r) or psi_at(r).tgt != F.object_at(r + eps):
+        if psi_at(r).src != G.objects[G.segment(r)] or \
+                psi_at(r).tgt != F.objects[F.segment(r + eps)]:
             raise InterleavingGridError(f"psi at {r} does not map G({r}) to F({r} + eps)")
 
     for r1, r2 in zip(reps, reps[1:]):

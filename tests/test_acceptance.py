@@ -18,7 +18,6 @@ from gpd.categories import (
     finab,
     finset,
     iso_class,
-    iso_union,
     repn,
     vect,
 )
@@ -33,7 +32,7 @@ from gpd.diagram import (
     type_B_diagram,
 )
 from gpd.exact import QQ, PrimeField
-from gpd.grothendieck import _make_elem
+from gpd.grothendieck import _make_elem, add
 from gpd.homology import (
     interleaving_from_perturbation,
     parse_filtration,
@@ -224,5 +223,5 @@ def test_9_krull_schmidt_canonicity():
             a = random_obj(cat, rng, max_size=3)
             b = random_obj(cat, rng, max_size=3)
             got = iso_class(direct_sum_obj(a, b))
-            ok = ok and got == iso_union(iso_class(a), iso_class(b))
+            ok = ok and got == add(iso_class(a), iso_class(b))
     verdict(9, "Krull-Schmidt canonicity", ok)

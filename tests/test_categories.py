@@ -25,13 +25,13 @@ from gpd.categories import (
     is_isomorphism,
     iso_class,
     iso_from_invariants,
-    iso_union,
     make_mor,
     make_obj,
     repn,
     vect,
 )
 from gpd.exact import QQ, PrimeField
+from gpd.grothendieck import GroupElem, _make_elem, add
 from gpd.matrix import Mat
 
 from generators import ALL_CATS, random_automorphism, random_mor, random_obj
@@ -69,7 +69,7 @@ class TestFinSet:
     def test_identity_object_is_empty(self):
         c = finset()
         assert identity_obj(c).data == 0
-        assert iso_class(identity_obj(c)).items == ()
+        assert iso_class(identity_obj(c)).coeffs == ()
 
 
 class TestVect:
@@ -202,6 +202,21 @@ class TestRepn:
 
 class TestGeneric:
     @pytest.mark.parametrize("cat", ALL_CATS, ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
+    def test_classes_are_effective_split_group_elements(self, cat):
+        """The class of an object and of an image is an element of the
+        split group A of its category, in canonical form, with positive
+        coefficients only."""
+        rng = random.Random(19)
+        for _ in range(20):
+            a, b = random_obj(cat, rng), random_obj(cat, rng)
+            f = random_mor(a, b, rng)
+            images = [] if f is None else [image_iso_class(f)]
+            for c in [iso_class(a), iso_class(b), *images]:
+                assert type(c) is GroupElem and (c.group, c.cat) == ("A", cat)
+                assert c == _make_elem("A", cat, c.mult())
+                assert all(v > 0 for _, v in c.coeffs)
+
+    @pytest.mark.parametrize("cat", ALL_CATS, ids=lambda c: f"{c.kind}-{getattr(c.field, 'name', '')}")
     def test_identity_and_zero_laws(self, cat):
         rng = random.Random(11)
         for _ in range(10):
@@ -221,7 +236,7 @@ class TestGeneric:
             a = random_obj(cat, rng)
             b = random_obj(cat, rng)
             s = direct_sum_obj(a, b)
-            assert iso_class(s).mult() == iso_union(iso_class(a), iso_class(b)).mult()
+            assert iso_class(s) == add(iso_class(a), iso_class(b))
 
 
 def _raw_payload(m: Mor, rng) -> Mor:

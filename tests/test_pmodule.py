@@ -54,7 +54,7 @@ def shift(F: ConstructibleModule, eps) -> ConstructibleModule:
 
 def identity_interleaving(F: ConstructibleModule) -> InterleavingPair:
     grid = expected_phi_grid(F, F, Fr(0))
-    mors = tuple(identity_mor(F.object_at(t)) for t in segment_reps(grid))
+    mors = tuple(identity_mor(F.objects[F.segment(t)]) for t in segment_reps(grid))
     return InterleavingPair(Fr(0), grid, mors, grid, mors)
 
 
@@ -98,14 +98,14 @@ def test_evaluate_snaps_to_segments():
     assert morphism_at(F, Fr(0), Fr(3, 2)).payload == Mat.from_rows([[Fr(1)]], ncols=1)
     assert morphism_at(F, Fr(0), Fr(2)).tgt.data == 0
     assert morphism_at(F, Fr(-1), Fr(0)).src.data == 0
-    assert morphism_at(F, Fr(1, 2), Fr(1, 2)) == identity_mor(F.object_at(Fr(1, 2)))
+    assert morphism_at(F, Fr(1, 2), Fr(1, 2)) == identity_mor(F.objects[F.segment(Fr(1, 2))])
 
 
 def test_shift_moves_critical_values():
     F = interval_module(QQ, [0, 2], 1, 2)
     G = shift(F, Fr(1, 2))
     assert G.values == (Fr(-1, 2), Fr(3, 2))
-    assert G.object_at(Fr(-1, 2)).data == F.object_at(Fr(0)).data == 1
+    assert G.objects[G.segment(Fr(-1, 2))].data == F.objects[F.segment(Fr(0))].data == 1
 
 
 def test_dX_A_of_interval_module():
@@ -147,7 +147,7 @@ def test_interleaving_of_shifted_intervals():
         grid = expected_phi_grid(A, B, eps)
         mors = []
         for t in (grid[0] - 1,) + grid:
-            a, b = A.object_at(t), B.object_at(t + eps)
+            a, b = A.objects[A.segment(t)], B.objects[B.segment(t + eps)]
             if a.data and b.data:
                 payload = Mat.from_rows([[Fr(1)]], ncols=1)
             else:
@@ -171,10 +171,9 @@ def test_interleaving_identities_can_fail():
     F = interval_module(QQ, [0, 10], 1, 3)
     eps = Fr(1)
     grid = expected_phi_grid(F, F, eps)
-    mors = tuple(
-        make_mor(F.object_at(t), F.object_at(t + eps),
-                 Mat.zero(F.object_at(t + eps).data, F.object_at(t).data, zero=Fr(0)))
-        for t in (grid[0] - 1,) + grid)
+    pairs = [(F.objects[F.segment(t)], F.objects[F.segment(t + eps)])
+             for t in (grid[0] - 1,) + grid]
+    mors = tuple(make_mor(a, b, Mat.zero(b.data, a.data, zero=Fr(0))) for a, b in pairs)
     pair = InterleavingPair(eps, grid, mors, grid, mors)
     assert check_interleaving(F, F, pair) is False
 

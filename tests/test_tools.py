@@ -1,6 +1,7 @@
 """The bundled data files are what tools/generate_data.py writes, the
 benchmark's tracer still runs the CLI, each CLI subcommand loads only the
-layers it runs, and public names have callers."""
+layers it runs, the layers import without cycles, and public names have
+callers."""
 
 import ast
 import importlib.util
@@ -79,11 +80,19 @@ def test_tracer_runs_the_cli_unchanged(tmp_path, argv):
 UNCALLED_EXEMPT = {
     "grothendieck.leq": "the translation invariant order of the group, kept with repn and "
                         "sympy for ACCEPTANCE 9; the erosion sweep runs _leq_coeffs directly",
+    "pmodule.ConstructibleModule.segment": "the segment of a value, by which the module "
+                                           "docstring defines F(p <= q); tests and oracles "
+                                           "find the object or stage at a value with it",
 }
 
 
 def _names(tree: ast.AST) -> Counter:
     return Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+
+
+def _attributes_read(tree: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
 def _imported(tree: ast.AST) -> set:
@@ -109,14 +118,20 @@ def _imported(tree: ast.AST) -> set:
 def test_every_public_function_has_a_caller():
     """Each public top-level def or class of src/gpd is referred to
     outside its own definition: in its own module, elsewhere in src/gpd,
-    in demos/, tools/ or the acceptance gate.  Read with ast, so a
-    docstring or comment that names a function does not count.  The
-    names without one are exactly those of UNCALLED_EXEMPT."""
+    in demos/, tools/ or the acceptance gate.  So is each public method
+    or property of a class of src/gpd: an attribute of its name is read
+    in those files outside the method's own body.  Methods go by name
+    alone, so one that shares its name with a function or method that
+    is read escapes this test, as `Mat.add` and `Mat.is_zero` did beside
+    `grothendieck.add` and `GroupElem.is_zero`.  Read with ast, so a
+    docstring or comment that names a function does not count.  The names without one are exactly those of
+    UNCALLED_EXEMPT."""
     src = ROOT / "src" / "gpd"
     users = [*src.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tools").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     trees = {path: ast.parse(path.read_text()) for path in users}
     imported = set().union(*(_imported(tree) for tree in trees.values()))
+    read = sum(map(_attributes_read, trees.values()), Counter())
     uncalled = []
     for path in sorted(src.glob("*.py")):
         tree = trees[path]
@@ -126,7 +141,31 @@ def test_every_public_function_has_a_caller():
                 if names[node.name] == _names(node)[node.name] and \
                         (path.stem, node.name) not in imported:
                     uncalled.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                uncalled += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                             and read[item.name] == _attributes_read(item)[item.name]]
     assert sorted(uncalled) == sorted(UNCALLED_EXEMPT)
+
+
+def _layers_imported(path: Path) -> set:
+    """The gpd modules a module of src/gpd imports at module level."""
+    return {node.module.removeprefix("gpd.") for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.startswith("gpd."))}
+
+
+def test_layers_import_without_cycles():
+    """The module-level imports among the modules of src/gpd form an
+    acyclic graph, and grothendieck, which holds the bases of both
+    groups, imports only matrix."""
+    left = {path.stem: _layers_imported(path) for path in (ROOT / "src" / "gpd").glob("*.py")}
+    assert left["grothendieck"] == {"matrix"}
+    while left:
+        leaves = [mod for mod, deps in left.items() if not deps & left.keys()]
+        assert leaves, f"import cycle among {sorted(left)}"
+        for mod in leaves:
+            del left[mod]
 
 
 # Runs a statement in a fresh interpreter and writes to stderr the names
