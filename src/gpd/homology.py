@@ -35,13 +35,6 @@ from .exact import (
     preimage_lattice,
 )
 from .matrix import Mat, Value
-from .pmodule import (
-    ConstructibleModule,
-    InterleavingPair,
-    _segments,
-    expected_phi_grid,
-    segment_reps,
-)
 
 
 class FiltrationError(ValueError):
@@ -290,10 +283,14 @@ class PersistentHomology:
 
     @cached_property
     def stages(self) -> tuple:
+        from .pmodule import segment_reps  # the barcode path loads no module layer
+
         return tuple(_Stage(self, at=t) for t in segment_reps(self.complex.critical_values))
 
     @cached_property
     def module(self) -> ConstructibleModule:
+        from .pmodule import ConstructibleModule
+
         stages = self.stages
         mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if b._lq is None
                               else _induced_payload(a, b)) for a, b in zip(stages, stages[1:]))
@@ -490,6 +487,8 @@ def interleaving_from_perturbation(H: PersistentHomology, H2: PersistentHomology
     morphism families are the induced maps between the stages of H and
     H2 in homology coordinates.
     """
+    from .pmodule import InterleavingPair, _segments, expected_phi_grid, segment_reps
+
     eps = Fraction(eps)
     if (H.k, H.coeffs) != (H2.k, H2.coeffs):
         raise FiltrationError("interleaving needs the same degree and coefficients")

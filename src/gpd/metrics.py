@@ -13,7 +13,8 @@ are scaled once by a common denominator, so every eps and shifted
 endpoint s +- eps is an int.  Each diagram's cumulative table, on the
 rows and columns of its support (`DiagramGrid.cumulative`), is built
 once, a cell is re-tested only when its snapped cell on the other grid
-moves, and Fractions are built only for results.
+moves, and the sweep yields failing cells, so no scan builds a Fraction
+per candidate: only `erosion_witness` does, two for its interval.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
+from numbers import Rational
 
 from .diagram import DiagramError, DiagramGrid, _snap, cumulative_at_cell
 from .grothendieck import _leq_coeffs
@@ -54,11 +56,11 @@ def erode(Y: DiagramGrid, eps) -> DiagramGrid:
     return DiagramGrid.make(Y.group, Y.cat, tuple(grid), cells, role=Y.role)
 
 
-def _scale(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> int:
-    """4 * lcm of the denominators of both grids and of eps: at this scale
-    every grid value, difference, half difference and midpoint of two of
-    those is an integer."""
-    return 4 * lcm(*(t.denominator for t in Y1.grid + Y2.grid), Fraction(eps).denominator)
+def _scale(Y1: DiagramGrid, Y2: DiagramGrid, den: int = 1) -> int:
+    """4 * lcm of the denominators of both grids and den, that of eps: at
+    this scale every grid value, difference, half difference and midpoint
+    of two of those is an integer."""
+    return 4 * lcm(*(t.denominator for t in Y1.grid + Y2.grid), den)
 
 
 def _scaled(Y: DiagramGrid, D: int) -> tuple:
@@ -71,10 +73,10 @@ def _scaled(Y: DiagramGrid, D: int) -> tuple:
 
 
 def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
-    """(ok, failing direction, failing interval) of eroded morphisms at
-    each eps / D, for the ascending ints eps of `cands` and Y1, Y2 scaled
-    by D.  A direction fails at its lowest-index failing cell, "2->1"
-    before "1->2".
+    """The failing sets {direction: indices of its failing cells} of
+    eroded morphisms at each eps / D, for the ascending ints eps of
+    `cands` and Y1, Y2 scaled by D ("2->1" indexes S2's cells, "1->2"
+    S1's): one dict, updated in place, so read it before advancing.
 
     The eroded value at the shrunken cell [start + eps, end - eps) is the
     cell's own cumulative value, and the target's is read at the cell it
@@ -111,24 +113,18 @@ def _sweep(D: int, S1: tuple, S2: tuple, cands, directions=("2->1", "1->2")):
                     crossings.append(end - grid[j - 2])
             if crossings:
                 heappush(heap, (min(crossings), d, c))
-        for d in directions:
-            if failing[d]:
-                start, end, _ = sides[d][0][min(failing[d])]
-                yield False, d, (Fraction(start + eps, D),
-                                 None if end is None else Fraction(end - eps, D))
-                break
-        else:
-            yield True, None, None
+        yield failing
 
 
 def _prepare(Y1: DiagramGrid, Y2: DiagramGrid, eps=0) -> tuple:
     """`_sweep`'s D, Y1 and Y2 scaled by D, and eps * D, for comparable Y1, Y2."""
     if (Y1.group, Y1.cat, Y1.role) != (Y2.group, Y2.cat, Y2.role):
         raise DiagramError("erosion compares diagrams in the same group")
-    eps = Fraction(eps)
+    if not isinstance(eps, Rational):
+        eps = Fraction(eps)
     if eps < 0:
         raise DiagramError("erosion needs eps >= 0")
-    D = _scale(Y1, Y2, eps)
+    D = _scale(Y1, Y2, eps.denominator)
     return D, _scaled(Y1, D), _scaled(Y2, D), eps.numerator * (D // eps.denominator)
 
 
@@ -140,16 +136,24 @@ def erosion_exists(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
 
 def erosion_witness(Y1: DiagramGrid, Y2: DiagramGrid, eps):
     """(ok, failing direction, failing interval) of the two-sided check,
-    run at the common scale of both grids and eps."""
+    run at the common scale of both grids and eps: "2->1" before "1->2",
+    each at its lowest-index failing cell, whose interval is the check's
+    only two Fractions."""
     D, S1, S2, eps = _prepare(Y1, Y2, eps)
-    return next(_sweep(D, S1, S2, (eps,)))
+    failing = next(_sweep(D, S1, S2, (eps,)))
+    for d, (_, cells, _) in (("2->1", S2), ("1->2", S1)):
+        if failing[d]:
+            start, end, _ = cells[min(failing[d])]
+            return False, d, (Fraction(start + eps, D),
+                              None if end is None else Fraction(end - eps, D))
+    return True, None, None
 
 
 def eroded_leq(Y1: DiagramGrid, Y2: DiagramGrid, eps) -> bool:
     """`diagram_leq(erode(Y1, eps), Y2)` by the one-directional check: it
     reads Y1's own table at the shrunken cells and builds no diagram."""
     D, S1, S2, eps = _prepare(Y1, Y2, eps)
-    return next(_sweep(D, S1, S2, (eps,), ("1->2",)))[0]
+    return not next(_sweep(D, S1, S2, (eps,), ("1->2",)))["1->2"]
 
 
 def erosion_candidates(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
@@ -178,14 +182,12 @@ class ErosionReport(Value):
     """Outcome of an erosion-distance scan.
 
     distance is None for infinity.  table lists every evaluated
-    candidate as (eps, ok); failures records, for each failing eps, the
-    direction ('1->2' or '2->1') and the interval where the cumulative
-    comparison broke.
+    candidate as (eps, ok).  The failing direction and interval at any
+    eps are `erosion_witness`'s.
     """
 
     distance: Fraction | None
     table: tuple
-    failures: tuple
 
 
 def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
@@ -195,18 +197,17 @@ def erosion_distance(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
     assumption; the first success is therefore the least one.  If none
     succeeds the distance is infinite.  Both diagrams are scaled once,
     and one sweep over the candidates in integers (`_sweep`) re-tests a
-    cell only where its snapped cell moves, with no group additions.
+    cell only where its snapped cell moves, with no group additions and
+    no Fraction beyond the candidates.
     """
     D, S1, S2, _ = _prepare(Y1, Y2)
     cands = erosion_candidates(Y1, Y2)
-    table = []
-    failures = []
-    distance = None
+    table, distance = [], None
     sweep = _sweep(D, S1, S2, (eps.numerator * (D // eps.denominator) for eps in cands))
-    for eps, (ok, direction, cell) in zip(cands, sweep):
+    for eps, failing in zip(cands, sweep):
+        ok = not any(failing.values())
         table.append((eps, ok))
         if ok:
             distance = eps
             break
-        failures.append((eps, direction, cell))
-    return ErosionReport(distance=distance, table=tuple(table), failures=tuple(failures))
+    return ErosionReport(distance=distance, table=tuple(table))

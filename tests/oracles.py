@@ -967,12 +967,11 @@ def erosion_candidates_oracle(Y1: DiagramGrid, Y2: DiagramGrid) -> tuple:
 def erosion_oracle(Y1: DiagramGrid, Y2: DiagramGrid) -> ErosionReport:
     """The whole erosion scan in Fractions, with cumulative values summed
     cell by cell."""
-    table, failures, distance = [], [], None
+    table, distance = [], None
     for eps in erosion_candidates_oracle(Y1, Y2):
-        ok, direction, cell = erosion_witness_oracle(Y1, Y2, eps)
+        ok, _, _ = erosion_witness_oracle(Y1, Y2, eps)
         table.append((eps, ok))
         if ok:
             distance = eps
             break
-        failures.append((eps, direction, cell))
-    return ErosionReport(distance=distance, table=tuple(table), failures=tuple(failures))
+    return ErosionReport(distance=distance, table=tuple(table))

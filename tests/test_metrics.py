@@ -125,7 +125,8 @@ def test_erosion_distance_examples():
     r = erosion_distance(y1, y2)
     assert r.distance == 1
     assert all(not ok for eps, ok in r.table[:-1])
-    assert r.failures and all(f[1] in ("1->2", "2->1") for f in r.failures)
+    failing = [eps for eps, ok in r.table if not ok]
+    assert failing and all(erosion_witness(y1, y2, eps)[1] in ("1->2", "2->1") for eps in failing)
 
     # incomparable split-group labels over a bounded cell: both vanish at 1
     cat = finab()
@@ -206,13 +207,17 @@ def test_sweep_edge_pairs_have_their_shape():
     assert all(any(j == Y.n + 1 for (_, j), _ in Y.cells) for Y in INFINITE + SHAPED)
     for Y1, Y2 in (ONE_TO_TWO, SHAPED):
         report = erosion_distance(Y1, Y2)
-        assert report.failures and {d for _, d, _ in report.failures} == {"1->2"}
+        failing = [eps for eps, ok in report.table if not ok]
+        assert failing and {erosion_witness(Y1, Y2, eps)[1] for eps in failing} == {"1->2"}
         assert report == erosion_oracle(Y1, Y2)
 
 
+ORACLE_PAIRS = diagram_pairs() | st.integers(0, 2 ** 16).map(
+    lambda seed: bars_shaped_erosion_pair(random.Random(seed)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(diagram_pairs() | st.integers(0, 2 ** 16).map(
-    lambda seed: bars_shaped_erosion_pair(random.Random(seed))))
+@given(ORACLE_PAIRS)
 @example(pair=VANISHING)
 @example(pair=SHARED_VALUES)
 @example(pair=INFINITE)
@@ -223,6 +228,23 @@ def test_erosion_report_matches_fraction_oracle(pair):
     assert erosion_distance(Y1, Y2) == erosion_oracle(Y1, Y2)
     assert erosion_distance(Y2, Y1) == erosion_oracle(Y2, Y1)
     assert erosion_distance(Y1, Y1) == erosion_oracle(Y1, Y1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ORACLE_PAIRS)
+@example(pair=ONE_TO_TWO)
+@example(pair=SHAPED)
+def test_failing_candidates_have_the_oracle_witness(pair):
+    """The report names no failing direction or interval: at every eps
+    its table marks failing, `erosion_witness` reports a failure, and the
+    one the Fraction oracle finds."""
+    Y1, Y2 = pair
+    report = erosion_distance(Y1, Y2)
+    assert report == erosion_oracle(Y1, Y2)
+    for eps, ok in report.table:
+        if not ok:
+            witness = erosion_witness(Y1, Y2, eps)
+            assert not witness[0] and witness == erosion_witness_oracle(Y1, Y2, eps)
 
 
 def test_erosion_report_on_empty_diagrams_matches_oracle():
@@ -288,6 +310,30 @@ def test_erosion_scan_adds_only_to_build_two_tables(monkeypatch):
     assert report.distance is None and len(report.table) == len(erosion_candidates(Y1, Y2)) > 1000
     n = Y1.n
     assert count[0] <= 2 * 3 * n * (n + 1) // 2
+
+
+def test_erosion_scan_builds_fractions_only_for_candidates_and_witnesses(monkeypatch):
+    """A scan builds no Fraction beyond the candidates it reads, however
+    many fail; at one eps, `eroded_leq` builds none and `erosion_witness`
+    at most the two of its interval."""
+    count = [0]
+    real = gpd.metrics.Fraction
+
+    def counting_fraction(*args):
+        count[0] += 1
+        return real(*args)
+
+    Y1, Y2 = _long_scan_pair()
+    cands = erosion_candidates(Y1, Y2)
+    monkeypatch.setattr(gpd.metrics, "Fraction", counting_fraction)
+    report = erosion_distance(Y1, Y2)
+    assert report.distance is None and len(report.table) == len(cands) > 1000
+    assert count[0] == len(cands)
+    for eps in (Fr(0), cands[len(cands) // 2], Fr(1, 7)):
+        for check, most in ((erosion_witness, 2), (eroded_leq, 0)):
+            count[0] = 0
+            check(Y1, Y2, eps)
+            assert count[0] <= most
 
 
 def test_erosion_scan_retests_a_cell_only_when_its_snapped_cell_moves(monkeypatch):

@@ -200,6 +200,23 @@ def test_diagram_file_commands_load_no_homology(argv):
     assert not added & {"gpd.homology", "gpd.pmodule", *_HEAVY}
 
 
+@pytest.mark.parametrize("argv, module_layer", [
+    (["--input", "torus.flt", "--coeff", "Z"], False),
+    (["--input", "torus.flt", "--coeff", "Q"], False),
+    (["--input", "torus.flt", "--coeff", "Fp:2"], False),
+    (["--input", "klein_bottle.flt", "--coeff", "Z"], True),
+], ids=["torus-Z", "torus-Q", "torus-Fp2", "klein_bottle-Z"])
+def test_diagram_loads_pmodule_only_for_image_classes(argv, module_layer):
+    """`gpd diagram` reads the torus's diagrams off the barcode and loads
+    no module layer; over Z the Klein bottle's torsion takes the
+    image-class path, which builds the stages and the module."""
+    argv = ["diagram", "--degree", "1", "--format", "tsv",
+            *(str(DATA / a) if a.endswith(".flt") else a for a in argv)]
+    added, out = _modules_added(f"from gpd.cli import main; main({argv!r})")
+    assert out and "gpd.homology" in added
+    assert ("gpd.pmodule" in added) == module_layer
+
+
 def test_library_generates_no_code():
     """No module of src/gpd imports dataclasses or typing, or calls exec,
     eval or compile."""
