@@ -2,10 +2,11 @@
 
 The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients from one column
-reduction of the whole filtration, integer stages from its `stop` on and
-Z/m coefficients by Smith normal form through presented lattice
-quotients) on chains {k-simplex: coefficient}, reads induced maps as
-canonical coordinates of chains, and assembles a constructible module.
+reduction of the whole filtration, integer stages from its `stop` on by
+one Smith normal form of the core its unit-lead eliminations leave, and
+Z/m coefficients through presented lattice quotients) on chains
+{k-simplex: coefficient}, reads induced maps as canonical coordinates
+of chains, and assembles a constructible module.
 One `PersistentHomology` per filtration and degree runs that reduction
 and holds its stages and module.  Every type A diagram of a filtration
 (`filtration_type_A`) is read off the bars of the same reduction where
@@ -26,6 +27,7 @@ from .diagram import DiagramGrid, type_A_diagram
 from .exact import (
     MAX_MODULUS,
     QQ,
+    LatticeContainmentError,
     LatticeQuotient,
     PrimeField,
     _clear,
@@ -33,6 +35,7 @@ from .exact import (
     int_kernel,
     parse_rational,
     preimage_lattice,
+    smith_normal_form,
 )
 from .matrix import Mat, Value
 
@@ -227,9 +230,14 @@ class PersistentHomology:
     leading with +-1: clearing an integer cycle against them takes
     integer multiples, the bases above are bases of the lattices, and
     H_k(t) is free on the generators.  A pair dying at or after
-    `lead_stop` keeps z_p, as its R_j may lead with a non-unit.  Stages
-    from `stop` on are Smith normal forms, as is every stage over Z/m
-    (stop = -1); over a field no stage is (stop = the number of values).
+    `lead_stop` keeps z_p, as its R_j may lead with a non-unit.  Up to
+    `frac_stop`, that first value index of a non-int V, the table columns
+    born by a stage stay a basis of its integer cycles, so a stage from
+    `lead_stop` on is the table and one Smith normal form of a small core
+    (`_Stage`; Dumas, Heckenbach, Saunders and Welker).  Stages from
+    `frac_stop` on, and every stage over Z/m (stop = frac_stop = -1), are
+    lattice quotients; over a field no stage has a core (stop = frac_stop
+    = the number of values).
 
     Unit leads alone make the bars those over Q.  The reduced columns of
     the (k+1)-simplices up to t then span B_k(t) with unit leads at
@@ -255,7 +263,7 @@ class PersistentHomology:
         self.complex, self.k, self.coeffs = K, k, coeffs
         self.ring = parse_coeffs(coeffs)
         kind, F, _ = self.ring
-        self.stop = self.lead_stop = -1
+        self.stop = self.lead_stop = self.frac_stop = -1
         if kind == "Zm":
             return
         ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
@@ -274,12 +282,19 @@ class PersistentHomology:
                      for p, c, v in zip(kept, R, V) if not c)
         fractional = (self.born[p] for p, v in zip(kept, V)
                       if any(type(x) is not int for x in v.values()))
-        self.stop = min(self.lead_stop, next(fractional, n)) if integral else n
+        self.frac_stop = next(fractional, n) if integral else n
+        self.stop = min(self.lead_stop, self.frac_stop)
         self.table = dict(sorted(table.items()))
         self.lows = {p: p for p in self.table}  # the lowest row of each column, for _clear
         self.index = {s: i for i, s in enumerate(self.k_simplices)}
         self.chains = {p: {self.k_simplices[i]: x for i, x in c.items()}
                        for p, c in self.table.items()}
+        # the columns of the stages' cores: the boundaries of the
+        # (k+1)-simplices from lead_stop on, cleared against the table
+        late = [e for e in above if self.lead_stop <= e[1] < self.frac_stop]
+        cols = _boundary_columns(self.k_simplices, [s for s, _ in late])
+        self.core_columns = [(i, dict(_clear(F, c, self.table, self.lows)))
+                             for (_, i), c in zip(late, cols)]
 
     @cached_property
     def stages(self) -> tuple:
@@ -291,9 +306,10 @@ class PersistentHomology:
     def module(self) -> ConstructibleModule:
         from .pmodule import ConstructibleModule
 
-        stages = self.stages
-        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if b._lq is None
-                              else _induced_payload(a, b)) for a, b in zip(stages, stages[1:]))
+        stages = self.stages  # stages[i] reads the first i values
+        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if i < self.stop
+                              else _induced_payload(a, b))
+                     for i, (a, b) in enumerate(zip(stages, stages[1:])))
         return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
                                    tuple(st.obj for st in stages), mors)
 
@@ -303,26 +319,52 @@ class _Stage:
 
     Exposes the homology object, its canonical generators' cycles as
     chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
-    cycle chain of the stage in those generators.  Below `H.stop` the
-    generators are the live columns of `H.table` (their chains are
-    `H.chains`), `coords` clears a chain against the table, and maps
-    between such stages are 0/1 partial identities (`_partial_identity`).
-    From `stop` on the stage is the lattice quotient Z_k / B_k, by Smith
-    normal forms.
+    cycle chain of the stage in those generators.
+
+    Up to `H.frac_stop` the table columns born by the stage are a basis
+    of its cycles, and `coords` clears a chain against the table.  The
+    rows of the core are those columns that no pair dying before
+    `lead_stop` (or the stage) kills, as that pair's column is its R_j.
+    Below `stop` they are the generators, and maps between such stages
+    are 0/1 partial identities (`_partial_identity`).  From `lead_stop`
+    on the core's columns are the cleared boundaries of the
+    (k+1)-simplices born since (`H.core_columns`), and its Smith normal
+    form U C V = D gives the rest: generator i combines the table chains
+    by column i of U^-1, free ones first, and a coordinate is a row of U
+    applied to the core rows of the cleared chain, mod its invariant
+    factor if torsion (`_core`: those rows and factors, 0 if free).
+    From `frac_stop` on, and over Z/m, the stage is the lattice quotient
+    Z_k / B_k (`_lq`).
     """
 
     def __init__(self, H: PersistentHomology, at):
-        K, k, (kind, arg, cat) = H.complex, H.k, H.ring
-        n = bisect_right(K.critical_values, at)
-        self._lq = None
-        if n <= H.stop:
-            m = bisect_left(H.born, n)
-            self._index, self.k_simplices = H.index, H.k_simplices[:m]
-            self._clearing = H.ring[1], H.table, H.lows  # not H: no cycle through H.stages
-            self._gens = [p for p in H.table if p < m and H.death.get(p, n) >= n]
-            self.gen_reps = [H.chains[p] for p in self._gens]
+        kind, F, cat = H.ring
+        n = bisect_right(H.complex.critical_values, at)
+        self._lq = self._core = None
+        if n > H.frac_stop:
+            self._lattice_quotient(H, at)
+            return
+        m = bisect_left(H.born, n)
+        self._index, self.k_simplices = H.index, H.k_simplices[:m]
+        self._clearing = F, H.table, H.lows  # not H: no cycle through H.stages
+        dead = min(n, H.lead_stop)  # a pair dying before this kills its row
+        self._gens = [p for p in H.table if p < m and H.death.get(p, dead) >= dead]
+        self.gen_reps = [H.chains[p] for p in self._gens]
+        if n <= H.lead_stop:
             self.obj = make_obj(cat, (len(self._gens), ()) if kind == "Z" else len(self._gens))
             return
+        cols = [c for i, c in H.core_columns if i < n]
+        s = smith_normal_form(Mat.from_rows([[c.get(p, 0) for c in cols] for p in self._gens],
+                                            len(cols)), rows=True)
+        r, d = len(self._gens), s.invariant_factors
+        keep = list(range(len(d), r)) + [i for i, di in enumerate(d) if di > 1]  # free first
+        self._core = [({p: a for p, a in zip(self._gens, s.U.data[i]) if a},
+                       d[i] if i < len(d) else 0) for i in keep]
+        self.gen_reps = [_combination(zip(s.Uinv.col(i), self.gen_reps)) for i in keep]
+        self.obj = make_obj(cat, (r - len(d), tuple(di for di in d if di > 1)))
+
+    def _lattice_quotient(self, H: PersistentHomology, at):
+        K, k, (kind, arg, cat) = H.complex, H.k, H.ring
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
         self._index, nk = {s: i for i, s in enumerate(ks)}, len(ks)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
@@ -343,15 +385,19 @@ class _Stage:
 
     def coords(self, chain: dict, cleared: dict | None = None) -> list:
         """Canonical homology coordinates of a cycle chain of this stage;
-        FiltrationError for a chain with a simplex outside the stage.
-        Below `stop` a chain clears against the table alike at every
-        stage, and `cleared` keeps that, by id, for other stages of H."""
+        FiltrationError for a chain with a simplex outside the stage or
+        one that is not a cycle.  Up to `frac_stop` a chain clears
+        against the table alike at every stage, and `cleared` keeps
+        that, by id, for other stages of H."""
         m = len(self.k_simplices)
         if self._lq is not None:
             at = {self._index.get(s, m): v for s, v in chain.items()}
             if at and max(at) >= m:
                 raise FiltrationError("chain has a simplex outside this stage")
-            return self._lq.coords([at.get(i, 0) for i in range(m)])
+            try:
+                return self._lq.coords([at.get(i, 0) for i in range(m)])
+            except LatticeContainmentError:
+                raise FiltrationError("chain is not a cycle of this stage") from None
         F, table, lows = self._clearing
         cleared = {} if cleared is None else cleared
         if id(chain) not in cleared:
@@ -363,7 +409,22 @@ class _Stage:
             raise FiltrationError("chain has a simplex outside this stage")
         if rest:
             raise FiltrationError("chain is not a cycle of this stage")
-        return [steps.get(p, F.zero) for p in self._gens]
+        if self._core is None:
+            return [steps.get(p, F.zero) for p in self._gens]
+        out = []
+        for row, d in self._core:
+            y = sum(a * steps.get(p, 0) for p, a in row.items())
+            out.append(y % d if d else y)
+        return out
+
+
+def _combination(terms) -> dict:
+    """The chain sum of a * chain over the (a, chain) pairs `terms`."""
+    out = Counter()
+    for a, chain in terms:
+        for s, x in chain.items():
+            out[s] += a * x
+    return {s: x for s, x in out.items() if x}
 
 
 def _induced_payload(src: _Stage, tgt: _Stage, cleared: dict | None = None):

@@ -212,6 +212,39 @@ class TestStability:
                          "--degree", "1", "--epsilon", "1/8", "--trials", "3")
         assert code == 0 and len(calls) == 4
 
+    def test_integer_stages_run_smith_normal_forms_only_on_cores(self, capsys, monkeypatch):
+        """The Klein bottle call of the `stability` workload in perfbench:
+        over its 11 filtrations (the given one and 10 perturbations), each
+        stage from `stop` on (11 in all) runs one Smith normal form, on
+        the small core the table leaves, not an integer kernel and a
+        lattice quotient of the whole stage."""
+        from gpd import exact
+
+        shapes, building = [], []
+        real_snf, real_init = exact.smith_normal_form, homology._Stage.__init__
+
+        def snf(M, **kw):
+            if building:
+                shapes.append((M.rows, M.cols))
+            return real_snf(M, **kw)
+
+        def init(self, *args, **kw):
+            building.append(self)
+            try:
+                real_init(self, *args, **kw)
+            finally:
+                building.pop()
+
+        for mod in (exact, homology):
+            monkeypatch.setattr(mod, "smith_normal_form", snf)
+        monkeypatch.setattr(homology._Stage, "__init__", init)
+        code, _, _ = run(capsys, "stability", "--input", str(DATA / "klein_bottle.flt"),
+                         "--coeff", "Z", "--degree", "1", "--epsilon", "1/8", "--trials", "10",
+                         "--seed", "1")
+        assert code == 0
+        assert 0 < len(shapes) <= 11
+        assert sum(r * c for r, c in shapes) <= 1000
+
     def test_semicontinuity_builds_no_eroded_diagram(self, capsys, monkeypatch):
         def broken(*args):
             raise AssertionError("erode called")

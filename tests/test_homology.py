@@ -1,6 +1,7 @@
 """Filtration parsing, exact homology, perturbation, and interleavings."""
 
 import itertools
+import math
 import random
 import sys
 import weakref
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpd import exact, homology
-from gpd.categories import image_iso_class, make_mor
+from gpd.categories import finab, image_iso_class, iso_class, iso_from_invariants, make_mor
 from gpd.diagram import type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
@@ -283,13 +284,18 @@ def test_induced_maps_match_entrywise_oracle(name, coeffs):
                 [list(map(type, r)) for r in slow.data]
 
 
+def _is_table_stage(stage) -> bool:
+    """A stage below `stop`: its generators are table columns."""
+    return stage._core is None and stage._lq is None
+
+
 @pytest.mark.parametrize("coeffs", ["Z", "Q", "Fp:2", "Zm:4"])
 def test_module_maps_match_the_entrywise_oracle(coeffs):
     """Each connecting map of H.module, read off `born` and `death` where
     both stages are below `stop`, equals `make_mor` of the entrywise
     oracle on the same pair of stages, in degrees 0-2: on the bundled
     data as given and perturbed, and on grid tori and Klein bottles,
-    whose H_1 over Z has a table stage followed by an SNF stage."""
+    whose H_1 over Z has a table stage followed by a stage with a core."""
     inputs = [grid_complex(5, 1), grid_complex(5, 1, klein=True)]
     for name in ("torus.flt", "klein_bottle.flt", "triangle.flt"):
         K = parse_filtration((DATA / name).read_text())
@@ -300,7 +306,7 @@ def test_module_maps_match_the_entrywise_oracle(coeffs):
             H = persistent_homology(K, k, coeffs)
             for a, b, mor in zip(H.stages, H.stages[1:], H.module.morphisms):
                 assert mor == make_mor(a.obj, b.obj, induced_payload_oracle(a, b))
-                kinds[a._lq is None, b._lq is None] += 1
+                kinds[_is_table_stage(a), _is_table_stage(b)] += 1
     if coeffs == "Z":
         assert kinds[True, False] > 0 and kinds[True, True] > 0
     else:
@@ -396,12 +402,14 @@ class TestPersistentHomology:
     def test_smith_normal_forms_of_klein_bottle_h1(self, monkeypatch):
         calls = []
         real = exact.smith_normal_form
-        monkeypatch.setattr(exact, "smith_normal_form",
-                            lambda M, **kw: calls.append(M) or real(M, **kw))
+        for mod in (exact, homology):
+            monkeypatch.setattr(mod, "smith_normal_form",
+                                lambda M, **kw: calls.append(M) or real(M, **kw))
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
-        # of four stages only the last, with torsion, falls back to one
-        # integer kernel and a two-SNF lattice quotient
-        assert len(calls) == 3
+        # of four stages only the last, with torsion, runs one Smith
+        # normal form: every triangle enters at its value, so its core is
+        # its 19 cycles of the table against its 18 cleared boundaries
+        assert [(M.rows, M.cols) for M in calls] == [(19, 18)]
 
     def test_torus_h1_over_z_runs_no_smith_normal_form(self, monkeypatch):
         calls = []
@@ -413,8 +421,9 @@ class TestPersistentHomology:
         assert H.module.objects[-1].data == (2, ())
 
     def test_smith_normal_forms_build_only_the_transforms_read(self, monkeypatch):
-        # over Z, the torsion stage's int_kernel reads V and its
-        # LatticeQuotient reads U and Uinv
+        # over Z, the torsion stage's core reads U and Uinv; a stage after
+        # a cycle with a fractional combination is a lattice quotient,
+        # whose int_kernel reads V and whose two SNFs read U and Uinv
         built = Counter()
         real = exact.smith_normal_form
 
@@ -424,8 +433,12 @@ class TestPersistentHomology:
             built[caller, s.U is not None, s.V is not None, s.Uinv is not None] += 1
             return s
 
-        monkeypatch.setattr(exact, "smith_normal_form", spy)
+        for mod in (exact, homology):
+            monkeypatch.setattr(mod, "smith_normal_form", spy)
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
+        assert built == {("__init__", True, False, True): 1}
+        built.clear()
+        persistent_module(parse_filtration(rp2_text() + "\n0 1 3 : 2"), 2, "Z")
         assert built == {("int_kernel", False, True, False): 1,
                          ("__init__", True, False, True): 2}
 
@@ -561,13 +574,14 @@ def _first_non_unit_lead(K, k):
 
 
 def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
-    """Exactly the stages from `stop` on are lattice quotients.  Either
-    way the objects are those of the SNF oracle, the generators are int
-    chains, and every induced map, within the module and both ways
-    across a perturbation, is the entrywise oracle's.  Returns the
-    persistent homology."""
+    """Exactly the stages from `stop` on carry a core (up to `frac_stop`)
+    or are lattice quotients (after it).  Either way the objects are
+    those of the SNF oracle, the generators are int chains, and every
+    induced map, within the module and both ways across a perturbation,
+    is the entrywise oracle's.  Returns the persistent homology."""
     H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
-    assert [st._lq is not None for st in H.stages] == [i > H.stop for i in range(len(H.stages))]
+    assert [(st._core is not None, st._lq is not None) for st in H.stages] == \
+        [(H.stop < i <= H.frac_stop, i > H.frac_stop) for i in range(len(H.stages))]
     assert H.module.objects == snf_integer_homology(K, k)[1].objects
     assert all(type(x) is int for st in H.stages for g in st.gen_reps for x in g.values())
     pairs = list(zip(H.stages, H.stages[1:]))
@@ -669,6 +683,52 @@ def test_field_stage_reduces_once(monkeypatch):
     assert dims == [1, 2, 1] * 2
 
 
+@pytest.mark.parametrize("stage", [-2, -1])
+@pytest.mark.parametrize("coeffs", ["Z", "Zm:4", "Q", "Fp:2"])
+def test_coords_refuse_a_chain_that_is_not_a_cycle(coeffs, stage):
+    """A single edge of the Klein bottle's last two stages is no 1-cycle,
+    and every route says so alike: the table (Q, F_2 and Z before its
+    `stop`), the core (Z at the last stage) and the lattice quotient
+    (Z/4)."""
+    K = parse_filtration((DATA / "klein_bottle.flt").read_text())
+    st = persistent_homology(K, 1, coeffs).stages[stage]
+    with pytest.raises(FiltrationError, match="chain is not a cycle of this stage"):
+        st.coords({st.k_simplices[0]: 1})
+
+
+def _universal_coefficients(K, k, m):
+    """Per stage, whether H_k(K_t; Z/m) is H_k(K_t) (x) Z/m (+) Tor(H_{k-1}(K_t), Z/m)
+    (Hatcher, Thm 3A.3) as isomorphism classes: Z (x) Z/m = Z/m, and
+    Z/d (x) Z/m = Tor(Z/d, Z/m) = Z/gcd(d, m)."""
+    over_z = [persistent_homology(K, j, "Z").stages if j >= 0 else None for j in (k, k - 1)]
+    found = []
+    for i, st in enumerate(persistent_homology(K, k, f"Zm:{m}").stages):
+        (rank, invs), tors = over_z[0][i].obj.data, over_z[1][i].obj.data[1] if k else ()
+        orders = [m] * rank + [math.gcd(d, m) for d in invs + tors]
+        found.append(iso_class(st.obj) == iso_from_invariants(finab(), 0,
+                                                               [q for q in orders if q > 1]))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complexes(), st.integers(0, 2), st.sampled_from([2, 3, 4, 6]))
+def test_z_mod_m_stages_obey_universal_coefficients(K, k, m):
+    assert all(_universal_coefficients(K, k, m))
+
+
+@pytest.mark.parametrize("perturbation", [None, (Fr(1, 8), 1), (Fr(1, 4), 2)])
+@pytest.mark.parametrize("name", ["klein_bottle.flt", "rp2"])
+def test_z_mod_m_stages_obey_universal_coefficients_with_torsion(name, perturbation):
+    """H_1 of both surfaces has a Z/2, which Z/m for even m sees twice:
+    in H_1 and, through Tor, in H_2."""
+    K = parse_filtration(rp2_text() if name == "rp2" else (DATA / name).read_text())
+    if perturbation:
+        K = perturb(K, *perturbation)
+    for k in range(3):
+        for m in (2, 3, 4, 6):
+            assert all(_universal_coefficients(K, k, m))
+
+
 @pytest.mark.parametrize("coeffs", ["Q", "Zm:4"])
 def test_coords_refuse_a_chain_outside_the_stage(coeffs):
     """On table stages (Q) and SNF stages (Zm:4) alike, a chain holding a
@@ -712,7 +772,7 @@ def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch,
         def wrapped(src, tgt, *rest):
             before = len(coerced)
             M = build(src, tgt, *rest)
-            per_map.append((build, tgt._lq is None, len(coerced) - before,
+            per_map.append((build, _is_table_stage(tgt), len(coerced) - before,
                             sum(len(g) for g in src.gen_reps)))
             return M
         return wrapped
