@@ -3,16 +3,16 @@
 Everything here is total on exact inputs: arbitrary-precision integers,
 rationals (ints while integral, else Fractions), or residues modulo a
 prime.  Smith normal form is the engine behind all
-finitely-generated-abelian-group computations; it builds the transforms
-of the one side its caller reads (`int_kernel` reads V,
-`LatticeQuotient` reads U and its inverse).  A `LatticeQuotient` builds
-its basis and the sparse columns of U only when a caller first reads
-them, so a caller that only asks `iso` pays for neither, and quotient
+finitely-generated-abelian-group computations; it builds U and its
+inverse, the side every caller reads.  A `LatticeQuotient` builds its
+basis and the sparse columns of U only when a caller first reads them,
+so a caller that only asks `iso` pays for neither, and quotient
 coordinates follow the nonzeros of the vector.  One sparse column
 reduction (`field_reduce`) over a field backs the vector-space and
-Jordan-type computations and the homology of a filtration, integer
-homology included: over `QQ` a reduction of integer columns runs in int
-arithmetic and builds Fractions only where a pivot does not divide.
+Jordan-type computations and the homology of a filtration: over `QQ` a
+reduction of integer columns runs in int arithmetic and builds Fractions
+only where a pivot does not divide.  `int_reduce` is its twin over Z,
+for integer kernels and the cycles of integer homology.
 """
 
 from __future__ import annotations
@@ -37,16 +37,13 @@ class NonSplitError(Exception):
 # ---------------------------------------------------------------------------
 
 class SnfResult(Value):
-    """U @ M @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ... | d_r.
+    """U @ M @ V = D for some unimodular V, with U unimodular, Uinv its
+    inverse and D diagonal, d_1 | d_2 | ... | d_r.  Every caller reads the
+    row side, so V is not built."""
 
-    `smith_normal_form` builds one side: U and Uinv, with V None, or V,
-    with U and Uinv None.
-    """
-
-    U: Mat | None
+    U: Mat
     D: Mat
-    V: Mat | None
-    Uinv: Mat | None
+    Uinv: Mat
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -77,14 +74,8 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
-    """Smith normal form over Z, with the transforms of one side.
-
-    D is always built.  With `rows` set, U and Uinv (the inverse of U)
-    are built and updated and V is None; otherwise V is built and U and
-    Uinv are None.  A transform that is built does not depend on which
-    side was asked for: `smith_normal_form(M, rows=True).U` and
-    `smith_normal_form(M, rows=False).V` satisfy U M V = D.
+def smith_normal_form(M: Mat) -> SnfResult:
+    """Smith normal form over Z, with U and its inverse Uinv.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     block, the first in row-major order; the scan stops at the first
@@ -99,25 +90,19 @@ def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
     """
     m, n = M.rows, M.cols
     D = [list(r) for r in M.data]
-    Ut = _identity(m) if rows else None
-    Ui = _identity(m) if rows else None
-    Vt = None if rows else _identity(n)
-    row_ops = [D, Ut] if rows else [D]  # transforms acted on by row operations
-    col_ops = [D] if rows else [D, Vt]  # ... and by column operations
+    Ut, Ui = _identity(m), _identity(m)
 
     def swap_rows(a, b):
         if a != b:
-            for T in row_ops:
+            for T in (D, Ut):
                 T[a], T[b] = T[b], T[a]
-            if rows:
-                for r in Ui:
-                    r[a], r[b] = r[b], r[a]
+            for r in Ui:
+                r[a], r[b] = r[b], r[a]
 
     def swap_cols(a, b):
         if a != b:
-            for T in col_ops:
-                for r in T:
-                    r[a], r[b] = r[b], r[a]
+            for r in D:
+                r[a], r[b] = r[b], r[a]
 
     # An operation with y = 0 has x = v = 1 (`_elimination` of a pivot that
     # divides b): it only adds u times line a to line b, so it skips the
@@ -127,43 +112,38 @@ def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
         # (row_a, row_b) <- (x row_a + y row_b, u row_a + v row_b), x v - y u = 1;
         # the inverse operation on the columns of Ui
         if y == 0 and x == v == 1:  # row_b += u row_a; Ui: col_a -= u col_b
-            for T in row_ops:
+            for T in (D, Ut):
                 T[b] = [q + u * p if p else q for p, q in zip(T[a], T[b])]
-            if rows:
-                for r in Ui:
-                    q = r[b]
-                    if q:
-                        r[a] -= u * q
+            for r in Ui:
+                q = r[b]
+                if q:
+                    r[a] -= u * q
             return
-        for T in row_ops:
+        for T in (D, Ut):
             ra, rb = T[a], T[b]
             T[a] = [x * p + y * q for p, q in zip(ra, rb)]
             T[b] = [u * p + v * q for p, q in zip(ra, rb)]
-        if rows:
-            for r in Ui:
-                p, q = r[a], r[b]
-                r[a], r[b] = v * p - u * q, x * q - y * p
+        for r in Ui:
+            p, q = r[a], r[b]
+            r[a], r[b] = v * p - u * q, x * q - y * p
 
     def mix_cols(a, b, x, y, u, v):
         # (col_a, col_b) <- (x col_a + y col_b, u col_a + v col_b), x v - y u = 1
         if y == 0 and x == v == 1:  # col_b += u col_a
-            for T in col_ops:
-                for r in T:
-                    p = r[a]
-                    if p:
-                        r[b] += u * p
+            for r in D:
+                p = r[a]
+                if p:
+                    r[b] += u * p
             return
-        for T in col_ops:
-            for r in T:
-                p, q = r[a], r[b]
-                r[a], r[b] = x * p + y * q, u * p + v * q
+        for r in D:
+            p, q = r[a], r[b]
+            r[a], r[b] = x * p + y * q, u * p + v * q
 
     def negate_row(i):
-        for T in row_ops:
+        for T in (D, Ut):
             T[i] = [-x for x in T[i]]
-        if rows:
-            for r in Ui:
-                r[i] = -r[i]
+        for r in Ui:
+            r[i] = -r[i]
 
     t = 0
     while True:
@@ -207,10 +187,7 @@ def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
         if D[i][i] < 0:
             negate_row(i)
 
-    def result(T, k):
-        return None if T is None else Mat.from_rows(T, k)
-
-    return SnfResult(result(Ut, m), Mat.from_rows(D, n), result(Vt, n), result(Ui, m))
+    return SnfResult(Mat.from_rows(Ut, m), Mat.from_rows(D, n), Mat.from_rows(Ui, m))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +195,11 @@ def smith_normal_form(M: Mat, *, rows: bool) -> SnfResult:
 # ---------------------------------------------------------------------------
 
 def int_kernel(M: Mat) -> Mat:
-    """Basis of the integer kernel {x : M x = 0}, columns of the result."""
-    s = smith_normal_form(M, rows=False)
-    return s.V.take_cols(range(s.rank, M.cols))
+    """Basis of the integer kernel {x : M x = 0}, columns of the result:
+    the combinations of the columns of M that `int_reduce` zeroes, in
+    echelon form."""
+    R, _, V = int_reduce(_columns(QQ, M))
+    return _dense(QQ, [v for c, v in zip(R, V) if not c], M.cols)
 
 
 def lattice_basis(gens: Mat) -> Mat:
@@ -240,13 +219,14 @@ def lattice_intersection(A: Mat, B: Mat) -> Mat:
 
 
 def preimage_lattice(g: Mat, R: Mat) -> Mat:
-    """Generators of {x in Z^n : g x in column-lattice(R)} for g : Z^n -> Z^m."""
+    """Basis (columns) of {x in Z^n : g x in column-lattice(R)} for
+    g : Z^n -> Z^m: the x rows of the kernel of [-R | g], whose echelon
+    basis from `int_kernel` projects onto one once the vectors that
+    vanish there, the relations among the columns of R, are dropped."""
     if g.rows != R.rows:
         raise ValueError("ambient rank mismatch")
-    if R.cols == 0:
-        return int_kernel(g)
-    K = int_kernel(g.hstack(R.scale(-1)))
-    return lattice_basis(K.take_rows(range(g.cols)))
+    K = int_kernel(R.scale(-1).hstack(g)).take_rows(range(R.cols, R.cols + g.cols))
+    return K.take_cols([j for j, col in enumerate(K.columns()) if any(col)])
 
 
 class LatticeContainmentError(ValueError):
@@ -430,6 +410,34 @@ def field_reduce(F, cols: list, track: bool = False) -> tuple:
     return R, lows, V
 
 
+def int_reduce(cols: list) -> tuple:
+    """`field_reduce` over Z with V tracked: the same (R, lows, V), in int
+    dict columns.  Where a pivot leaves a remainder at the column's lowest
+    row, the column and the pivot swap (Euclid on columns), so V stays
+    integer and unimodular.  The V of a column j reduced to zero has
+    lowest row j, as the kernel of the first j + 1 columns has rank one
+    more than that of the first j; so these V, whose leads need not be
+    units, are an echelon Z-basis of the kernel of every prefix."""
+    R, lows, V = [], {}, []
+    for j, col in enumerate(cols):
+        c, v = dict(col), {j: 1}
+        while c:
+            low = max(c)
+            i = lows.get(low)
+            if i is None:
+                lows[low] = j
+                break
+            if q := c[low] // R[i][low]:
+                _sub_multiple(QQ, c, q, R[i])
+                _sub_multiple(QQ, v, q, V[i])
+            if low in c:  # a remainder: it becomes the pivot at low
+                c, R[i] = R[i], c
+                v, V[i] = V[i], v
+        R.append(c)
+        V.append(v)
+    return R, lows, V
+
+
 def _columns(F, M: Mat) -> list:
     return [{i: v for i, v in enumerate(map(F.coerce, col)) if v} for col in M.columns()]
 
@@ -568,13 +576,13 @@ class LatticeQuotient:
         if L_gens.rows != B_gens.rows:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
-        s = smith_normal_form(L_gens, rows=True)
+        s = smith_normal_form(L_gens)
         self._U, self._Uinv = s.U, s.Uinv
         self._d = s.invariant_factors
         W = s.U @ B_gens
         C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
                           nrows=len(self._d))
-        s = smith_normal_form(C, rows=True)
+        s = smith_normal_form(C)
         self._P = s.U
         self._Pinv = s.Uinv
         rho = s.rank

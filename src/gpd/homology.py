@@ -2,9 +2,9 @@
 
 The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients from one column
-reduction of the whole filtration, integer stages from its `stop` on by
-one Smith normal form of the core its unit-lead eliminations leave, and
-Z/m coefficients through presented lattice quotients) on chains
+reduction of the whole filtration, integer stages from its `lead_stop`
+on by one Smith normal form of the core its unit-lead eliminations
+leave, and Z/m coefficients through presented lattice quotients) on chains
 {k-simplex: coefficient}, reads induced maps as canonical coordinates
 of chains, and assembles a constructible module.
 One `PersistentHomology` per filtration and degree runs that reduction
@@ -32,7 +32,7 @@ from .exact import (
     PrimeField,
     _clear,
     field_reduce,
-    int_kernel,
+    int_reduce,
     parse_rational,
     preimage_lattice,
     smith_normal_form,
@@ -202,8 +202,8 @@ def parse_coeffs(token: str):
 
 class PersistentHomology:
     """Persistent homology of one filtration in degree k: one column
-    reduction of the whole filtration, from which every stage below
-    `stop` reads its homology.
+    reduction of the whole filtration, from which every stage over Z or
+    a field reads its homology.
 
     Simplices go in value order (complex order within a value), so a
     stage's k-simplices are a prefix of `k_simplices`, its (k+1)-simplices
@@ -220,41 +220,36 @@ class PersistentHomology:
     the others, the stage's generators, a basis of H_k(t) (Zomorodian and
     Carlsson).
 
-    Over Z the reduction runs over QQ, whose values stay ints while every
-    pivot divides.  `lead_stop` is the first value index of a column of
-    d_{k+1} whose lead (entry at its lowest row) is not +-1, and `stop`
-    the smaller of it and the first value index of a column of d_k whose
-    V has a non-int entry.  Below `stop` the reduction of d_{k+1}
-    divides only by unit leads, so its R spans the lattice d_{k+1} does,
-    and V is integer, so every table column there is an integer column
-    leading with +-1: clearing an integer cycle against them takes
-    integer multiples, the bases above are bases of the lattices, and
-    H_k(t) is free on the generators.  A pair dying at or after
-    `lead_stop` keeps z_p, as its R_j may lead with a non-unit.  Up to
-    `frac_stop`, that first value index of a non-int V, the table columns
-    born by a stage stay a basis of its integer cycles, so a stage from
-    `lead_stop` on is the table and one Smith normal form of a small core
-    (`_Stage`; Dumas, Heckenbach, Saunders and Welker).  Stages from
-    `frac_stop` on, and every stage over Z/m (stop = frac_stop = -1), are
-    lattice quotients; over a field no stage has a core (stop = frac_stop
-    = the number of values).
-
-    Unit leads alone make the bars those over Q.  The reduced columns of
-    the (k+1)-simplices up to t then span B_k(t) with unit leads at
-    distinct rows, so B_k(t) is saturated in C_k(t): if m x is the sum
-    of a_j R_j, its entry at the highest lead with a_j != 0 is +-a_j, so
-    m divides a_j, and induction over the other R_j puts x in B_k(t).  A
-    saturated sublattice is a direct summand, so C_k(t) / B_k(t) is free,
-    and so are its subgroup H_k(t) and every image of H_k(s) -> H_k(t).
-    The test is sufficient, not necessary: the column (1, 2) spans a
-    saturated lattice, yet its lead is 2.  Torsion always fails it.
+    Over Z the reduction of d_{k+1} runs over QQ, whose values stay ints
+    while every pivot divides.  `lead_stop` is the first value index of
+    a column of d_{k+1} whose lead (entry at its lowest row) is not +-1.
+    Below it that reduction divides only by unit leads, so its R spans
+    the lattice d_{k+1} does, and a pair dying there keeps R_j, an
+    integer column leading with +-1; a pair dying from `lead_stop` on
+    keeps z_p.  The reduction of d_k runs over Z (`int_reduce`), so the
+    z_p are an echelon Z-basis of the integer cycles on the kept rows,
+    and with the R_j, whose unit leads clear a cycle's entries at their
+    rows from the top down, the table is an echelon Z-basis of Z_k: a
+    cycle's entry at its lowest row is a multiple of the table's lead
+    there.  So an integer cycle clears against the table by integer
+    multiples, through columns of lower rows only, and the bases above
+    are bases of the lattices.  Below `lead_stop`, B_k(t) is spanned by
+    part of that basis of Z_k(t), so H_k(t) is free on the generators,
+    and so is every image of H_k(s) -> H_k(t), spanned by the generators
+    of s alive at t: the bars are those over Q.  The unit-lead test is
+    sufficient, not necessary: the column (1, 2) spans a saturated
+    lattice, yet its lead is 2.  Torsion always fails it.  A stage from
+    `lead_stop` on is the table and one Smith normal form of a small
+    core (`_Stage`; Dumas, Heckenbach, Saunders and Welker).  Over Z/m
+    every stage is a lattice quotient (lead_stop = -1); over a field no
+    stage has a core (lead_stop = the number of values).
 
     The stages (`stages[i]` the stage of segment i, `stages[0]` the empty
     complex) and the module are built on first use, so a diagram read off
-    the bars builds neither.  A connecting map between stages below `stop`
-    is read off `born` and `death` (`_partial_identity`), with no
-    clearing; an interleaving reuses the stages.  Only the caller holds
-    them.
+    the bars builds neither.  A connecting map between stages below
+    `lead_stop` is read off `born` and `death` (`_partial_identity`),
+    with no clearing; an interleaving reuses the stages.  Only the
+    caller holds them.
     """
 
     def __init__(self, K: FilteredComplex, k: int, coeffs: str):
@@ -263,7 +258,7 @@ class PersistentHomology:
         self.complex, self.k, self.coeffs = K, k, coeffs
         self.ring = parse_coeffs(coeffs)
         kind, F, _ = self.ring
-        self.stop = self.lead_stop = self.frac_stop = -1
+        self.lead_stop = -1
         if kind == "Zm":
             return
         ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
@@ -276,14 +271,10 @@ class PersistentHomology:
                              default=n) if integral else n
         table = {p: R[j] for p, j in lows.items() if self.death[p] < self.lead_stop}
         kept = [p for p in range(len(ks)) if p not in table]
-        R, _, V = field_reduce(F, _boundary_columns(K.simplices_of_dim(k - 1),
-                                                    [ks[p][0] for p in kept], F.coerce), track=True)
+        cols = _boundary_columns(K.simplices_of_dim(k - 1), [ks[p][0] for p in kept], F.coerce)
+        R, _, V = int_reduce(cols) if integral else field_reduce(F, cols, track=True)
         table.update((p, {kept[i]: x for i, x in v.items()})
                      for p, c, v in zip(kept, R, V) if not c)
-        fractional = (self.born[p] for p, v in zip(kept, V)
-                      if any(type(x) is not int for x in v.values()))
-        self.frac_stop = next(fractional, n) if integral else n
-        self.stop = min(self.lead_stop, self.frac_stop)
         self.table = dict(sorted(table.items()))
         self.lows = {p: p for p in self.table}  # the lowest row of each column, for _clear
         self.index = {s: i for i, s in enumerate(self.k_simplices)}
@@ -291,7 +282,7 @@ class PersistentHomology:
                        for p, c in self.table.items()}
         # the columns of the stages' cores: the boundaries of the
         # (k+1)-simplices from lead_stop on, cleared against the table
-        late = [e for e in above if self.lead_stop <= e[1] < self.frac_stop]
+        late = [e for e in above if self.lead_stop <= e[1]]
         cols = _boundary_columns(self.k_simplices, [s for s, _ in late])
         self.core_columns = [(i, dict(_clear(F, c, self.table, self.lows)))
                              for (_, i), c in zip(late, cols)]
@@ -307,7 +298,7 @@ class PersistentHomology:
         from .pmodule import ConstructibleModule
 
         stages = self.stages  # stages[i] reads the first i values
-        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if i < self.stop
+        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if i < self.lead_stop
                               else _induced_payload(a, b))
                      for i, (a, b) in enumerate(zip(stages, stages[1:])))
         return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
@@ -321,27 +312,26 @@ class _Stage:
     chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
     cycle chain of the stage in those generators.
 
-    Up to `H.frac_stop` the table columns born by the stage are a basis
+    Over Z and a field the table columns born by the stage are a basis
     of its cycles, and `coords` clears a chain against the table.  The
     rows of the core are those columns that no pair dying before
     `lead_stop` (or the stage) kills, as that pair's column is its R_j.
-    Below `stop` they are the generators, and maps between such stages
-    are 0/1 partial identities (`_partial_identity`).  From `lead_stop`
+    Below `lead_stop` they are the generators, and maps between such
+    stages are 0/1 partial identities (`_partial_identity`).  From `lead_stop`
     on the core's columns are the cleared boundaries of the
     (k+1)-simplices born since (`H.core_columns`), and its Smith normal
     form U C V = D gives the rest: generator i combines the table chains
     by column i of U^-1, free ones first, and a coordinate is a row of U
     applied to the core rows of the cleared chain, mod its invariant
     factor if torsion (`_core`: those rows and factors, 0 if free).
-    From `frac_stop` on, and over Z/m, the stage is the lattice quotient
-    Z_k / B_k (`_lq`).
+    Over Z/m the stage is the lattice quotient Z_k / B_k (`_lq`).
     """
 
     def __init__(self, H: PersistentHomology, at):
         kind, F, cat = H.ring
         n = bisect_right(H.complex.critical_values, at)
         self._lq = self._core = None
-        if n > H.frac_stop:
+        if kind == "Zm":
             self._lattice_quotient(H, at)
             return
         m = bisect_left(H.born, n)
@@ -355,7 +345,7 @@ class _Stage:
             return
         cols = [c for i, c in H.core_columns if i < n]
         s = smith_normal_form(Mat.from_rows([[c.get(p, 0) for c in cols] for p in self._gens],
-                                            len(cols)), rows=True)
+                                            len(cols)))
         r, d = len(self._gens), s.invariant_factors
         keep = list(range(len(d), r)) + [i for i, di in enumerate(d) if di > 1]  # free first
         self._core = [({p: a for p, a in zip(self._gens, s.U.data[i]) if a},
@@ -364,20 +354,15 @@ class _Stage:
         self.obj = make_obj(cat, (r - len(d), tuple(di for di in d if di > 1)))
 
     def _lattice_quotient(self, H: PersistentHomology, at):
-        K, k, (kind, arg, cat) = H.complex, H.k, H.ring
+        K, k, (_, m, cat) = H.complex, H.k, H.ring
         ks = self.k_simplices = K.simplices_of_dim(k, at=at)
         self._index, nk = {s: i for i, s in enumerate(ks)}, len(ks)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         above = K.simplices_of_dim(k + 1, at=at)
         d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
-        if k == 0:
-            L = Mat.identity(nk)
-        elif kind == "Z":
-            L = int_kernel(d_k)
-        else:  # the chains whose boundary is 0 mod m
-            L = preimage_lattice(d_k, Mat.identity(len(below)).scale(arg))
-        B = d_k1 if kind == "Z" else d_k1.hstack(Mat.identity(nk).scale(arg))
-        self._lq = LatticeQuotient(L, B)
+        # the chains whose boundary is 0 mod m, over those of boundaries mod m
+        L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) if k else Mat.identity(nk)
+        self._lq = LatticeQuotient(L, d_k1.hstack(Mat.identity(nk).scale(m)))
         rank, invs = self._lq.iso()
         self.gen_reps = [{ks[i]: x for i, x in enumerate(col) if x}
                          for col in self._lq.generator_reps().columns()]
@@ -386,9 +371,9 @@ class _Stage:
     def coords(self, chain: dict, cleared: dict | None = None) -> list:
         """Canonical homology coordinates of a cycle chain of this stage;
         FiltrationError for a chain with a simplex outside the stage or
-        one that is not a cycle.  Up to `frac_stop` a chain clears
-        against the table alike at every stage, and `cleared` keeps
-        that, by id, for other stages of H."""
+        one that is not a cycle.  A chain clears against the table alike
+        at every stage, and `cleared` keeps that, by id, for other stages
+        of H."""
         m = len(self.k_simplices)
         if self._lq is not None:
             at = {self._index.get(s, m): v for s, v in chain.items()}
@@ -433,7 +418,7 @@ def _induced_payload(src: _Stage, tgt: _Stage, cleared: dict | None = None):
 
 
 def _partial_identity(src: _Stage, tgt: _Stage):
-    """`_induced_payload` between two stages of one H below its `stop`,
+    """`_induced_payload` between two stages of one H below its `lead_stop`,
     read off `born` and `death`: generator p goes to p while it is alive
     at tgt and to 0 once it is dead (its column is R_j, a boundary)."""
     F, gens = tgt._clearing[0], tgt._gens

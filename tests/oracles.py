@@ -37,7 +37,7 @@ from gpd.homology import (
     persistent_homology,
     persistent_module,
 )
-from gpd.matrix import Mat
+from gpd.matrix import Mat, Value
 from gpd.pmodule import (
     ConstructibleModule,
     InterleavingGridError,
@@ -102,11 +102,22 @@ def dense_mul(A: Mat, B: Mat) -> Mat:
         for i in range(A.rows)))
 
 
-def dense_smith_normal_form(M: Mat) -> SnfResult:
+class DenseSnf(Value):
+    """U @ M @ V = D with all three transforms: `SnfResult` and its V."""
+
+    U: Mat
+    D: Mat
+    V: Mat
+    Uinv: Mat
+    invariant_factors = SnfResult.invariant_factors
+    rank = SnfResult.rank
+
+
+def dense_smith_normal_form(M: Mat) -> DenseSnf:
     """Smith normal form with U, V and Uinv always built and updated, every
     row of every transform touched by each operation, and a pivot scan of
     the whole remaining block: the same pivots and steps as
-    `exact.smith_normal_form`, so the same D and transforms."""
+    `exact.smith_normal_form`, so the same D, U and Uinv."""
     m, n = M.rows, M.cols
     D = [list(r) for r in M.data]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -183,19 +194,17 @@ def dense_smith_normal_form(M: Mat) -> SnfResult:
         if D[i][i] < 0:
             negate_row(i)
 
-    return SnfResult(Mat.from_rows(U, m), Mat.from_rows(D, n),
-                     Mat.from_rows(V, n), Mat.from_rows(Ui, m))
+    return DenseSnf(Mat.from_rows(U, m), Mat.from_rows(D, n),
+                    Mat.from_rows(V, n), Mat.from_rows(Ui, m))
 
 
 def assert_snf_sides_match_oracle(M: Mat):
-    """For each side asked of `smith_normal_form`, D and each transform
-    built equal the dense all-transforms oracle's, and the others are None."""
+    """`smith_normal_form`'s D, U and Uinv equal the dense all-transforms
+    oracle's, and with the oracle's V they reassemble U M V = D."""
     o = dense_smith_normal_form(M)
-    for rows in (True, False):
-        s = smith_normal_form(M, rows=rows)
-        assert s.D == o.D
-        assert (s.U, s.Uinv) == ((o.U, o.Uinv) if rows else (None, None))
-        assert s.V == (None if rows else o.V)
+    s = smith_normal_form(M)
+    assert (s.U, s.D, s.Uinv) == (o.U, o.D, o.Uinv)
+    assert s.U @ M @ o.V == s.D
 
 
 # --- Integer determinants and solving (checks of SNF transforms, lattices) --

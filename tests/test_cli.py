@@ -215,7 +215,7 @@ class TestStability:
     def test_integer_stages_run_smith_normal_forms_only_on_cores(self, capsys, monkeypatch):
         """The Klein bottle call of the `stability` workload in perfbench:
         over its 11 filtrations (the given one and 10 perturbations), each
-        stage from `stop` on (11 in all) runs one Smith normal form, on
+        stage from `lead_stop` on (11 in all) runs one Smith normal form, on
         the small core the table leaves, not an integer kernel and a
         lattice quotient of the whole stage."""
         from gpd import exact

@@ -21,6 +21,7 @@ from gpd.exact import (
     field_reduce,
     field_solve,
     int_kernel,
+    int_reduce,
     is_prime,
     jordan_type,
     lattice_basis,
@@ -58,26 +59,25 @@ small_matrices = st.integers(0, 4).flatmap(
 
 class TestSmithNormalForm:
     def test_identity(self):
-        r = smith_normal_form(Mat.identity(2), rows=True)
-        c = smith_normal_form(Mat.identity(2), rows=False)
-        assert r.D == c.D == Mat.identity(2)
-        assert r.U == Mat.identity(2)
-        assert c.V == Mat.identity(2)
+        s = smith_normal_form(Mat.identity(2))
+        assert s.D == s.U == s.Uinv == Mat.identity(2)
+        assert dense_smith_normal_form(Mat.identity(2)).V == Mat.identity(2)
 
     def test_known_invariants(self):
-        s = smith_normal_form(Mat.from_rows([[2, 4], [6, 8]]), rows=True)
+        s = smith_normal_form(Mat.from_rows([[2, 4], [6, 8]]))
         assert s.invariant_factors == (2, 4)
 
     def test_zero_matrix(self):
-        s = smith_normal_form(Mat.zero(3, 2), rows=False)
+        s = smith_normal_form(Mat.zero(3, 2))
         assert s.D == Mat.zero(3, 2)
         assert s.rank == 0
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
     def test_reassembly_and_unimodularity(self, M):
-        s = smith_normal_form(M, rows=True)
-        V = smith_normal_form(M, rows=False).V
+        # the same steps as the dense oracle, whose V completes U M V = D
+        s = smith_normal_form(M)
+        V = dense_smith_normal_form(M).V
         assert s.U @ M @ V == s.D
         assert is_unimodular(s.U) and is_unimodular(V)
         assert s.U @ s.Uinv == Mat.identity(M.rows)
@@ -89,7 +89,7 @@ class TestSmithNormalForm:
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
     def test_invariants_match_minor_gcd_oracle(self, M):
-        s = smith_normal_form(M, rows=False)
+        s = smith_normal_form(M)
         assert list(s.invariant_factors) == invariants_from_minor_gcds(M)
 
     @settings(max_examples=150, deadline=None)
@@ -112,10 +112,46 @@ class TestSmithNormalForm:
             [0, 0, 4, 44, -4, -68, 68, 16, -12, 4],
             [0, 0, -397, -4359, 397, 6737, -6737, -1585, 1188, -396],
         ])
-        s = smith_normal_form(C, rows=True)
-        V = smith_normal_form(C, rows=False).V
+        s = smith_normal_form(C)
+        V = dense_smith_normal_form(C).V
         assert s.U @ C @ V == s.D and s.invariant_factors == (1,) + (4,) * 9
         assert max(abs(v) for T in (s.U, V) for r in T.data for v in r) < 10 ** 4
+
+
+remainder_matrices = st.integers(0, 6).flatmap(
+    lambda m: st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 6]), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        ).map(lambda rows: Mat.from_rows(rows, ncols=n))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices, remainder_matrices))
+@example(Mat.from_rows([[2, 3]]))  # 3 leaves 2 under the pivot 2: Euclid swaps twice
+def test_int_reduce_zero_columns_are_an_echelon_basis_of_every_prefix_kernel(M):
+    """R = M V with V integer and unimodular; the V of a zero column j has
+    lowest row j, so the zero columns have distinct lows; and for every
+    prefix q, the zero columns of low below q span the integer kernel of
+    the first q columns, that of the dense Smith normal form oracle."""
+    cols = [{i: x for i, x in enumerate(col) if x} for col in M.columns()]
+    R, lows, V = int_reduce(cols)
+    n = M.cols
+    assert all(type(x) is int for v in V for x in v.values())
+    Vm = Mat.from_cols([[v.get(i, 0) for i in range(n)] for v in V], nrows=n)
+    assert is_unimodular(Vm)
+    assert M @ Vm == Mat.from_cols([[c.get(i, 0) for i in range(M.rows)] for c in R],
+                                   nrows=M.rows)
+    assert lows == {max(c): j for j, c in enumerate(R) if c}
+    zero = [(j, v) for j, (c, v) in enumerate(zip(R, V)) if not c]
+    assert all(max(v) == j for j, v in zero)
+    for q in range(n + 1):
+        o = dense_smith_normal_form(M.take_cols(range(q)))
+        kernel = o.V.take_cols(range(o.rank, q))
+        Z = Mat.from_cols([[v.get(i, 0) for i in range(q)] for j, v in zero if j < q], nrows=q)
+        assert lattice_contains(kernel, Z) and lattice_contains(Z, kernel)
 
 
 class TestIntegerSolving:
@@ -161,6 +197,22 @@ class TestLattices:
         P = preimage_lattice(g, R)
         assert lattice_contains(P, Mat.from_cols([[2, 0], [0, 3]]))
         assert not lattice_contains(P, Mat.from_cols([[1, 0]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices, st.integers(0, 3), st.integers(0, 10 ** 6))
+    def test_preimage_is_a_basis_of_the_preimage(self, g, k, seed):
+        """Its columns are independent and map into the lattice of R, and
+        they span the x rows of the kernel of [g | -R] that the dense
+        Smith normal form oracle finds."""
+        rng = random.Random(seed)
+        R = Mat.from_cols([[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(g.rows)]
+                           for _ in range(k)], nrows=g.rows)
+        P = preimage_lattice(g, R)
+        assert P.rows == g.cols and rref_rank(QQ, P) == P.cols
+        assert lattice_contains(R, g @ P)
+        o = dense_smith_normal_form(g.hstack(R.scale(-1)))
+        Q = o.V.take_cols(range(o.rank, g.cols + k)).take_rows(range(g.cols))
+        assert lattice_contains(P, Q) and lattice_contains(Q, P)
 
 
 class TestQuotientInvariants:

@@ -82,6 +82,8 @@ TRIANGLE = "0 : 0\n1 : 0\n2 : 0\n0 1 : 1\n1 2 : 1\n0 2 : 1"
 
 RP2_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+RP2_UNUSED = [t for t in itertools.combinations(range(6), 3)
+              if t not in {tuple(sorted(u)) for u in RP2_TRIS}]
 
 
 def rp2_text():
@@ -285,14 +287,14 @@ def test_induced_maps_match_entrywise_oracle(name, coeffs):
 
 
 def _is_table_stage(stage) -> bool:
-    """A stage below `stop`: its generators are table columns."""
+    """A stage below `lead_stop`: its generators are table columns."""
     return stage._core is None and stage._lq is None
 
 
 @pytest.mark.parametrize("coeffs", ["Z", "Q", "Fp:2", "Zm:4"])
 def test_module_maps_match_the_entrywise_oracle(coeffs):
     """Each connecting map of H.module, read off `born` and `death` where
-    both stages are below `stop`, equals `make_mor` of the entrywise
+    both stages are below `lead_stop`, equals `make_mor` of the entrywise
     oracle on the same pair of stages, in degrees 0-2: on the bundled
     data as given and perturbed, and on grid tori and Klein bottles,
     whose H_1 over Z has a table stage followed by a stage with a core."""
@@ -358,7 +360,7 @@ class TestPerturbation:
     @pytest.mark.parametrize("name", ["torus.flt", "klein_bottle.flt", "empty",
                                       "grid-torus-5", "grid-klein-5"])
     def test_interleaving_matches_fresh_stage_oracle(self, name, coeffs):
-        """Over Z, grid Klein 5 has `stop` 19 of its 20 values, so table
+        """Over Z, grid Klein 5 has `lead_stop` 19 of its 20 values, so table
         and SNF stages meet across the interleaving."""
         if name.startswith("grid"):
             K = grid_complex(5, seed=1, klein=name == "grid-klein-5")
@@ -421,26 +423,25 @@ class TestPersistentHomology:
         assert H.module.objects[-1].data == (2, ())
 
     def test_smith_normal_forms_build_only_the_transforms_read(self, monkeypatch):
-        # over Z, the torsion stage's core reads U and Uinv; a stage after
-        # a cycle with a fractional combination is a lattice quotient,
-        # whose int_kernel reads V and whose two SNFs read U and Uinv
+        # over Z, the torsion stage's core is the one Smith normal form, and
+        # it builds no V; a stage after a cycle whose lead is not a unit (RP^2 plus
+        # a triangle, in degree 2) is a table stage and runs none
         built = Counter()
         real = exact.smith_normal_form
 
-        def spy(M, **kw):
-            s = real(M, **kw)
+        def spy(M):
+            s = real(M)
             caller = sys._getframe(1).f_code.co_name
-            built[caller, s.U is not None, s.V is not None, s.Uinv is not None] += 1
+            built[caller, hasattr(s, "V")] += 1
             return s
 
         for mod in (exact, homology):
             monkeypatch.setattr(mod, "smith_normal_form", spy)
         persistent_module(parse_filtration((DATA / "klein_bottle.flt").read_text()), 1, "Z")
-        assert built == {("__init__", True, False, True): 1}
+        assert built == {("__init__", False): 1}
         built.clear()
         persistent_module(parse_filtration(rp2_text() + "\n0 1 3 : 2"), 2, "Z")
-        assert built == {("int_kernel", False, True, False): 1,
-                         ("__init__", True, False, True): 2}
+        assert built == {}
 
     def test_quotient_coordinates_read_only_columns_of_U_where_x_is_nonzero(self):
         class Counted(int):
@@ -492,6 +493,22 @@ def _complexes(draw):
     for s in closure:
         value[s] = max([Fr(draw(st.integers(0, 6)), 2)] + [value[f] for f in facets(s)])
     return make_complex(value.items())
+
+
+@st.composite
+def _torsion_complexes(draw):
+    """Complexes whose integer homology has torsion: grid Klein bottles on
+    3 x 3 or 4 x 4 vertices, as given or perturbed, and RP^2 with one or
+    two of its unused triangles at values in {1, 3/2, ..., 3}, where the
+    reduction of d_2 over Z meets a remainder."""
+    if draw(st.booleans()):
+        K = grid_complex(draw(st.sampled_from([3, 4])), draw(st.integers(0, 99)), klein=True)
+        if draw(st.booleans()):
+            K = perturb(K, Fr(draw(st.integers(1, 8)), 2), draw(st.integers(0, 99)))
+        return K
+    extra = draw(st.lists(st.sampled_from(RP2_UNUSED), min_size=1, max_size=2, unique=True))
+    return parse_filtration(rp2_text() + "".join(
+        f"\n{' '.join(map(str, t))} : {Fr(draw(st.integers(2, 6)), 2)}" for t in extra))
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,7 +566,7 @@ def test_field_stages_match_dense_oracle_on_bundled_data(name, coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_complexes(), st.integers(0, 2), st.integers(0, 99))
+@given(_complexes() | _torsion_complexes(), st.integers(0, 2), st.integers(0, 99))
 def test_integer_stages_match_snf_oracle(K, k, seed):
     _assert_matches_dense_stages(K, k, "Z", seed=seed)
 
@@ -574,14 +591,14 @@ def _first_non_unit_lead(K, k):
 
 
 def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
-    """Exactly the stages from `stop` on carry a core (up to `frac_stop`)
-    or are lattice quotients (after it).  Either way the objects are
-    those of the SNF oracle, the generators are int chains, and every
-    induced map, within the module and both ways across a perturbation,
-    is the entrywise oracle's.  Returns the persistent homology."""
+    """Exactly the stages from `lead_stop` on carry a core, and no stage
+    over Z is a lattice quotient.  The objects are those of the SNF
+    oracle, the generators are int chains, and every induced map, within
+    the module and both ways across a perturbation, is the entrywise
+    oracle's.  Returns the persistent homology."""
     H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
     assert [(st._core is not None, st._lq is not None) for st in H.stages] == \
-        [(H.stop < i <= H.frac_stop, i > H.frac_stop) for i in range(len(H.stages))]
+        [(H.lead_stop < i, False) for i in range(len(H.stages))]
     assert H.module.objects == snf_integer_homology(K, k)[1].objects
     assert all(type(x) is int for st in H.stages for g in st.gen_reps for x in g.values())
     pairs = list(zip(H.stages, H.stages[1:]))
@@ -606,22 +623,31 @@ def test_integer_stop_is_the_first_non_unit_lead(name, perturbation):
         K = perturb(K, *perturbation)
     for k in (1, 2):
         H = _assert_stop_splits_the_integer_stages(K, k)
-        assert H.stop == H.lead_stop == _first_non_unit_lead(K, k)
-        assert (H.stop < len(K.critical_values)) == (k == 1)
+        assert H.lead_stop == _first_non_unit_lead(K, k)
+        assert (H.lead_stop < len(K.critical_values)) == (k == 1)
 
 
-@pytest.mark.parametrize("triangle", [t for t in itertools.combinations(range(6), 3)
-                                      if t not in {tuple(sorted(u)) for u in RP2_TRIS}])
-def test_integer_stop_at_a_cycle_with_a_fractional_combination(triangle):
+@pytest.mark.parametrize("triangle", RP2_UNUSED)
+def test_integer_stop_at_a_cycle_with_a_fractional_combination(triangle, monkeypatch):
     """RP^2 and one of its ten unused triangles at value 2, in degree 2:
     d_3 is zero, so no lead stops the reduction, but the cycle the new
-    triangle closes is the triangle plus halves of the others.  That
-    V column alone sets `stop` to value 2, where the stage is a lattice
-    quotient generated by twice the cycle."""
+    triangle closes over Q is the triangle plus halves of the others.
+    The reduction over Z keeps twice that cycle, leading with +-2 at the
+    triangle, so the stage at value 2 is a table stage generated by it,
+    and the module runs no Smith normal form."""
+    calls = []
+    real = exact.smith_normal_form
+    for mod in (exact, homology):
+        monkeypatch.setattr(mod, "smith_normal_form", lambda M: calls.append(M) or real(M))
     K = parse_filtration(rp2_text() + f"\n{' '.join(map(str, triangle))} : 2")
-    H = _assert_stop_splits_the_integer_stages(K, 2)
-    assert (H.lead_stop, K.critical_values[H.stop]) == (len(K.critical_values), 2)
-    assert persistent_module(K, 2, "Z").objects[-1].data == (1, ())
+    H = persistent_homology(K, 2, "Z")
+    assert H.module.objects[-1].data == (1, ())
+    assert calls == []
+    monkeypatch.undo()
+    last = H.stages[-1]
+    assert (H.lead_stop, K.critical_values[-1]) == (len(K.critical_values), 2)
+    assert _is_table_stage(last) and [abs(g[triangle]) for g in last.gen_reps] == [2]
+    _assert_stop_splits_the_integer_stages(K, 2)
 
 
 def _assert_rank_maps_z_diagram_onto_q(K, k):
@@ -638,7 +664,7 @@ def _assert_rank_maps_z_diagram_onto_q(K, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_complexes(), st.integers(0, 2))
+@given(_complexes() | _torsion_complexes(), st.integers(0, 2))
 def test_rank_maps_integer_diagram_onto_rational_one(K, k):
     _assert_rank_maps_z_diagram_onto_q(K, k)
 
@@ -688,7 +714,7 @@ def test_field_stage_reduces_once(monkeypatch):
 def test_coords_refuse_a_chain_that_is_not_a_cycle(coeffs, stage):
     """A single edge of the Klein bottle's last two stages is no 1-cycle,
     and every route says so alike: the table (Q, F_2 and Z before its
-    `stop`), the core (Z at the last stage) and the lattice quotient
+    `lead_stop`), the core (Z at the last stage) and the lattice quotient
     (Z/4)."""
     K = parse_filtration((DATA / "klein_bottle.flt").read_text())
     st = persistent_homology(K, 1, coeffs).stages[stage]
@@ -711,7 +737,7 @@ def _universal_coefficients(K, k, m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_complexes(), st.integers(0, 2), st.sampled_from([2, 3, 4, 6]))
+@given(_complexes() | _torsion_complexes(), st.integers(0, 2), st.sampled_from([2, 3, 4, 6]))
 def test_z_mod_m_stages_obey_universal_coefficients(K, k, m):
     assert all(_universal_coefficients(K, k, m))
 
@@ -755,9 +781,9 @@ def test_coords_refuse_a_chain_outside_the_stage(coeffs):
 
 @pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Z"])
 def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch, coeffs):
-    """A connecting map of the module between two stages below `stop` is
+    """A connecting map of the module between two stages below `lead_stop` is
     read off `born` and `death` and coerces nothing; one into a stage
-    from `stop` on coerces at most one entry per nonzero of its source
+    from `lead_stop` on coerces at most one entry per nonzero of its source
     generators' chains, not one per k-simplex of the target.  Each
     direction of an interleaving clears a source chain once, however
     many of its maps read it: it coerces at most one entry per nonzero

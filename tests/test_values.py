@@ -41,9 +41,9 @@ VALUES = {
     PositivityReport: (("ok", "negative_cells", "witnesses", "matches"),
                        lambda: (True, (), (), True), lambda: (False, ((1, 2),), (), True),
                        "PositivityReport(ok=True, negative_cells=(), witnesses=(), matches=True)"),
-    SnfResult: (("U", "D", "V", "Uinv"), lambda: (None, _mat(2), None, None),
-                lambda: (_mat(1), _mat(2), None, _mat(1)),
-                "SnfResult(U=None, D=Mat(1x1, [[2]]), V=None, Uinv=None)"),
+    SnfResult: (("U", "D", "Uinv"), lambda: (_mat(1), _mat(2), _mat(1)),
+                lambda: (_mat(-1), _mat(2), _mat(-1)),
+                "SnfResult(U=Mat(1x1, [[1]]), D=Mat(1x1, [[2]]), Uinv=Mat(1x1, [[1]]))"),
     GroupElem: (("group", "cat", "coeffs"), lambda: ("A", ab(), (("Z", 1),)),
                 lambda: ("B", ab(), (("rank", 1),)), "GroupElem(A, {'Z': 1})"),
     FilteredComplex: (("simplices", "values"),
