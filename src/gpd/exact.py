@@ -556,8 +556,7 @@ class LatticeQuotient:
 
     Canonical generators are free generators first, then torsion
     generators whose orders form the invariant-factor chain.  `coords`
-    expresses any element of L in these generators; `generator_reps`
-    are ambient representatives of the generators.
+    expresses any element of L in these generators.
 
     One Smith normal form U L V = D of L_gens gives both the basis of L
     (`basis`, the columns d_i * Uinv[:, i]) and coordinates in it: x lies
@@ -584,7 +583,6 @@ class LatticeQuotient:
                           nrows=len(self._d))
         s = smith_normal_form(C)
         self._P = s.U
-        self._Pinv = s.Uinv
         rho = s.rank
         ds = list(s.invariant_factors)
         self.free_rows = list(range(rho, len(self._d)))
@@ -635,7 +633,3 @@ class LatticeQuotient:
         out += [sum(P[i][k] * v for k, v in nonzero) % d
                 for i, d in zip(self.torsion_rows, self.torsion_orders)]
         return out
-
-    def generator_reps(self) -> Mat:
-        """Ambient representative of each canonical generator, as columns."""
-        return self.basis @ self._Pinv.take_cols(self.free_rows + self.torsion_rows)

@@ -4,9 +4,10 @@ The pipeline parses a plain-text filtration, computes homology of each
 sublevel complex exactly (field and integer coefficients from one column
 reduction of the whole filtration, integer stages from its `lead_stop`
 on by one Smith normal form of the core its unit-lead eliminations
-leave, and Z/m coefficients through presented lattice quotients) on chains
-{k-simplex: coefficient}, reads induced maps as canonical coordinates
-of chains, and assembles a constructible module.
+leave, and Z/m coefficients as the integer homology of the mapping cone
+of m, by the same reduction) on chains {k-cell: coefficient}, reads
+induced maps as canonical coordinates of chains, and assembles a
+constructible module.
 One `PersistentHomology` per filtration and degree runs that reduction
 and holds its stages and module.  Every type A diagram of a filtration
 (`filtration_type_A`) is read off the bars of the same reduction where
@@ -27,14 +28,11 @@ from .diagram import DiagramGrid, type_A_diagram
 from .exact import (
     MAX_MODULUS,
     QQ,
-    LatticeContainmentError,
-    LatticeQuotient,
     PrimeField,
     _clear,
     field_reduce,
     int_reduce,
     parse_rational,
-    preimage_lattice,
     smith_normal_form,
 )
 from .matrix import Mat, Value
@@ -161,17 +159,27 @@ def parse_filtration(text: str) -> FilteredComplex:
         raise type(exc)(exc.simplex, exc.face, lines[exc.simplex]) from None
 
 
-def _boundary_columns(rows: list, cols: list, coerce=int) -> list:
-    """Boundaries of the simplices `cols` as dict columns {position of a
-    facet in `rows`: coerce(+-1)}."""
+def _cells(K: FilteredComplex, d: int, m: int) -> list:
+    """The d-cells, each with the index of its value, in value order
+    (complex order within a value): the d-simplices of K, or for m > 0
+    the cells of the mapping cone of m on its chains, (s, 0) for each
+    d-simplex s and then (t, 1) for each (d-1)-simplex t."""
+    cells = K._by_dim.get(d, [])
+    if m:
+        cells = [((s, 0), i) for s, i in cells] + \
+            [((t, 1), i) for t, i in K._by_dim.get(d - 1, [])]
+    return sorted(cells, key=lambda e: e[1])
+
+
+def _boundary_columns(rows: list, cols: list, coerce=int, m: int = 0) -> list:
+    """Boundaries of the cells `cols` as dict columns {position of a face
+    in `rows`: coefficient}: of simplices, or for m > 0 of the cone's
+    cells (s, j), with d(s, 0) = (ds, 0) and d(t, 1) = m (t, 0) - (dt, 1)."""
     pos = {s: i for i, s in enumerate(rows)}
-    return [{pos[f]: coerce((-1) ** i) for i, f in enumerate(facets(s))} for s in cols]
-
-
-def boundary_matrix(rows: list, cols: list) -> Mat:
-    """Integer boundary matrix from the simplices `cols` to their facets."""
-    return Mat.from_cols([[c.get(i, 0) for i in range(len(rows))]
-                          for c in _boundary_columns(rows, cols)], nrows=len(rows))
+    if not m:
+        return [{pos[f]: coerce((-1) ** i) for i, f in enumerate(facets(s))} for s in cols]
+    return [{pos[f, j]: coerce((-1) ** (i + j)) for i, f in enumerate(facets(s))}
+            | ({pos[s, 0]: coerce(m)} if j else {}) for s, j in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +210,37 @@ def parse_coeffs(token: str):
 
 class PersistentHomology:
     """Persistent homology of one filtration in degree k: one column
-    reduction of the whole filtration, from which every stage over Z or
-    a field reads its homology.
+    reduction of the whole filtration, from which every stage reads its
+    homology.
 
-    Simplices go in value order (complex order within a value), so a
-    stage's k-simplices are a prefix of `k_simplices`, its (k+1)-simplices
-    a prefix of the columns of d_{k+1}, and its reduction the prefix of
-    this one.  The reduction of d_{k+1} pairs each nonzero reduced column
-    R_j with its lowest row p, which is born at its value (`born`, an
-    index into `K.critical_values`) and dies at that of column j
-    (`death`).  Those rows are cycles, so the reduction of d_k skips them
-    (clearing, Chen and Kerber) and tracks the combinations V; every
-    other p whose column reduces to zero has the cycle z_p = V_p.
+    The cells are the simplices, and over Z/m those of the mapping cone
+    of m on the chains (`_cells`): cone_k = C_k + C_{k-1}, with
+    d(b, a) = (db + m a, -da), a cell (s, 0) in degree dim s and a cell
+    (s, 1) in degree dim s + 1, both at the value of s.  Its integer
+    homology is H_k(C (x) Z/m), by the map (b, a) -> b mod m, which
+    commutes with the inclusions of sublevel complexes; it is finite, as
+    m is invertible over Q.  So Z/m runs the reduction over Z on the
+    cone, with no split by primes.
+
+    Cells go in value order (complex order within a value), so a stage's
+    k-cells are a prefix of `k_simplices`, its (k+1)-cells a prefix of
+    the columns of d_{k+1}, and its reduction the prefix of this one.
+    The reduction of d_{k+1} pairs each nonzero reduced column R_j with
+    its lowest row p, which is born at its value (`born`, an index into
+    `K.critical_values`) and dies at that of column j (`death`).  Those
+    rows are cycles, so the reduction of d_k skips them (clearing, Chen
+    and Kerber) and tracks the combinations V; every other p whose
+    column reduces to zero has the cycle z_p = V_p.
     `table` maps each such p to R_j or z_p, columns of lowest row p, and
-    `chains` maps p to the same column keyed by k-simplex: those born by
+    `chains` maps p to the same column keyed by k-cell: those born by
     stage t are a basis of Z_k(t), those dead by t a basis of B_k(t), and
     the others, the stage's generators, a basis of H_k(t) (Zomorodian and
     Carlsson).
 
-    Over Z the reduction of d_{k+1} runs over QQ, whose values stay ints
-    while every pivot divides.  `lead_stop` is the first value index of
-    a column of d_{k+1} whose lead (entry at its lowest row) is not +-1.
+    Over Z and Z/m the reduction of d_{k+1} runs over QQ, whose values
+    stay ints while every pivot divides.  `lead_stop` is the first value
+    index of a column of d_{k+1} whose lead (entry at its lowest row) is
+    not +-1.
     Below it that reduction divides only by unit leads, so its R spans
     the lattice d_{k+1} does, and a pair dying there keeps R_j, an
     integer column leading with +-1; a pair dying from `lead_stop` on
@@ -241,8 +259,10 @@ class PersistentHomology:
     lattice, yet its lead is 2.  Torsion always fails it.  A stage from
     `lead_stop` on is the table and one Smith normal form of a small
     core (`_Stage`; Dumas, Heckenbach, Saunders and Welker).  Over Z/m
-    every stage is a lattice quotient (lead_stop = -1); over a field no
-    stage has a core (lead_stop = the number of values).
+    the stages below `lead_stop` are free and finite, hence zero, so no
+    value before it has homology, and every stage's object is torsion
+    only; over a field no stage has a core (lead_stop = the number of
+    values).
 
     The stages (`stages[i]` the stage of segment i, `stages[0]` the empty
     complex) and the module are built on first use, so a diagram read off
@@ -258,20 +278,22 @@ class PersistentHomology:
         self.complex, self.k, self.coeffs = K, k, coeffs
         self.ring = parse_coeffs(coeffs)
         kind, F, _ = self.ring
-        self.lead_stop = -1
-        if kind == "Zm":
-            return
-        ks, above = (sorted(K._by_dim.get(d, []), key=lambda e: e[1]) for d in (k, k + 1))
+        m = F if kind == "Zm" else 0
+        self.field = F = QQ if m else F
+        ks, above = (_cells(K, d, m) for d in (k, k + 1))
         self.k_simplices, self.born = [s for s, _ in ks], [i for _, i in ks]
-        n, integral = len(K.critical_values), kind == "Z"
+        n, integral = len(K.critical_values), kind != "F"
         R, lows, _ = field_reduce(F, _boundary_columns(self.k_simplices, [s for s, _ in above],
-                                                       F.coerce))
+                                                       F.coerce, m))
         self.death = {p: above[j][1] for p, j in lows.items()}
         self.lead_stop = min((self.death[p] for p, j in lows.items() if abs(R[j][p]) != 1),
                              default=n) if integral else n
         table = {p: R[j] for p, j in lows.items() if self.death[p] < self.lead_stop}
         kept = [p for p in range(len(ks)) if p not in table]
-        cols = _boundary_columns(K.simplices_of_dim(k - 1), [ks[p][0] for p in kept], F.coerce)
+        below = K.simplices_of_dim(k - 1)
+        if m:
+            below = [(s, 0) for s in below] + [(t, 1) for t in K.simplices_of_dim(k - 2)]
+        cols = _boundary_columns(below, [ks[p][0] for p in kept], F.coerce, m)
         R, _, V = int_reduce(cols) if integral else field_reduce(F, cols, track=True)
         table.update((p, {kept[i]: x for i, x in v.items()})
                      for p, c, v in zip(kept, R, V) if not c)
@@ -281,9 +303,9 @@ class PersistentHomology:
         self.chains = {p: {self.k_simplices[i]: x for i, x in c.items()}
                        for p, c in self.table.items()}
         # the columns of the stages' cores: the boundaries of the
-        # (k+1)-simplices from lead_stop on, cleared against the table
+        # (k+1)-cells from lead_stop on, cleared against the table
         late = [e for e in above if self.lead_stop <= e[1]]
-        cols = _boundary_columns(self.k_simplices, [s for s, _ in late])
+        cols = _boundary_columns(self.k_simplices, [s for s, _ in late], int, m)
         self.core_columns = [(i, dict(_clear(F, c, self.table, self.lows)))
                              for (_, i), c in zip(late, cols)]
 
@@ -309,39 +331,36 @@ class _Stage:
     """Homology of one sublevel complex in one degree, coordinatized.
 
     Exposes the homology object, its canonical generators' cycles as
-    chains {k-simplex: coefficient} (`gen_reps`), and `coords` of any
-    cycle chain of the stage in those generators.
+    chains {k-cell: coefficient} (`gen_reps`; over Z/m, cycles of the
+    mapping cone of m), and `coords` of any cycle chain of the stage in
+    those generators.
 
-    Over Z and a field the table columns born by the stage are a basis
-    of its cycles, and `coords` clears a chain against the table.  The
-    rows of the core are those columns that no pair dying before
-    `lead_stop` (or the stage) kills, as that pair's column is its R_j.
-    Below `lead_stop` they are the generators, and maps between such
-    stages are 0/1 partial identities (`_partial_identity`).  From `lead_stop`
-    on the core's columns are the cleared boundaries of the
-    (k+1)-simplices born since (`H.core_columns`), and its Smith normal
+    The table columns born by the stage are a basis of its cycles, and
+    `coords` clears a chain against the table.  The rows of the core are
+    those columns that no pair dying before `lead_stop` (or the stage)
+    kills, as that pair's column is its R_j.  Below `lead_stop` they are
+    the generators, and maps between such stages are 0/1 partial
+    identities (`_partial_identity`).  From `lead_stop` on the core's
+    columns are the cleared boundaries of the
+    (k+1)-cells born since (`H.core_columns`), and its Smith normal
     form U C V = D gives the rest: generator i combines the table chains
     by column i of U^-1, free ones first, and a coordinate is a row of U
     applied to the core rows of the cleared chain, mod its invariant
     factor if torsion (`_core`: those rows and factors, 0 if free).
-    Over Z/m the stage is the lattice quotient Z_k / B_k (`_lq`).
     """
 
     def __init__(self, H: PersistentHomology, at):
-        kind, F, cat = H.ring
+        kind, _, cat = H.ring
         n = bisect_right(H.complex.critical_values, at)
-        self._lq = self._core = None
-        if kind == "Zm":
-            self._lattice_quotient(H, at)
-            return
         m = bisect_left(H.born, n)
         self._index, self.k_simplices = H.index, H.k_simplices[:m]
-        self._clearing = F, H.table, H.lows  # not H: no cycle through H.stages
+        self._clearing = H.field, H.table, H.lows  # not H: no cycle through H.stages
         dead = min(n, H.lead_stop)  # a pair dying before this kills its row
         self._gens = [p for p in H.table if p < m and H.death.get(p, dead) >= dead]
         self.gen_reps = [H.chains[p] for p in self._gens]
+        self._core = None
         if n <= H.lead_stop:
-            self.obj = make_obj(cat, (len(self._gens), ()) if kind == "Z" else len(self._gens))
+            self.obj = make_obj(cat, len(self._gens) if kind == "F" else (len(self._gens), ()))
             return
         cols = [c for i, c in H.core_columns if i < n]
         s = smith_normal_form(Mat.from_rows([[c.get(p, 0) for c in cols] for p in self._gens],
@@ -353,36 +372,12 @@ class _Stage:
         self.gen_reps = [_combination(zip(s.Uinv.col(i), self.gen_reps)) for i in keep]
         self.obj = make_obj(cat, (r - len(d), tuple(di for di in d if di > 1)))
 
-    def _lattice_quotient(self, H: PersistentHomology, at):
-        K, k, (_, m, cat) = H.complex, H.k, H.ring
-        ks = self.k_simplices = K.simplices_of_dim(k, at=at)
-        self._index, nk = {s: i for i, s in enumerate(ks)}, len(ks)
-        below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
-        above = K.simplices_of_dim(k + 1, at=at)
-        d_k, d_k1 = boundary_matrix(below, ks), boundary_matrix(ks, above)
-        # the chains whose boundary is 0 mod m, over those of boundaries mod m
-        L = preimage_lattice(d_k, Mat.identity(len(below)).scale(m)) if k else Mat.identity(nk)
-        self._lq = LatticeQuotient(L, d_k1.hstack(Mat.identity(nk).scale(m)))
-        rank, invs = self._lq.iso()
-        self.gen_reps = [{ks[i]: x for i, x in enumerate(col) if x}
-                         for col in self._lq.generator_reps().columns()]
-        self.obj = make_obj(cat, (rank, tuple(invs)))
-
     def coords(self, chain: dict, cleared: dict | None = None) -> list:
         """Canonical homology coordinates of a cycle chain of this stage;
-        FiltrationError for a chain with a simplex outside the stage or
+        FiltrationError for a chain with a cell outside the stage or
         one that is not a cycle.  A chain clears against the table alike
         at every stage, and `cleared` keeps that, by id, for other stages
         of H."""
-        m = len(self.k_simplices)
-        if self._lq is not None:
-            at = {self._index.get(s, m): v for s, v in chain.items()}
-            if at and max(at) >= m:
-                raise FiltrationError("chain has a simplex outside this stage")
-            try:
-                return self._lq.coords([at.get(i, 0) for i in range(m)])
-            except LatticeContainmentError:
-                raise FiltrationError("chain is not a cycle of this stage") from None
         F, table, lows = self._clearing
         cleared = {} if cleared is None else cleared
         if id(chain) not in cleared:
@@ -390,7 +385,7 @@ class _Stage:
             c = {i: x for i, v in at.items() if (x := F.coerce(v))}
             cleared[id(chain)] = chain, max(at, default=-1), dict(_clear(F, c, table, lows)), c
         _, top, steps, rest = cleared[id(chain)]  # the chain keeps its id unique
-        if top >= m:
+        if top >= len(self.k_simplices):
             raise FiltrationError("chain has a simplex outside this stage")
         if rest:
             raise FiltrationError("chain is not a cycle of this stage")
@@ -430,9 +425,10 @@ def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHo
     """Degree-k persistent homology of the sublevel filtration.
 
     Field coefficients give vector-space objects, 'Z' gives finitely
-    generated abelian groups, 'Zm:<m>' gives finite abelian groups.
-    Degrees above the complex dimension give zero modules.  The one
-    reduction of the whole filtration runs here; each stage is read off
+    generated abelian groups, 'Zm:<m>' gives finite abelian groups (the
+    integer homology of the mapping cone of m).  Degrees above the
+    complex dimension give zero modules.  The one reduction of the whole
+    filtration (or of the cone) runs here; each stage is read off
     it once, below the first critical value and at every one, when the
     module is first asked for.
     """
@@ -447,11 +443,13 @@ def persistent_module(K: FilteredComplex, k: int, coeffs: str) -> ConstructibleM
 def barcode(H: PersistentHomology) -> dict | None:
     """Degree-k bars of H's filtration as {(i, j): multiplicity} on the
     grid `K.critical_values`, 1-based, j = n + 1 for an infinite bar; None
-    for Z/m coefficients, and over Z where a lead is not a unit.  They
-    are the pairs of H's reduction and its rows that never die, less the
-    bars of length zero.  The module is the sum of their intervals (over
-    Z, by the proof in `PersistentHomology`), so Y_A counts them with
-    class `line` (`Z` over Z) and Y_B with `dim` (`rank`).
+    over Z or Z/m where a lead is not a unit.  They are the pairs of H's
+    reduction and its rows that never die, less the bars of length zero.
+    The module is the sum of their intervals (over Z and Z/m, by the
+    proof in `PersistentHomology`), so Y_A counts them with class `line`
+    (`Z` over Z) and Y_B with `dim` (`rank`).  A Z/m module carries no
+    free homology, so over Z/m the bars come back only for the zero
+    module, and there are none.
     """
     n = len(H.complex.critical_values)
     if H.lead_stop < n:
@@ -474,7 +472,7 @@ def filtration_type_A(H: PersistentHomology) -> DiagramGrid:
     decides, else `type_A_diagram(H.module)`, so the stages are built
     only then or when the caller asks for them."""
     bars = barcode(H)
-    if bars is None:  # Z/m coefficients, or a non-unit lead over Z
+    if bars is None:  # a non-unit lead over Z or Z/m
         return type_A_diagram(H.module)
     return _bars_type_A(bars, H.ring[2], H.complex.critical_values)
 

@@ -17,6 +17,7 @@ from gpd.categories import (
     Mor,
     ab,
     ab_relations,
+    finab,
     finset,
     identity_mor,
     image_iso_class,
@@ -32,7 +33,6 @@ from gpd.metrics import ErosionReport
 from gpd.homology import (
     FiltrationError,
     _Stage,
-    boundary_matrix,
     parse_coeffs,
     persistent_homology,
     persistent_module,
@@ -637,6 +637,17 @@ def rref_column_space_basis(F, M: Mat) -> Mat:
     return M.take_cols(field_rref(F, M)[1]).map(F.coerce)
 
 
+def boundary_matrix(rows: list, cols: list) -> Mat:
+    """Integer boundary matrix from the simplices `cols` to their facets,
+    the simplices `rows`: entry (-1)^i at the facet without vertex i."""
+    pos = {s: i for i, s in enumerate(rows)}
+    out = [[0] * len(rows) for _ in cols]
+    for c, s in zip(out, cols):
+        for i in range(len(s) if len(s) > 1 else 0):
+            c[pos[s[:i] + s[i + 1:]]] = (-1) ** i
+    return Mat.from_cols(out, nrows=len(rows))
+
+
 class DenseFieldStage:
     """Field homology of one sublevel complex by dense RREFs: a kernel of
     d_k, a basis of the boundaries, an RREF of [boundaries | cycles] to
@@ -689,18 +700,28 @@ def dense_field_homology(K, k: int, coeffs: str) -> tuple:
 class SnfIntegerStage:
     """Integer homology of one sublevel complex as the presented quotient
     Z_k / B_k: the kernel of d_k read off the V of a dense Smith normal
-    form, and `lattice_quotient_oracle` of it by the columns of d_{k+1}."""
+    form, and `lattice_quotient_oracle` of it by the columns of d_{k+1}.
 
-    def __init__(self, K, k: int, at):
+    With m > 0 it is homology mod m as one whole-stage quotient of
+    lattices of integer k-chains, with no mapping cone: the chains whose
+    boundary is 0 mod m, the first rows of the kernel of [d_k | m I],
+    over the boundaries and m times every chain, [d_{k+1} | m I]."""
+
+    def __init__(self, K, k: int, at, m: int = 0):
         self.k_simplices = K.simplices_of_dim(k, at=at)
+        n = len(self.k_simplices)
         below = K.simplices_of_dim(k - 1, at=at) if k > 0 else []
         d_k = boundary_matrix(below, self.k_simplices)
         d_k1 = boundary_matrix(self.k_simplices, K.simplices_of_dim(k + 1, at=at))
+        if m:
+            d_k = d_k.hstack(Mat.identity(d_k.rows).scale(m))
+            d_k1 = d_k1.hstack(Mat.identity(n).scale(m))
         s = dense_smith_normal_form(d_k)
-        self._q = lattice_quotient_oracle(s.V.take_cols(range(s.rank, d_k.cols)), d_k1)
+        kernel = s.V.take_cols(range(s.rank, d_k.cols)).take_rows(range(n))
+        self._q = lattice_quotient_oracle(kernel, d_k1)
         rank, invs = self._q.iso()
         self.gen_reps = self._q.generator_reps()
-        self.obj = make_obj(ab(), (rank, tuple(invs)))
+        self.obj = make_obj(finab() if m else ab(), (rank, tuple(invs)))
 
     def coords(self, chain) -> list:
         try:
@@ -709,13 +730,13 @@ class SnfIntegerStage:
             raise FiltrationError("chain is not a cycle of this stage") from None
 
 
-def snf_integer_homology(K, k: int) -> tuple:
-    """(stages, module) of degree-k persistent homology over Z, from one
-    SnfIntegerStage per segment."""
-    stages = [SnfIntegerStage(K, k, t) for t in segment_reps(K.critical_values)]
+def snf_integer_homology(K, k: int, m: int = 0) -> tuple:
+    """(stages, module) of degree-k persistent homology over Z, or over
+    Z/m for m > 0, from one SnfIntegerStage per segment."""
+    stages = [SnfIntegerStage(K, k, t, m) for t in segment_reps(K.critical_values)]
     mors = tuple(make_mor(a.obj, b.obj, _dense_induced(a, b))
                  for a, b in zip(stages, stages[1:]))
-    return stages, ConstructibleModule(ab(), K.critical_values,
+    return stages, ConstructibleModule(finab() if m else ab(), K.critical_values,
                                        tuple(st.obj for st in stages), mors)
 
 

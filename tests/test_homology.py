@@ -1,5 +1,6 @@
 """Filtration parsing, exact homology, perturbation, and interleavings."""
 
+import importlib.util
 import itertools
 import math
 import random
@@ -15,14 +16,15 @@ from hypothesis import strategies as st
 
 from gpd import exact, homology
 from gpd.categories import finab, image_iso_class, iso_class, iso_from_invariants, make_mor
-from gpd.diagram import type_A_diagram, type_B_diagram
+from gpd.diagram import DiagramGrid, type_A_diagram, type_B_diagram
 from gpd.homology import (
     FilteredComplex,
     FiltrationError,
     FiltrationParseError,
     MissingFaceError,
     ValueInversionError,
-    boundary_matrix,
+    barcode,
+    filtration_type_A,
     interleaving_from_perturbation,
     make_complex,
     parse_filtration,
@@ -38,6 +40,7 @@ from gpd.pmodule import check_interleaving, composite_mor, segment_reps
 
 from oracles import (
     assert_snf_sides_match_oracle,
+    boundary_matrix,
     component_module,
     dense_field_homology,
     dense_interleaving,
@@ -49,7 +52,8 @@ from oracles import (
 )
 from generators import grid_complex, rips_filtration
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "gpd" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "gpd" / "data"
 
 
 def homology_invariants_oracle(K, k):
@@ -288,7 +292,14 @@ def test_induced_maps_match_entrywise_oracle(name, coeffs):
 
 def _is_table_stage(stage) -> bool:
     """A stage below `lead_stop`: its generators are table columns."""
-    return stage._core is None and stage._lq is None
+    return stage._core is None
+
+
+def _assert_cores_exactly_from_lead_stop(H):
+    """Stage i reads the first i values: it has a core exactly when
+    i > `lead_stop`, over every ring alike."""
+    assert [st._core is not None for st in H.stages] == \
+        [H.lead_stop < i for i in range(len(H.stages))]
 
 
 @pytest.mark.parametrize("coeffs", ["Z", "Q", "Fp:2", "Zm:4"])
@@ -297,7 +308,10 @@ def test_module_maps_match_the_entrywise_oracle(coeffs):
     both stages are below `lead_stop`, equals `make_mor` of the entrywise
     oracle on the same pair of stages, in degrees 0-2: on the bundled
     data as given and perturbed, and on grid tori and Klein bottles,
-    whose H_1 over Z has a table stage followed by a stage with a core."""
+    whose H_1 over Z has a table stage followed by a stage with a core.
+    Over Z/4 the stages are those of the mapping cone of 4, whose
+    homology is finite: its table stages are zero, and its cores start
+    at the first value with homology."""
     inputs = [grid_complex(5, 1), grid_complex(5, 1, klein=True)]
     for name in ("torus.flt", "klein_bottle.flt", "triangle.flt"):
         K = parse_filtration((DATA / name).read_text())
@@ -309,10 +323,14 @@ def test_module_maps_match_the_entrywise_oracle(coeffs):
             for a, b, mor in zip(H.stages, H.stages[1:], H.module.morphisms):
                 assert mor == make_mor(a.obj, b.obj, induced_payload_oracle(a, b))
                 kinds[_is_table_stage(a), _is_table_stage(b)] += 1
-    if coeffs == "Z":
+            _assert_cores_exactly_from_lead_stop(H)
+            if coeffs == "Zm:4":
+                assert all(st.obj.data == (0, ()) for st in H.stages[:H.lead_stop + 1])
+    if coeffs in ("Z", "Zm:4"):
         assert kinds[True, False] > 0 and kinds[True, True] > 0
+        assert (kinds[False, False] > 0) == (coeffs == "Zm:4")
     else:
-        assert list(kinds) == [(coeffs != "Zm:4",) * 2]
+        assert list(kinds) == [(True, True)]
 
 
 class TestComponents:
@@ -496,16 +514,20 @@ def _complexes(draw):
 
 
 @st.composite
-def _torsion_complexes(draw):
+def _grid_klein_bottles(draw):
     """Complexes whose integer homology has torsion: grid Klein bottles on
-    3 x 3 or 4 x 4 vertices, as given or perturbed, and RP^2 with one or
-    two of its unused triangles at values in {1, 3/2, ..., 3}, where the
-    reduction of d_2 over Z meets a remainder."""
+    3 x 3 or 4 x 4 vertices, as given or perturbed."""
+    K = grid_complex(draw(st.sampled_from([3, 4])), draw(st.integers(0, 99)), klein=True)
     if draw(st.booleans()):
-        K = grid_complex(draw(st.sampled_from([3, 4])), draw(st.integers(0, 99)), klein=True)
-        if draw(st.booleans()):
-            K = perturb(K, Fr(draw(st.integers(1, 8)), 2), draw(st.integers(0, 99)))
-        return K
+        K = perturb(K, Fr(draw(st.integers(1, 8)), 2), draw(st.integers(0, 99)))
+    return K
+
+
+@st.composite
+def _rp2_with_triangles(draw):
+    """RP^2, whose integer homology has torsion, with one or two of its
+    unused triangles at values in {1, 3/2, ..., 3}, where the reduction
+    of d_2 over Z meets a remainder."""
     extra = draw(st.lists(st.sampled_from(RP2_UNUSED), min_size=1, max_size=2, unique=True))
     return parse_filtration(rp2_text() + "".join(
         f"\n{' '.join(map(str, t))} : {Fr(draw(st.integers(2, 6)), 2)}" for t in extra))
@@ -565,10 +587,19 @@ def test_field_stages_match_dense_oracle_on_bundled_data(name, coeffs):
         _assert_matches_dense_stages(K, k, coeffs, eps=Fr(1, 4), seed=k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_complexes() | _torsion_complexes(), st.integers(0, 2), st.integers(0, 99))
-def test_integer_stages_match_snf_oracle(K, k, seed):
-    _assert_matches_dense_stages(K, k, "Z", seed=seed)
+def _over_each_family(check, *strategies, examples=20):
+    """Run the property `check(K, *drawn)` for `examples` draws of K from
+    each family, `_complexes()`, `_grid_klein_bottles()` and
+    `_rp2_with_triangles()`: a fixed share for each, where one strategy
+    over their union gave grid Klein bottles anywhere from 3 to 30 of 60
+    draws."""
+    for family in (_complexes(), _grid_klein_bottles(), _rp2_with_triangles()):
+        settings(max_examples=examples, deadline=None)(given(family, *strategies)(check))()
+
+
+def test_integer_stages_match_snf_oracle():
+    _over_each_family(lambda K, k, seed: _assert_matches_dense_stages(K, k, "Z", seed=seed),
+                      st.integers(0, 2), st.integers(0, 99))
 
 
 @pytest.mark.parametrize("name", ["triangle.flt", "torus.flt", "klein_bottle.flt", "rp2"])
@@ -591,14 +622,12 @@ def _first_non_unit_lead(K, k):
 
 
 def _assert_stop_splits_the_integer_stages(K, k, eps=Fr(1, 4), seed=0):
-    """Exactly the stages from `lead_stop` on carry a core, and no stage
-    over Z is a lattice quotient.  The objects are those of the SNF
-    oracle, the generators are int chains, and every induced map, within
+    """Exactly the stages from `lead_stop` on carry a core.  The objects
+    are those of the SNF oracle, the generators are int chains, and every induced map, within
     the module and both ways across a perturbation, is the entrywise
     oracle's.  Returns the persistent homology."""
     H, H2 = persistent_homology(K, k, "Z"), persistent_homology(perturb(K, eps, seed), k, "Z")
-    assert [(st._core is not None, st._lq is not None) for st in H.stages] == \
-        [(H.lead_stop < i, False) for i in range(len(H.stages))]
+    _assert_cores_exactly_from_lead_stop(H)
     assert H.module.objects == snf_integer_homology(K, k)[1].objects
     assert all(type(x) is int for st in H.stages for g in st.gen_reps for x in g.values())
     pairs = list(zip(H.stages, H.stages[1:]))
@@ -663,10 +692,11 @@ def _assert_rank_maps_z_diagram_onto_q(K, k):
     return YQ.cells
 
 
-@settings(max_examples=60, deadline=None)
-@given(_complexes() | _torsion_complexes(), st.integers(0, 2))
-def test_rank_maps_integer_diagram_onto_rational_one(K, k):
-    _assert_rank_maps_z_diagram_onto_q(K, k)
+def test_rank_maps_integer_diagram_onto_rational_one():
+    def check(K, k):
+        _assert_rank_maps_z_diagram_onto_q(K, k)
+
+    _over_each_family(check, st.integers(0, 2))
 
 
 @pytest.mark.parametrize("name", ["klein_bottle.flt", "rp2"])
@@ -713,11 +743,13 @@ def test_field_stage_reduces_once(monkeypatch):
 @pytest.mark.parametrize("coeffs", ["Z", "Zm:4", "Q", "Fp:2"])
 def test_coords_refuse_a_chain_that_is_not_a_cycle(coeffs, stage):
     """A single edge of the Klein bottle's last two stages is no 1-cycle,
-    and every route says so alike: the table (Q, F_2 and Z before its
-    `lead_stop`), the core (Z at the last stage) and the lattice quotient
-    (Z/4)."""
+    nor is the first 1-cell of the mapping cone of 4, and every route
+    says so alike: the table (Q, F_2 and Z before its `lead_stop`) and
+    the core (Z at the last stage, Z/4 at both)."""
     K = parse_filtration((DATA / "klein_bottle.flt").read_text())
-    st = persistent_homology(K, 1, coeffs).stages[stage]
+    H = persistent_homology(K, 1, coeffs)
+    st = H.stages[stage]
+    assert _is_table_stage(st) == (coeffs in ("Q", "Fp:2") or (coeffs, stage) == ("Z", -2))
     with pytest.raises(FiltrationError, match="chain is not a cycle of this stage"):
         st.coords({st.k_simplices[0]: 1})
 
@@ -736,10 +768,13 @@ def _universal_coefficients(K, k, m):
     return found
 
 
-@settings(max_examples=60, deadline=None)
-@given(_complexes() | _torsion_complexes(), st.integers(0, 2), st.sampled_from([2, 3, 4, 6]))
-def test_z_mod_m_stages_obey_universal_coefficients(K, k, m):
+def _assert_universal_coefficients(K, k, m):
     assert all(_universal_coefficients(K, k, m))
+
+
+def test_z_mod_m_stages_obey_universal_coefficients():
+    _over_each_family(_assert_universal_coefficients, st.integers(0, 2),
+                      st.sampled_from([2, 3, 4, 6]))
 
 
 @pytest.mark.parametrize("perturbation", [None, (Fr(1, 8), 1), (Fr(1, 4), 2)])
@@ -752,31 +787,118 @@ def test_z_mod_m_stages_obey_universal_coefficients_with_torsion(name, perturbat
         K = perturb(K, *perturbation)
     for k in range(3):
         for m in (2, 3, 4, 6):
-            assert all(_universal_coefficients(K, k, m))
+            _assert_universal_coefficients(K, k, m)
+
+
+def _zm_input(name):
+    """A bundled filtration, as given or perturbed, or grid torus or
+    Klein bottle 5."""
+    if name.startswith("grid"):
+        return grid_complex(5, seed=1, klein=name == "grid-klein-5")
+    K = parse_filtration((DATA / name.removesuffix("-perturbed")).read_text())
+    return perturb(K, Fr(1, 4), seed=2) if name.endswith("-perturbed") else K
+
+
+ZM_INPUTS = [f"{name}{how}" for name in ("triangle.flt", "torus.flt", "klein_bottle.flt")
+             for how in ("", "-perturbed")] + ["grid-torus-5", "grid-klein-5"]
+
+
+@pytest.mark.parametrize("name", ZM_INPUTS)
+def test_z_mod_m_stages_match_the_whole_stage_oracle(name):
+    """Over Z/m, for m = 2, 4, 6 in degrees 0-2, the module read off the
+    mapping cone has per stage the object of the oracle that takes each
+    stage whole as a quotient of lattices of k-chains, and both modules
+    have the same type A diagram, which is also the one the CLI reads."""
+    K = _zm_input(name)
+    for m in (2, 4, 6):
+        for k in range(3):
+            H, N = persistent_homology(K, k, f"Zm:{m}"), snf_integer_homology(K, k, m)[1]
+            assert H.module.objects == N.objects
+            assert type_A_diagram(H.module) == filtration_type_A(H) == type_A_diagram(N)
+
+
+def _square_free_type_A(K, k, m) -> DiagramGrid:
+    """Y_A over Z/m for square-free m, from field bars alone: Z/m is the
+    product of the F_p over the primes p | m, so the module is the sum of
+    its F_p modules, each a sum of intervals, and cell (i, j) is the sum
+    over p of its F_p bars times [Z/p]."""
+    invs: dict = {}
+    for p in (q for q in (2, 3, 5, 7) if m % q == 0):
+        for cell, mult in barcode(persistent_homology(K, k, f"Fp:{p}")).items():
+            invs.setdefault(cell, []).extend([p] * mult)
+    cells = {c: iso_from_invariants(finab(), 0, ds) for c, ds in invs.items()}
+    return DiagramGrid.make("A", finab(), K.critical_values, cells, role="diagram")
+
+
+@pytest.mark.parametrize("name", ZM_INPUTS)
+def test_square_free_z_mod_m_diagram_is_the_sum_of_prime_field_bars(name):
+    K = _zm_input(name)
+    for m in (2, 3, 6, 30):
+        for k in range(3):
+            assert filtration_type_A(persistent_homology(K, k, f"Zm:{m}")) == \
+                _square_free_type_A(K, k, m)
+
+
+def _rips_z_input():
+    """Input A of the benchmark's `rips-z` workload at seed 1, from
+    perfbench/inputs.py: a 12-point Rips complex, 298 simplices and 26
+    values, on which `gpd diagram --degree 2` over Z/4 and Z/6 once ran
+    for more than a minute."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return parse_filtration(inputs.rips_flt(inputs.rng_for("rips-z", 1, 0), 12))
+
+
+def test_square_free_z_mod_m_diagram_on_the_rips_input():
+    K = _rips_z_input()
+    Y = filtration_type_A(persistent_homology(K, 2, "Zm:6"))
+    assert Y == _square_free_type_A(K, 2, 6) and Y.cells
+
+
+def test_z_mod_m_stages_run_one_smith_normal_form_each_and_no_lattice_quotient(monkeypatch):
+    """On the `rips-z` input in degree 2 over Z/4, building the stages
+    constructs no `LatticeQuotient` and runs one Smith normal form per
+    stage from `lead_stop` on, each of its core: 24, on at most 304,907
+    entries in all (the whole-stage lattice quotients ran 54 on
+    609,814)."""
+    K = _rips_z_input()
+    snfs, quotients = [], []
+    real_snf, real_quotient = exact.smith_normal_form, exact.LatticeQuotient.__init__
+    for mod in (exact, homology):
+        monkeypatch.setattr(mod, "smith_normal_form",
+                            lambda M: snfs.append(M.rows * M.cols) or real_snf(M))
+    monkeypatch.setattr(exact.LatticeQuotient, "__init__",
+                        lambda q, *a: quotients.append(a) or real_quotient(q, *a))
+    H = persistent_homology(K, 2, "Zm:4")
+    assert len(H.stages) == 27 and H.lead_stop == 2
+    assert quotients == [] and len(snfs) == 24 and sum(snfs) <= 304_907
+    _assert_cores_exactly_from_lead_stop(H)
 
 
 @pytest.mark.parametrize("coeffs", ["Q", "Zm:4"])
 def test_coords_refuse_a_chain_outside_the_stage(coeffs):
-    """On table stages (Q) and SNF stages (Zm:4) alike, a chain holding a
-    k-simplex of a later stage is not a chain of the stage, alone or
-    added to a generator.  On a table stage, neither is a cycle of a
-    later stage whose lowest simplex enters after it, although the
-    table's later columns would clear it."""
-    K = parse_filtration((DATA / "torus.flt").read_text())
+    """On table stages (every stage over Q, those to `lead_stop` over
+    Z/4) and SNF stages (the later ones over Z/4) alike, a chain holding
+    a k-cell of a later stage is not a chain of the stage, alone or
+    added to a generator.  Neither is a cycle of a later stage whose
+    lowest cell enters after it, although the table's later columns
+    would clear it.  The torus is perturbed, so that cells enter at
+    many values."""
+    K = perturb(parse_filtration((DATA / "torus.flt").read_text()), Fr(1, 4), seed=2)
     H = persistent_homology(K, 1, coeffs)
-    assert all((st._lq is None) == (coeffs == "Q") for st in H.stages)
-    refused = 0
+    _assert_cores_exactly_from_lead_stop(H)
+    refused = Counter()
     for st in H.stages:
         m, inside = len(st.k_simplices), set(st.k_simplices)
         later = [s for s in H.stages[-1].k_simplices if s not in inside]
         chains = [{s: 1} for s in later] + [{**g, s: 1} for g in st.gen_reps for s in later]
-        if coeffs == "Q":  # cycles whose lowest simplex enters after the stage
-            chains += [c for p, c in H.chains.items() if p >= m]
+        chains += [c for p, c in H.chains.items() if p >= m]  # cycles entering after st
         for chain in chains:
             with pytest.raises(FiltrationError, match="outside this stage"):
                 st.coords(chain)
-        refused += len(chains)
-    assert refused > 0
+        refused[_is_table_stage(st)] += len(chains)
+    assert refused[True] > 0 and (refused[False] > 0) == (coeffs == "Zm:4")
 
 
 @pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Z"])

@@ -148,6 +148,16 @@ def test_every_public_function_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED_EXEMPT)
 
 
+def test_homology_uses_no_lattice_quotient():
+    """Every stage, over Z/m too, is read off the one column reduction:
+    homology imports none of the lattice routines of exact."""
+    tree = ast.parse((ROOT / "src" / "gpd" / "homology.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "smith_normal_form" in imported
+    assert not imported & {"LatticeQuotient", "preimage_lattice", "int_kernel"}
+
+
 def _layers_imported(path: Path) -> set:
     """The gpd modules a module of src/gpd imports at module level."""
     return {node.module.removeprefix("gpd.") for node in ast.parse(path.read_text()).body
