@@ -23,6 +23,7 @@ from .exact import (
     field_reduce,
     field_solve,
     jordan_type,
+    smith_normal_form,
 )
 from .grothendieck import GroupElem, _make_elem, add
 from .matrix import Mat, Value, _set
@@ -289,7 +290,8 @@ def is_isomorphism(f: Mor) -> bool:
     columns of R have distinct lowest rows, so det M = +-(product of the
     pivots): f is an isomorphism iff there are n pivots and their product
     is +-1 ([[1, 1], [2, 3]] has pivots 2 and -1/2).  For a group with
-    torsion the cokernel quotient decides.
+    torsion f is onto, so an isomorphism, iff the payload and the target's
+    relations span Z^n: their Smith normal form has n invariant factors 1.
     """
     cat = f.cat
     if cat.kind == FINSET:
@@ -307,9 +309,8 @@ def is_isomorphism(f: Mor) -> bool:
     if cat.kind == AB and not invs:
         R, lows, _ = field_reduce(QQ, _columns(QQ, f.payload))
         return len(lows) == rank and abs(prod(R[j][low] for low, j in lows.items())) == 1
-    gt = obj_ngens(f.tgt)
-    cok = LatticeQuotient(Mat.identity(gt), f.payload.hstack(ab_relations(f.tgt)))
-    return cok.iso() == (0, [])
+    snf = smith_normal_form(f.payload.hstack(ab_relations(f.tgt)))
+    return snf.invariant_factors == (1,) * obj_ngens(f.tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
-from .categories import (AB, FINAB, FINSET, REPN, VECT, ab_relations, iso_class,
+from .categories import (AB, FINAB, FINSET, REPN, VECT, ab_relations, compose, iso_class,
                          iso_from_invariants, make_obj)
-from .exact import (
-    LatticeQuotient,
-    column_space_basis,
-    field_kernel,
-    field_solve,
-    lattice_intersection,
-    preimage_lattice,
-)
+from .exact import LatticeQuotient, column_space_basis, field_kernel, field_solve, preimage_lattice
 from .grothendieck import GroupElem, NoBGroupError, _make_elem, add, b_class, sub, zero_elem
 from .matrix import Mat, Value
 
@@ -72,12 +65,6 @@ class DiagramGrid(Value):
     @property
     def n(self) -> int:
         return len(self.grid)
-
-    def get(self, i: int, j: int) -> GroupElem:
-        for key, val in self.cells:
-            if key == (i, j):
-                return val
-        return zero_elem(self.group, self.cat)
 
     def as_dict(self) -> dict:
         return dict(self.cells)
@@ -256,7 +243,9 @@ def positivity_check(F, Y: DiagramGrid | None = None) -> PositivityReport:
     of the next connecting morphism (the whole object for j = n + 1).
     The class of that subquotient in the quotient group equals the
     inclusion-exclusion value, which certifies nonnegativity cell by
-    cell.
+    cell.  Each intersection im m cap ker n is m(ker(n m)), read off the
+    kernel routine of the ring: `field_kernel` over a field,
+    `preimage_lattice` over Z.
     """
     from .pmodule import composite_mor
 
@@ -288,27 +277,27 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
     if kind == FINSET:
         raise DiagramError("finite sets have no quotient-group diagram")
     if kind in (AB, FINAB):
+        # L = (payload | relations of obj) spans the preimage of im m in
+        # Z^gens, and L y lies in ker nxt iff nxt L y lies in the lattice of
+        # the target's relations: im m cap ker nxt is L (preimage of those
+        # relations under nxt L), and the witness is the quotient L1 / L0
         R = ab_relations(obj)
         L1 = m1.payload.hstack(R)
         L0 = m0.payload.hstack(R)
         if nxt is not None:
-            Kl = preimage_lattice(nxt.payload, ab_relations(nxt.tgt))
-            L1 = lattice_intersection(L1, Kl)
-            L0 = lattice_intersection(L0, Kl)
+            L1, L0 = (L @ preimage_lattice(nxt.payload @ L, ab_relations(nxt.tgt))
+                      for L in (L1, L0))
         rank, invs = LatticeQuotient(L1, L0).iso()
         return b_class(iso_from_invariants(cat, rank, invs))
     if kind not in (VECT, REPN):
         raise DiagramError(f"unknown category kind {kind!r}")
-    # the subspaces W1 >= W0 of obj, then the class of their dimensions
-    # (vect) or of the endomorphism restricted to them (repn)
+    # the subspaces W1 >= W0 of obj, each im m cap ker nxt = m(ker(nxt m)),
+    # then the class of their dimensions (vect) or of the endomorphism
+    # restricted to them (repn)
     Fld = cat.field
-    if nxt is None:
-        W1 = column_space_basis(Fld, m1.payload)
-        W0 = column_space_basis(Fld, m0.payload)
-    else:
-        K = field_kernel(Fld, nxt.payload)
-        W1 = _intersection_basis(Fld, m1.payload, K)
-        W0 = _intersection_basis(Fld, m0.payload, K)
+    W1, W0 = (column_space_basis(Fld, m.payload if nxt is None else
+                                 m.payload @ field_kernel(Fld, compose(nxt, m).payload))
+              for m in (m1, m0))
     if kind == VECT:
         return sub(_obj_class(cat, W1.cols), _obj_class(cat, W0.cols))
     return sub(_obj_class(cat, _restrict_endo(Fld, obj.data, W1)),
@@ -317,15 +306,6 @@ def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
 
 def _obj_class(cat, data) -> GroupElem:
     return b_class(iso_class(make_obj(cat, data)))
-
-
-def _intersection_basis(Fld, U: Mat, W: Mat) -> Mat:
-    """Basis of (column space of U) cap (column space of W)."""
-    U = column_space_basis(Fld, U)
-    W = column_space_basis(Fld, W)
-    K = field_kernel(Fld, U.hstack(W.scale(-1)))
-    coords = K.take_rows(range(U.cols))
-    return column_space_basis(Fld, U @ coords)
 
 
 def _restrict_endo(Fld, A: Mat, W: Mat) -> Mat:

@@ -4,10 +4,10 @@ Everything here is total on exact inputs: arbitrary-precision integers,
 rationals (ints while integral, else Fractions), or residues modulo a
 prime.  Smith normal form is the engine behind all
 finitely-generated-abelian-group computations; it builds U and its
-inverse, the side every caller reads.  A `LatticeQuotient` builds its
-basis and the sparse columns of U only when a caller first reads them,
-so a caller that only asks `iso` pays for neither, and quotient
-coordinates follow the nonzeros of the vector.  One sparse column
+inverse, the side every caller reads.  A `LatticeQuotient` builds the
+sparse columns of U only when `coords` is first called, so a caller
+that only asks `iso` does not pay for them, and quotient coordinates
+follow the nonzeros of the vector.  One sparse column
 reduction (`field_reduce`) over a field backs the vector-space and
 Jordan-type computations and the homology of a filtration: over `QQ` a
 reduction of integer columns runs in int arithmetic and builds Fractions
@@ -200,22 +200,6 @@ def int_kernel(M: Mat) -> Mat:
     echelon form."""
     R, _, V = int_reduce(_columns(QQ, M))
     return _dense(QQ, [v for c, v in zip(R, V) if not c], M.cols)
-
-
-def lattice_basis(gens: Mat) -> Mat:
-    """Independent basis (columns) of the lattice spanned by the columns of gens."""
-    return LatticeQuotient(gens, Mat.zero(gens.rows, 0)).basis
-
-
-def lattice_intersection(A: Mat, B: Mat) -> Mat:
-    """Generators of the intersection of two column lattices in the same Z^n."""
-    if A.rows != B.rows:
-        raise ValueError("ambient rank mismatch")
-    if A.cols == 0 or B.cols == 0:
-        return Mat.zero(A.rows, 0)
-    K = int_kernel(A.hstack(B.scale(-1)))
-    u = K.take_rows(range(A.cols))
-    return lattice_basis(A @ u)
 
 
 def preimage_lattice(g: Mat, R: Mat) -> Mat:
@@ -491,12 +475,11 @@ def _char_poly_roots(F, A: Mat) -> dict:
     if isinstance(F, PrimeField):
         SA = sympy.Matrix(n, n, lambda i, j: sympy.Integer(A[i, j] % F.p))
         poly = SA.charpoly(x)
-        factors = sympy.factor_list(poly.as_expr(), modulus=F.p)[1]
+        factors = sympy.Poly(poly.as_expr(), x, modulus=F.p).factor_list()[1]
         roots: dict = {}
-        for fac, mult in factors:
-            p = sympy.Poly(fac, x, modulus=F.p)
+        for p, mult in factors:
             if p.degree() > 1:
-                raise NonSplitError(str(fac))
+                raise NonSplitError(str(p.as_expr()))
             # monic linear factor x - root
             a1, a0 = p.all_coeffs() if p.degree() == 1 else (1, 0)
             root = F.coerce(-int(a0) * pow(int(a1), F.p - 2, F.p))
@@ -558,17 +541,17 @@ class LatticeQuotient:
     generators whose orders form the invariant-factor chain.  `coords`
     expresses any element of L in these generators.
 
-    One Smith normal form U L V = D of L_gens gives both the basis of L
-    (`basis`, the columns d_i * Uinv[:, i]) and coordinates in it: x lies
-    in L iff d_i divides (U x)_i for i < rank and (U x)_i = 0 beyond, and
-    then its coordinates are (U x)_i / d_i.  A second one, of the
-    coordinates of B, gives the canonical generators.  Containment of B
-    in L is checked; a violation reports the offending column of B_gens.
+    One Smith normal form U L V = D of L_gens gives coordinates in the
+    basis of L whose columns are d_i * Uinv[:, i]: x lies in L iff d_i
+    divides (U x)_i for i < rank and (U x)_i = 0 beyond, and then its
+    coordinates are (U x)_i / d_i.  A second one, of the coordinates of
+    B, gives the canonical generators.  Containment of B in L is
+    checked; a violation reports the offending column of B_gens.
 
-    The constructor computes only what `iso` answers.  `basis` is built
-    on first read, and the nonzeros of each column of U on the first
-    `coords` call.  `coords` then costs one step per nonzero of U in the
-    columns where x is nonzero, plus one per returned row and nonzero of U x.
+    The constructor computes only what `iso` answers; the nonzeros of
+    each column of U are built on the first `coords` call.  `coords` then
+    costs one step per nonzero of U in the columns where x is nonzero,
+    plus one per returned row and nonzero of U x.
     """
 
     def __init__(self, L_gens: Mat, B_gens: Mat):
@@ -576,7 +559,7 @@ class LatticeQuotient:
             raise ValueError("ambient rank mismatch")
         self.ambient = L_gens.rows
         s = smith_normal_form(L_gens)
-        self._U, self._Uinv = s.U, s.Uinv
+        self._U = s.U
         self._d = s.invariant_factors
         W = s.U @ B_gens
         C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
@@ -591,19 +574,12 @@ class LatticeQuotient:
         self.free_rank = len(self.free_rows)
 
     @cached_property
-    def basis(self) -> Mat:
-        """Basis of L as columns: d_i times column i of Uinv."""
-        d = self._d
-        return Mat.from_rows([[a * di for a, di in zip(row, d)] for row in self._Uinv.data],
-                             ncols=len(d))
-
-    @cached_property
     def _U_columns(self) -> list:
         """The nonzeros (row, entry) of each column of U."""
         return [[(i, a) for i, a in enumerate(col) if a] for col in self._U.columns()]
 
     def _divide(self, w, which: int) -> list[int]:
-        """Coordinates in `basis` of the x with U x = w, or
+        """Coordinates in the basis of L of the x with U x = w, or
         LatticeContainmentError(which) if that x is not in L."""
         d = self._d
         if any(w[len(d):]):

@@ -37,13 +37,15 @@ from gpd.homology import (
 from gpd.matrix import Mat
 from gpd.pmodule import ConstructibleModule, dX_A
 
-from generators import ALL_CATS, random_interval_sum_module, random_module, splice_steps
+from generators import (ALL_CATS, grid_complex, random_interval_sum_module, random_module,
+                        splice_steps)
 from oracles import (
     classical_diagram_gf2,
     component_module,
     cumulative_at_oracle,
     cumulative_oracle,
     full_grid_type_A,
+    positivity_witnesses_oracle,
     type_B_oracle,
 )
 
@@ -275,18 +277,18 @@ def test_diagram_additive_under_disjoint_union():
 def test_cumulative_at_snaps_rational_endpoints():
     F, bars = random_interval_sum_module(GF2, random.Random(59), nvals=3, nints=2)
     Y = type_A_diagram(F)
-    X = dX_A(F)
+    X, z = dX_A(F).as_dict(), zero_elem("A", F.cat)
     n = F.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
             p = F.values[i - 1]
             q = None if j == n + 1 else F.values[j - 1]
-            assert cumulative_at(Y, p, q) == X.get(i, j)
+            assert cumulative_at(Y, p, q) == X.get((i, j), z)
     # below the grid everything vanishes
     assert cumulative_at(Y, F.values[0] - 1).is_zero()
     # endpoints strictly inside a segment snap to the surrounding cell
     mid = (F.values[0] + F.values[1]) / 2
-    assert cumulative_at(Y, mid, None) == X.get(1, n + 1)
+    assert cumulative_at(Y, mid, None) == X.get((1, n + 1), z)
 
 
 @pytest.mark.parametrize("cat", [c for c in ALL_CATS if c.abelian],
@@ -401,9 +403,31 @@ def test_positivity_with_subquotient_witnesses(cat):
         assert report.negative_cells == ()
 
 
+def _torsion_filtration(name, seed):
+    if name == "grid":
+        return grid_complex(4 + seed, seed, klein=True)
+    return perturb(parse_filtration((DATA / name).read_text()), Fr(1, 8), seed)
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Zm:4", "Q"])
+@pytest.mark.parametrize("name,seed", [("torus.flt", 1), ("torus.flt", 2),
+                                       ("klein_bottle.flt", 1), ("klein_bottle.flt", 2),
+                                       ("grid", 0), ("grid", 1)])
+def test_positivity_witnesses_match_the_subquotient_oracle(name, seed, coeffs):
+    """H_1 of the bundled surfaces perturbed and of grid Klein bottles 4
+    and 5: each witness, (im m1 cap ker n) / (im m0 cap ker n) read off
+    the kernel of n m, equals the class of the subquotient that
+    `positivity_witnesses_oracle` builds from two subobject intersections."""
+    F = persistent_module(_torsion_filtration(name, seed), 1, coeffs)
+    report = positivity_check(F)
+    assert report.ok
+    assert report.witnesses == positivity_witnesses_oracle(F)
+    if coeffs == "Zm:4":  # witnesses with torsion: a class of length 2 at the prime 2
+        assert any(dict(v.coeffs).get(2, 0) for _, v in report.witnesses)
+
+
 def test_diagram_leq_is_cumulative_comparison():
     cat = vect(QQ)
-    z = zero_elem("B", cat)
     one = elem("B", cat, dim=1)
     lo = DiagramGrid.make("B", cat, (Fr(0), Fr(2)), {(1, 2): one}, role="diagram")
     hi = DiagramGrid.make("B", cat, (Fr(0), Fr(3)), {(1, 2): one}, role="diagram")
@@ -412,4 +436,4 @@ def test_diagram_leq_is_cumulative_comparison():
     # {[0,3): 1} -> {[0,2): 1}: nothing in lo covers [0,3)
     assert not diagram_leq(hi, lo)
     assert diagram_leq(lo, lo)
-    assert lo.get(1, 3) == z
+    assert (1, 3) not in lo.as_dict()

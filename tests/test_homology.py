@@ -533,6 +533,21 @@ def _rp2_with_triangles(draw):
         f"\n{' '.join(map(str, t))} : {Fr(draw(st.integers(2, 6)), 2)}" for t in extra))
 
 
+RP2_CONED_LOOP = "\n6 : 2\n0 6 : 2\n1 6 : 2\n3 6 : 2\n0 1 6 : 3\n0 3 6 : 3\n1 3 6 : 3"
+
+
+@st.composite
+def _rp2_with_coned_loop(draw):
+    """RP^2 with a cone from a new vertex over the loop 0 1 3, its edges
+    at value 2 and its triangles at value 3, as given or perturbed: the
+    Z/2 of H_1 is born at value 1 and dies at value 3 (H_1 over Z runs
+    Z^10, Z/2, Z^2 + Z/2, 0)."""
+    K = parse_filtration(rp2_text() + RP2_CONED_LOOP)
+    if draw(st.booleans()):
+        K = perturb(K, Fr(draw(st.integers(1, 3)), 8), draw(st.integers(0, 99)))
+    return K
+
+
 @settings(max_examples=60, deadline=None)
 @given(_complexes(), st.integers(1, 3), st.sampled_from([0, 2, 4]))
 def test_smith_normal_forms_of_boundary_matrices_match_dense_oracle(K, k, m):
@@ -589,11 +604,12 @@ def test_field_stages_match_dense_oracle_on_bundled_data(name, coeffs):
 
 def _over_each_family(check, *strategies, examples=20):
     """Run the property `check(K, *drawn)` for `examples` draws of K from
-    each family, `_complexes()`, `_grid_klein_bottles()` and
-    `_rp2_with_triangles()`: a fixed share for each, where one strategy
-    over their union gave grid Klein bottles anywhere from 3 to 30 of 60
-    draws."""
-    for family in (_complexes(), _grid_klein_bottles(), _rp2_with_triangles()):
+    each family, `_complexes()`, `_grid_klein_bottles()`,
+    `_rp2_with_triangles()` and `_rp2_with_coned_loop()`: a fixed share
+    for each, where one strategy over their union gave grid Klein bottles
+    anywhere from 3 to 30 of 60 draws."""
+    for family in (_complexes(), _grid_klein_bottles(), _rp2_with_triangles(),
+                   _rp2_with_coned_loop()):
         settings(max_examples=examples, deadline=None)(given(family, *strategies)(check))()
 
 

@@ -110,12 +110,12 @@ def test_shift_moves_critical_values():
 
 def test_dX_A_of_interval_module():
     F = interval_module(QQ, [0, 1, 2], 1, 3)  # alive on [0, 2)
-    X = dX_A(F)
-    assert X.get(1, 2).mult() == {"line": 1}
-    assert X.get(1, 3).mult() == {"line": 1}
-    assert X.get(1, 4).mult() == {}
-    assert X.get(2, 3).mult() == {"line": 1}
-    assert X.get(3, 4).mult() == {}
+    X = dX_A(F).as_dict()
+    assert X[(1, 2)].mult() == {"line": 1}
+    assert X[(1, 3)].mult() == {"line": 1}
+    assert (1, 4) not in X
+    assert X[(2, 3)].mult() == {"line": 1}
+    assert (3, 4) not in X
 
 
 def test_image_classes_snap_rational_endpoints():
