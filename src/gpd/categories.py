@@ -12,18 +12,16 @@ equality of morphisms is structural equality.
 
 from __future__ import annotations
 
-from math import prod
-
 from .exact import (
     QQ,
+    ZZ,
     LatticeQuotient,
     _columns,
+    column_reduce,
     column_space_basis,
     field_rank,
-    field_reduce,
     field_solve,
     jordan_type,
-    smith_normal_form,
 )
 from .grothendieck import GroupElem, _make_elem, add
 from .matrix import Mat, Value, _set
@@ -285,13 +283,11 @@ def compose(g: Mor, f: Mor) -> Mor:
 def is_isomorphism(f: Mor) -> bool:
     """Whether f is invertible.
 
-    Between free abelian groups of rank n the column reduction of the
-    payload M over QQ gives R = M V with V unitriangular, and the nonzero
-    columns of R have distinct lowest rows, so det M = +-(product of the
-    pivots): f is an isomorphism iff there are n pivots and their product
-    is +-1 ([[1, 1], [2, 3]] has pivots 2 and -1/2).  For a group with
-    torsion f is onto, so an isomorphism, iff the payload and the target's
-    relations span Z^n: their Smith normal form has n invariant factors 1.
+    Between abelian groups of one isomorphism class, free or not, f is
+    onto, so an isomorphism, iff the payload and the target's relations
+    span Z^n.  The nonzero columns of their reduction over ZZ are an
+    echelon basis of the lattice they span, so it is Z^n iff there are n
+    pivots, each +-1.
     """
     cat = f.cat
     if cat.kind == FINSET:
@@ -302,15 +298,10 @@ def is_isomorphism(f: Mor) -> bool:
     if cat.kind == REPN:
         return (f.src.data.rows == f.tgt.data.rows
                 and field_rank(cat.field, f.payload) == f.payload.rows)
-    # abelian groups: surjective onto an isomorphic group implies bijective
     if iso_class(f.src) != iso_class(f.tgt):
         return False
-    rank, invs = f.tgt.data
-    if cat.kind == AB and not invs:
-        R, lows, _ = field_reduce(QQ, _columns(QQ, f.payload))
-        return len(lows) == rank and abs(prod(R[j][low] for low, j in lows.items())) == 1
-    snf = smith_normal_form(f.payload.hstack(ab_relations(f.tgt)))
-    return snf.invariant_factors == (1,) * obj_ngens(f.tgt)
+    R, lows, _ = column_reduce(ZZ, _columns(ZZ, f.payload.hstack(ab_relations(f.tgt))))
+    return len(lows) == obj_ngens(f.tgt) and all(abs(R[j][low]) == 1 for low, j in lows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +396,16 @@ def image_iso_class(f: Mor) -> GroupElem:
         return iso_from_invariants(cat, rank, invs)
     # repn: the endomorphism of the target restricted to the image
     F = cat.field
-    W = column_space_basis(F, f.payload)
-    return iso_class(make_obj(cat, field_solve(F, W, (f.tgt.data @ W).map(F.coerce))))
+    return iso_class(make_obj(cat, _restrict_endo(F, f.tgt.data, column_space_basis(F, f.payload))))
+
+
+def _restrict_endo(F, A: Mat, W: Mat) -> Mat:
+    """Matrix over F of A on the A-invariant subspace spanned by the
+    columns of W: the C with W C = A W."""
+    C = field_solve(F, W, A @ W)
+    if C is None:
+        raise CategoryError("subspace is not invariant under the endomorphism")
+    return C
 
 
 # ---------------------------------------------------------------------------

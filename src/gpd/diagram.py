@@ -19,9 +19,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
-from .categories import (AB, FINAB, FINSET, REPN, VECT, ab_relations, compose, iso_class,
+from .categories import (AB, FINAB, FINSET, VECT, _restrict_endo, ab_relations, iso_class,
                          iso_from_invariants, make_obj)
-from .exact import LatticeQuotient, column_space_basis, field_kernel, field_solve, preimage_lattice
+from .exact import ZZ, LatticeQuotient, column_space_basis, preimage
 from .grothendieck import GroupElem, NoBGroupError, _make_elem, add, b_class, sub, zero_elem
 from .matrix import Mat, Value
 
@@ -243,9 +243,10 @@ def positivity_check(F, Y: DiagramGrid | None = None) -> PositivityReport:
     of the next connecting morphism (the whole object for j = n + 1).
     The class of that subquotient in the quotient group equals the
     inclusion-exclusion value, which certifies nonnegativity cell by
-    cell.  Each intersection im m cap ker n is m(ker(n m)), read off the
-    kernel routine of the ring: `field_kernel` over a field,
-    `preimage_lattice` over Z.
+    cell.  Each intersection im m cap ker n is L P, for L the payload of
+    m beside the relations of its target (none over a field) and P the
+    `preimage` under n L of the relations of n's target, one call over
+    the field or ZZ for every kind.
     """
     from .pmodule import composite_mor
 
@@ -273,44 +274,28 @@ def positivity_check(F, Y: DiagramGrid | None = None) -> PositivityReport:
 
 
 def _subquotient_class(cat, obj, m1, m0, nxt) -> GroupElem:
-    kind = cat.kind
-    if kind == FINSET:
+    if cat.kind == FINSET:
         raise DiagramError("finite sets have no quotient-group diagram")
-    if kind in (AB, FINAB):
-        # L = (payload | relations of obj) spans the preimage of im m in
-        # Z^gens, and L y lies in ker nxt iff nxt L y lies in the lattice of
-        # the target's relations: im m cap ker nxt is L (preimage of those
-        # relations under nxt L), and the witness is the quotient L1 / L0
-        R = ab_relations(obj)
-        L1 = m1.payload.hstack(R)
-        L0 = m0.payload.hstack(R)
-        if nxt is not None:
-            L1, L0 = (L @ preimage_lattice(nxt.payload @ L, ab_relations(nxt.tgt))
-                      for L in (L1, L0))
-        rank, invs = LatticeQuotient(L1, L0).iso()
-        return b_class(iso_from_invariants(cat, rank, invs))
-    if kind not in (VECT, REPN):
-        raise DiagramError(f"unknown category kind {kind!r}")
-    # the subspaces W1 >= W0 of obj, each im m cap ker nxt = m(ker(nxt m)),
-    # then the class of their dimensions (vect) or of the endomorphism
-    # restricted to them (repn)
-    Fld = cat.field
-    W1, W0 = (column_space_basis(Fld, m.payload if nxt is None else
-                                 m.payload @ field_kernel(Fld, compose(nxt, m).payload))
-              for m in (m1, m0))
-    if kind == VECT:
+    # L = (payload | relations of obj, none over a field) spans the
+    # preimage of im m, and L y lies in ker nxt iff nxt L y lies in the
+    # span of the target's relations: im m cap ker nxt is L (preimage of
+    # those relations under nxt L), and the witness is the quotient L1 / L0
+    groups = cat.kind in (AB, FINAB)
+    L1, L0 = m1.payload, m0.payload
+    if groups:
+        L1, L0 = L1.hstack(ab_relations(obj)), L0.hstack(ab_relations(obj))
+    if nxt is not None:
+        R = ab_relations(nxt.tgt) if groups else Mat.zero(nxt.payload.rows, 0)
+        L1, L0 = (L @ preimage(cat.field or ZZ, nxt.payload @ L, R) for L in (L1, L0))
+    if groups:
+        return b_class(iso_from_invariants(cat, *LatticeQuotient(L1, L0).iso()))
+    # the subspaces W1 >= W0 of obj: the class of their dimensions (vect)
+    # or of the endomorphism restricted to them (repn)
+    W1, W0 = (column_space_basis(cat.field, L) for L in (L1, L0))
+    if cat.kind == VECT:
         return sub(_obj_class(cat, W1.cols), _obj_class(cat, W0.cols))
-    return sub(_obj_class(cat, _restrict_endo(Fld, obj.data, W1)),
-               _obj_class(cat, _restrict_endo(Fld, obj.data, W0)))
+    return sub(*(_obj_class(cat, _restrict_endo(cat.field, obj.data, W)) for W in (W1, W0)))
 
 
 def _obj_class(cat, data) -> GroupElem:
     return b_class(iso_class(make_obj(cat, data)))
-
-
-def _restrict_endo(Fld, A: Mat, W: Mat) -> Mat:
-    """Matrix of A on the A-invariant subspace spanned by the columns of W."""
-    C = field_solve(Fld, W, A @ W)
-    if C is None:
-        raise DiagramError("subspace is not invariant under the endomorphism")
-    return C

@@ -8,11 +8,12 @@ inverse, the side every caller reads.  A `LatticeQuotient` builds the
 sparse columns of U only when `coords` is first called, so a caller
 that only asks `iso` does not pay for them, and quotient coordinates
 follow the nonzeros of the vector.  One sparse column
-reduction (`field_reduce`) over a field backs the vector-space and
-Jordan-type computations and the homology of a filtration: over `QQ` a
-reduction of integer columns runs in int arithmetic and builds Fractions
-only where a pivot does not divide.  `int_reduce` is its twin over Z,
-for integer kernels and the cycles of integer homology.
+reduction (`column_reduce`) over a ring, `ZZ`, `QQ` or a `PrimeField`,
+backs kernels, preimages, ranks, solutions, the Jordan type and the
+homology of a filtration: over `QQ` a reduction of integer columns runs
+in int arithmetic and builds Fractions only where a pivot does not
+divide, and over `ZZ` a floor quotient that leaves a remainder swaps the
+column with its pivot (Euclid on columns).
 """
 
 from __future__ import annotations
@@ -191,36 +192,7 @@ def smith_normal_form(M: Mat) -> SnfResult:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattices (given by generating-set matrices, columns = generators)
-# ---------------------------------------------------------------------------
-
-def int_kernel(M: Mat) -> Mat:
-    """Basis of the integer kernel {x : M x = 0}, columns of the result:
-    the combinations of the columns of M that `int_reduce` zeroes, in
-    echelon form."""
-    R, _, V = int_reduce(_columns(QQ, M))
-    return _dense(QQ, [v for c, v in zip(R, V) if not c], M.cols)
-
-
-def preimage_lattice(g: Mat, R: Mat) -> Mat:
-    """Basis (columns) of {x in Z^n : g x in column-lattice(R)} for
-    g : Z^n -> Z^m: the x rows of the kernel of [-R | g], whose echelon
-    basis from `int_kernel` projects onto one once the vectors that
-    vanish there, the relations among the columns of R, are dropped."""
-    if g.rows != R.rows:
-        raise ValueError("ambient rank mismatch")
-    K = int_kernel(R.scale(-1).hstack(g)).take_rows(range(R.cols, R.cols + g.cols))
-    return K.take_cols([j for j, col in enumerate(K.columns()) if any(col)])
-
-
-class LatticeContainmentError(ValueError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"generator column {index} is not contained in the ambient lattice")
-
-
-# ---------------------------------------------------------------------------
-# Fields and column reduction
+# Rings and column reduction
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 4300  # Python's own limit on the digits of an int read from text
@@ -332,7 +304,22 @@ class PrimeField:
         return hash(("GF", self.p))
 
 
+class IntegerRing:
+    """The ring Z, for `column_reduce` and what it backs: elements are
+    ints, and `div` is the floor quotient, which can leave a remainder."""
+
+    zero = 0
+    one = 1
+
+    def coerce(self, x):
+        return int(x)
+
+    def div(self, a, b):
+        return a // b
+
+
 QQ = RationalField()
+ZZ = IntegerRing()
 
 
 def _sub_multiple(F, c: dict, f, col: dict):
@@ -365,60 +352,46 @@ def _clear(F, c: dict, R: list, lows: dict) -> list:
     return steps
 
 
-def field_reduce(F, cols: list, track: bool = False) -> tuple:
-    """Column reduction over F (Zomorodian and Carlsson).
+def column_reduce(F, cols: list, track: bool = False) -> tuple:
+    """Column reduction over the ring F, ZZ, QQ or a PrimeField
+    (Zomorodian and Carlsson).
 
-    F is a field, QQ or a PrimeField.  `cols` are dict columns (row ->
-    nonzero entry of F).  Left to right,
-    multiples of the nonzero columns before each one are subtracted from
-    it until its lowest row differs from theirs, so a column reduces to
-    zero exactly when it lies in the span of the columns before it.
-    Returns (R, lows, V): the reduced columns, {lowest row: index} of the
-    nonzero ones, and, when `track` is set, the combinations with
-    R[j] = sum of V[j][i] * cols[i] (else None).  Every multiple is
-    `F.div` of the entry to clear by the pivot, so V is unitriangular;
-    over QQ it is an int where the pivot divides, else a Fraction.
+    `cols` are dict columns (row -> nonzero entry of F).  Left to right,
+    while a column's lowest row is that of a nonzero column before it,
+    the pivot, the multiple `F.div` of its entry there by the pivot's is
+    subtracted; over a field that clears the entry, and over ZZ a
+    remainder makes the column and the pivot swap (Euclid on columns).
+    Returns (R, lows, V): the reduced columns, {lowest row: index} of
+    the nonzero ones, and, when `track` is set, the combinations with
+    R[j] = sum of V[j][i] * cols[i] (else None).  The steps are
+    unimodular, so the nonzero columns of R are an echelon basis of what
+    `cols` span, over ZZ the lattice.  The V of a column j reduced to
+    zero has lowest row j, as the kernel of the first j + 1 columns has
+    rank one more than that of the first j, so these V are an echelon
+    basis of the kernel of every prefix, over ZZ a Z-basis whose leads
+    need not be units.  Over QQ, V stays int while every pivot divides.
     """
     R, lows, V = [], {}, [] if track else None
     for j, col in enumerate(cols):
         c = dict(col)
-        steps = _clear(F, c, R, lows)
-        if c:
-            lows[max(c)] = j
-        R.append(c)
-        if track:
-            v = {j: F.one}
-            for i, f in steps:
-                _sub_multiple(F, v, f, V[i])
-            V.append(v)
-    return R, lows, V
-
-
-def int_reduce(cols: list) -> tuple:
-    """`field_reduce` over Z with V tracked: the same (R, lows, V), in int
-    dict columns.  Where a pivot leaves a remainder at the column's lowest
-    row, the column and the pivot swap (Euclid on columns), so V stays
-    integer and unimodular.  The V of a column j reduced to zero has
-    lowest row j, as the kernel of the first j + 1 columns has rank one
-    more than that of the first j; so these V, whose leads need not be
-    units, are an echelon Z-basis of the kernel of every prefix."""
-    R, lows, V = [], {}, []
-    for j, col in enumerate(cols):
-        c, v = dict(col), {j: 1}
+        v = {j: F.one} if track else None
         while c:
             low = max(c)
             i = lows.get(low)
             if i is None:
                 lows[low] = j
                 break
-            if q := c[low] // R[i][low]:
-                _sub_multiple(QQ, c, q, R[i])
-                _sub_multiple(QQ, v, q, V[i])
-            if low in c:  # a remainder: it becomes the pivot at low
+            if q := F.div(c[low], R[i][low]):
+                _sub_multiple(F, c, q, R[i])
+                if track:
+                    _sub_multiple(F, v, q, V[i])
+            if low in c:  # a remainder over ZZ: it becomes the pivot at low
                 c, R[i] = R[i], c
-                v, V[i] = V[i], v
+                if track:
+                    v, V[i] = V[i], v
         R.append(c)
-        V.append(v)
+        if track:
+            V.append(v)
     return R, lows, V
 
 
@@ -431,20 +404,32 @@ def _dense(F, cols: list, n: int) -> Mat:
 
 
 def field_rank(F, M: Mat) -> int:
-    return len(field_reduce(F, _columns(F, M))[1])
+    return len(column_reduce(F, _columns(F, M))[1])
 
 
-def field_kernel(F, M: Mat) -> Mat:
-    """Basis (columns) of the kernel of M over F: for each column of M in
-    the span of the columns before it, the combination that zeroes it."""
-    R, _, V = field_reduce(F, _columns(F, M), track=True)
+def kernel(F, M: Mat) -> Mat:
+    """Basis (columns) of the kernel {x : M x = 0} over the ring F: for
+    each column of M in the span of the columns before it, the
+    combination that zeroes it, in echelon form."""
+    R, _, V = column_reduce(F, _columns(F, M), track=True)
     return _dense(F, [v for c, v in zip(R, V) if not c], M.cols)
+
+
+def preimage(F, g: Mat, R: Mat) -> Mat:
+    """Basis (columns) of {x : g x in the span of the columns of R} over
+    the ring F: the x rows of the kernel of [-R | g], whose echelon
+    basis from `kernel` projects onto one once the vectors that vanish
+    there, the relations among the columns of R, are dropped."""
+    if g.rows != R.rows:
+        raise ValueError("ambient rank mismatch")
+    K = kernel(F, R.scale(-1).hstack(g)).take_rows(range(R.cols, R.cols + g.cols))
+    return K.take_cols([j for j, col in enumerate(K.columns()) if any(col)])
 
 
 def field_solve(F, M: Mat, B: Mat) -> Mat | None:
     """One solution X of M X = B over F, or None.  X is zero outside the
     rows of the columns of M that `column_space_basis` picks."""
-    R, lows, V = field_reduce(F, _columns(F, M), track=True)
+    R, lows, V = column_reduce(F, _columns(F, M), track=True)
     X = []
     for b in _columns(F, B):
         x: dict = {}
@@ -458,7 +443,7 @@ def field_solve(F, M: Mat, B: Mat) -> Mat | None:
 
 def column_space_basis(F, M: Mat) -> Mat:
     """The columns of M outside the span of the columns before them."""
-    lows = field_reduce(F, _columns(F, M))[1]
+    lows = column_reduce(F, _columns(F, M))[1]
     return M.take_cols(sorted(lows.values())).map(F.coerce)
 
 
@@ -533,6 +518,12 @@ def jordan_type(A: Mat, F=QQ) -> tuple:
 # ---------------------------------------------------------------------------
 # Presented abelian groups L/B with canonical coordinates
 # ---------------------------------------------------------------------------
+
+class LatticeContainmentError(ValueError):
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"generator column {index} is not contained in the ambient lattice")
+
 
 class LatticeQuotient:
     """The group L/B for column lattices B <= L <= Z^n, with coordinates.

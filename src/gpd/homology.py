@@ -28,10 +28,10 @@ from .diagram import DiagramGrid, type_A_diagram
 from .exact import (
     MAX_MODULUS,
     QQ,
+    ZZ,
     PrimeField,
     _clear,
-    field_reduce,
-    int_reduce,
+    column_reduce,
     parse_rational,
     smith_normal_form,
 )
@@ -240,11 +240,13 @@ class PersistentHomology:
     Over Z and Z/m the reduction of d_{k+1} runs over QQ, whose values
     stay ints while every pivot divides.  `lead_stop` is the first value
     index of a column of d_{k+1} whose lead (entry at its lowest row) is
-    not +-1.
+    not +-1.  Over ZZ a later column could swap with that one and leave
+    the gcd of both leads there, so the stages before it would read as
+    free: this reduction stays over QQ.
     Below it that reduction divides only by unit leads, so its R spans
     the lattice d_{k+1} does, and a pair dying there keeps R_j, an
     integer column leading with +-1; a pair dying from `lead_stop` on
-    keeps z_p.  The reduction of d_k runs over Z (`int_reduce`), so the
+    keeps z_p.  The reduction of d_k runs over ZZ (`column_reduce`), so the
     z_p are an echelon Z-basis of the integer cycles on the kept rows,
     and with the R_j, whose unit leads clear a cycle's entries at their
     rows from the top down, the table is an echelon Z-basis of Z_k: a
@@ -266,9 +268,9 @@ class PersistentHomology:
 
     The stages (`stages[i]` the stage of segment i, `stages[0]` the empty
     complex) and the module are built on first use, so a diagram read off
-    the bars builds neither.  A connecting map between stages below
-    `lead_stop` is read off `born` and `death` (`_partial_identity`),
-    with no clearing; an interleaving reuses the stages.  Only the
+    the bars builds neither.  The module's connecting maps share one
+    record of cleared chains, so a generator that several stages share
+    is cleared once; an interleaving reuses the stages.  Only the
     caller holds them.
     """
 
@@ -283,7 +285,7 @@ class PersistentHomology:
         ks, above = (_cells(K, d, m) for d in (k, k + 1))
         self.k_simplices, self.born = [s for s, _ in ks], [i for _, i in ks]
         n, integral = len(K.critical_values), kind != "F"
-        R, lows, _ = field_reduce(F, _boundary_columns(self.k_simplices, [s for s, _ in above],
+        R, lows, _ = column_reduce(F, _boundary_columns(self.k_simplices, [s for s, _ in above],
                                                        F.coerce, m))
         self.death = {p: above[j][1] for p, j in lows.items()}
         self.lead_stop = min((self.death[p] for p, j in lows.items() if abs(R[j][p]) != 1),
@@ -294,7 +296,7 @@ class PersistentHomology:
         if m:
             below = [(s, 0) for s in below] + [(t, 1) for t in K.simplices_of_dim(k - 2)]
         cols = _boundary_columns(below, [ks[p][0] for p in kept], F.coerce, m)
-        R, _, V = int_reduce(cols) if integral else field_reduce(F, cols, track=True)
+        R, _, V = column_reduce(ZZ if integral else F, cols, track=True)
         table.update((p, {kept[i]: x for i, x in v.items()})
                      for p, c, v in zip(kept, R, V) if not c)
         self.table = dict(sorted(table.items()))
@@ -319,10 +321,9 @@ class PersistentHomology:
     def module(self) -> ConstructibleModule:
         from .pmodule import ConstructibleModule
 
-        stages = self.stages  # stages[i] reads the first i values
-        mors = tuple(make_mor(a.obj, b.obj, _partial_identity(a, b) if i < self.lead_stop
-                              else _induced_payload(a, b))
-                     for i, (a, b) in enumerate(zip(stages, stages[1:])))
+        stages, cleared = self.stages, {}  # a chain shared by stages is cleared once
+        mors = tuple(make_mor(a.obj, b.obj, _induced_payload(a, b, cleared))
+                     for a, b in zip(stages, stages[1:]))
         return ConstructibleModule(stages[0].obj.cat, self.complex.critical_values,
                                    tuple(st.obj for st in stages), mors)
 
@@ -339,8 +340,8 @@ class _Stage:
     `coords` clears a chain against the table.  The rows of the core are
     those columns that no pair dying before `lead_stop` (or the stage)
     kills, as that pair's column is its R_j.  Below `lead_stop` they are
-    the generators, and maps between such stages are 0/1 partial
-    identities (`_partial_identity`).  From `lead_stop` on the core's
+    the generators, and a coordinate is the multiple of a generator's
+    column that clearing subtracts.  From `lead_stop` on the core's
     columns are the cleared boundaries of the
     (k+1)-cells born since (`H.core_columns`), and its Smith normal
     form U C V = D gives the rest: generator i combines the table chains
@@ -410,15 +411,6 @@ def _combination(terms) -> dict:
 def _induced_payload(src: _Stage, tgt: _Stage, cleared: dict | None = None):
     """Matrix of the inclusion-induced map in canonical coordinates."""
     return Mat.from_cols([tgt.coords(g, cleared) for g in src.gen_reps], nrows=len(tgt.gen_reps))
-
-
-def _partial_identity(src: _Stage, tgt: _Stage):
-    """`_induced_payload` between two stages of one H below its `lead_stop`,
-    read off `born` and `death`: generator p goes to p while it is alive
-    at tgt and to 0 once it is dead (its column is R_j, a boundary)."""
-    F, gens = tgt._clearing[0], tgt._gens
-    return Mat.from_cols([[F.one if q == p else F.zero for q in gens] for p in src._gens],
-                         nrows=len(gens))
 
 
 def persistent_homology(K: FilteredComplex, k: int, coeffs: str) -> PersistentHomology:

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from types import SimpleNamespace
 
 from gpd.categories import (
     Category,
@@ -24,7 +23,7 @@ from gpd.categories import (
     vect,
 )
 from gpd.diagram import DiagramGrid
-from gpd.exact import QQ, PrimeField, field_kernel, field_solve, jordan_type
+from gpd.exact import QQ, ZZ, PrimeField, field_solve, jordan_type, kernel
 from gpd.grothendieck import GroupElem
 from gpd.homology import FilteredComplex, make_complex
 from gpd.matrix import Mat
@@ -105,17 +104,13 @@ def random_mor(src: Obj, tgt: Obj, rng: random.Random) -> Mor:
             for k in range(m):
                 row[k * n + j] = F.sub(row[k * n + j], B[i, k])
             rows.append(row)
-    K = field_kernel(F, Mat.from_rows(rows, ncols=m * n))
+    K = kernel(F, Mat.from_rows(rows, ncols=m * n))
     if K.cols == 0:
         return make_mor(src, tgt, Mat.zero(m, n, zero=F.zero))
     combo = [F.coerce(rng.randint(-2, 2)) for _ in range(K.cols)]
     flat = [F.coerce(sum(K[i, c] * combo[c] for c in range(K.cols))) for i in range(m * n)]
     X = Mat.from_rows([flat[i * n:(i + 1) * n] for i in range(m)], ncols=n)
     return make_mor(src, tgt, X)
-
-
-# the ring Z with the field interface random_invertible uses
-_INTEGERS = SimpleNamespace(one=1, zero=0, coerce=int)
 
 
 def random_automorphism(a: Obj, rng: random.Random) -> Mor:
@@ -136,7 +131,7 @@ def random_automorphism(a: Obj, rng: random.Random) -> Mor:
         return make_mor(a, a, random_invertible(cat.field, a.data, rng))
     if cat.kind in ("ab", "finab"):
         rank, invs = a.data
-        free = random_invertible(_INTEGERS, rank, rng)
+        free = random_invertible(ZZ, rank, rng)
         cols = []
         for j in range(rank):
             cols.append(list(free.col(j)) + [rng.randrange(d) for d in invs])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, prod
 
 from gpd.categories import (
     Mor,
@@ -28,7 +28,15 @@ from gpd.categories import (
     vect,
 )
 from gpd.diagram import DiagramError, DiagramGrid, cumulative_at, cumulative_at_cell, mobius_invert
-from gpd.exact import LatticeContainmentError, SnfResult, _elimination, smith_normal_form
+from gpd.exact import (
+    QQ,
+    LatticeContainmentError,
+    SnfResult,
+    _columns,
+    _elimination,
+    column_reduce,
+    smith_normal_form,
+)
 from gpd.grothendieck import GroupElem, add, leq, sub, zero_elem
 from gpd.metrics import ErosionReport
 from gpd.homology import (
@@ -611,6 +619,24 @@ def image_iso_class_oracle(f):
     R = ab_relations(f.tgt)
     rank, invs = lattice_quotient_oracle(f.payload.hstack(R), R).iso()
     return iso_from_invariants(f.cat, rank, invs)
+
+
+def is_isomorphism_oracle(f: Mor) -> bool:
+    """Whether a morphism of ab or finab is invertible, decided apart from
+    the reduction over ZZ of `is_isomorphism`, for groups of one
+    isomorphism class, where f is onto iff it is bijective.  Between free
+    groups of rank n the reduction over QQ gives R = M V with V
+    unitriangular, so det M is +-(the product of its pivots): n pivots
+    whose product is +-1.  With torsion the payload and the target's
+    relations span Z^n: their Smith normal form has n invariant factors 1."""
+    if iso_class(f.src) != iso_class(f.tgt):
+        return False
+    rank, invs = f.tgt.data
+    if not invs:
+        R, lows, _ = column_reduce(QQ, _columns(QQ, f.payload))
+        return len(lows) == rank and abs(prod(R[j][low] for low, j in lows.items())) == 1
+    snf = smith_normal_form(f.payload.hstack(ab_relations(f.tgt)))
+    return snf.invariant_factors == (1,) * (rank + len(invs))
 
 
 # --- Full-grid type A and type B diagrams -----------------------------------

@@ -1,6 +1,7 @@
 """Backend object/morphism algebra: composition, images, isomorphism tests."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -40,6 +41,7 @@ from oracles import (
     cyclic_decomposition_by_profile,
     compose_oracle,
     image_iso_class_oracle,
+    is_isomorphism_oracle,
     is_unimodular,
     rref_rank,
 )
@@ -323,9 +325,8 @@ class TestIsIsomorphism:
         assert seen == {True, False}
 
     def test_ab_matches_unimodularity(self):
-        # between free groups of one rank, the product of the pivots of the
-        # reduction over QQ decides; [[1, 1], [2, 3]] is unimodular, with
-        # pivots 2 and -1/2
+        # [[1, 1], [2, 3]] is unimodular, though its pivots over QQ are 2
+        # and -1/2: over ZZ Euclid swaps the columns until both are +-1
         c = ab()
         fixed = [([[1, 1], [2, 3]], True), ([[2, 0], [0, 1]], False),
                  ([[1, 2], [2, 4]], False), ([[2, 3], [4, 6]], False)]
@@ -347,8 +348,8 @@ class TestIsIsomorphism:
                                                 ([[2, 1], [1, 1]], True),
                                                 ([[2, 0], [0, 1]], False)])
     def test_ab_free_target_builds_no_quotient(self, monkeypatch, rows, expected):
-        # the pivots of [[1, 1], [2, 3]] are 2 and -1/2: no pivot is +-1,
-        # yet their product is
+        # the pivots of [[1, 1], [2, 3]] over QQ are 2 and -1/2, those
+        # over ZZ +-1
         built = []
         real = categories.LatticeQuotient
         monkeypatch.setattr(categories, "LatticeQuotient",
@@ -381,6 +382,33 @@ class TestIsIsomorphism:
             g = random_automorphism(a, rng)
             assert is_isomorphism(g)
             assert is_isomorphism(compose(g, random_automorphism(a, rng)))
+
+
+def test_is_isomorphism_matches_its_oracle_on_seeded_abelian_morphisms():
+    """6,000 seeded morphisms of ab and finab: endomorphisms,
+    automorphisms, maps between random objects, and automorphisms
+    composed with endomorphisms.  The one reduction over ZZ agrees with
+    the pivot product over QQ at free targets and with the Smith normal
+    form of payload | relations at torsion targets."""
+    rng = random.Random(34)
+    seen = Counter()
+    for i in range(6000):
+        cat = (ab(), finab())[i % 2]
+        a = random_obj(cat, rng)
+        kind = i // 2 % 4
+        if kind == 0:
+            f = random_mor(a, a, rng)
+        elif kind == 1:
+            f = random_automorphism(a, rng)
+        elif kind == 2:
+            f = random_mor(a, random_obj(cat, rng), rng)
+        else:
+            f = compose(random_automorphism(a, rng), random_mor(a, a, rng))
+        expected = is_isomorphism_oracle(f)
+        assert is_isomorphism(f) == expected, f.payload
+        seen[cat.kind, bool(f.tgt.data[1]), expected] += 1
+    assert sum(n for (_, _, iso), n in seen.items() if iso) > 1500
+    assert len(seen) == 8  # both verdicts at torsion-free and torsion targets, ab and finab
 
 
 def test_invariants_round_trip():

@@ -10,22 +10,21 @@ from gpd.categories import ab, image_iso_class, is_isomorphism, iso_class, make_
 from gpd.exact import (
     MAX_EXPONENT,
     QQ,
+    ZZ,
     LatticeContainmentError,
     LatticeQuotient,
     NonSplitError,
     PrimeField,
     RationalField,
+    column_reduce,
     column_space_basis,
-    field_kernel,
     field_rank,
-    field_reduce,
     field_solve,
-    int_kernel,
-    int_reduce,
     is_prime,
     jordan_type,
+    kernel,
     parse_rational,
-    preimage_lattice,
+    preimage,
     smith_normal_form,
 )
 from gpd.matrix import Mat
@@ -131,13 +130,13 @@ remainder_matrices = st.integers(0, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_matrices, remainder_matrices))
 @example(Mat.from_rows([[2, 3]]))  # 3 leaves 2 under the pivot 2: Euclid swaps twice
-def test_int_reduce_zero_columns_are_an_echelon_basis_of_every_prefix_kernel(M):
+def test_integer_column_reduce_zero_columns_are_an_echelon_basis_of_every_prefix_kernel(M):
     """R = M V with V integer and unimodular; the V of a zero column j has
     lowest row j, so the zero columns have distinct lows; and for every
     prefix q, the zero columns of low below q span the integer kernel of
     the first q columns, that of the dense Smith normal form oracle."""
     cols = [{i: x for i, x in enumerate(col) if x} for col in M.columns()]
-    R, lows, V = int_reduce(cols)
+    R, lows, V = column_reduce(ZZ, cols, track=True)
     n = M.cols
     assert all(type(x) is int for v in V for x in v.values())
     Vm = Mat.from_cols([[v.get(i, 0) for i in range(n)] for v in V], nrows=n)
@@ -169,7 +168,7 @@ class TestIntegerSolving:
     @settings(max_examples=100, deadline=None)
     @given(small_matrices, st.integers(0, 10 ** 6))
     def test_kernel_annihilates(self, M, seed):
-        K = int_kernel(M)
+        K = kernel(ZZ, M)
         assert M @ K == Mat.zero(M.rows, K.cols)
         rng = random.Random(seed)
         if K.cols:
@@ -194,13 +193,13 @@ class TestLattices:
         # intersection of 2Z x Z and 3Z x Z is 6Z x Z
         assert lattice_contains(I, Mat.from_cols([[6, 0], [0, 1]]))
         assert lattice_contains(A, I) and lattice_contains(B, I)
-        J = A @ preimage_lattice(A, B)
+        J = A @ preimage(ZZ, A, B)
         assert lattice_contains(I, J) and lattice_contains(J, I)
 
     def test_preimage(self):
         g = Mat.from_rows([[1, 0], [0, 1]])
         R = Mat.from_cols([[2, 0], [0, 3]])
-        P = preimage_lattice(g, R)
+        P = preimage(ZZ, g, R)
         assert lattice_contains(P, Mat.from_cols([[2, 0], [0, 3]]))
         assert not lattice_contains(P, Mat.from_cols([[1, 0]]))
 
@@ -213,7 +212,7 @@ class TestLattices:
         rng = random.Random(seed)
         R = Mat.from_cols([[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(g.rows)]
                            for _ in range(k)], nrows=g.rows)
-        P = preimage_lattice(g, R)
+        P = preimage(ZZ, g, R)
         assert P.rows == g.cols and rref_rank(QQ, P) == P.cols
         assert lattice_contains(R, g @ P)
         o = dense_smith_normal_form(g.hstack(R.scale(-1)))
@@ -404,7 +403,7 @@ class TestFieldAlgebra:
     def test_field_kernel_and_solve(self):
         F = PrimeField(5)
         M = Mat.from_rows([[1, 2], [2, 4]])
-        K = field_kernel(F, M)
+        K = kernel(F, M)
         assert K.cols == 1
         assert (M.map(F.coerce) @ K).map(F.coerce) == Mat.zero(2, 1)
         B = Mat.from_cols([[1, 2]])
@@ -439,7 +438,7 @@ def test_rational_reduction_with_int_multiples_keeps_the_lattice(m, n, data):
                       ncols=n)
     cols = [{i: v for i, v in enumerate(col) if v} for col in M.columns()]
     F = _CountedRationals()
-    R, lows, V = field_reduce(F, cols, track=True)
+    R, lows, V = column_reduce(F, cols, track=True)
     assert len(lows) == rref_rank(QQ, M)
     if any(type(q) is not int for q in F.quotients):
         return
@@ -459,12 +458,15 @@ def test_rational_reduction_with_int_multiples_keeps_the_lattice(m, n, data):
 @example([{0: 1, 1: 2}, {0: 1, 1: 3}])  # pivot 2 does not divide 3
 def test_rational_reduction_of_integer_columns_matches_fractions(cols):
     """Integer columns reduce over QQ to the values the same columns
-    held as Fractions reduce to."""
-    R, lows, V = field_reduce(QQ, cols, track=True)
+    held as Fractions reduce to, and over ZZ to the same lows, so the
+    pairing of rows with columns is the same over both rings, Euclid's
+    swaps notwithstanding."""
+    R, lows, V = column_reduce(QQ, cols, track=True)
     fractions = [{i: Fraction(v) for i, v in c.items()} for c in cols]
-    assert (R, lows, V) == field_reduce(QQ, fractions, track=True)
+    assert (R, lows, V) == column_reduce(QQ, fractions, track=True)
     types = {type(v) for c in R + V for v in c.values()}
     assert types <= {int, Fraction}
+    assert column_reduce(ZZ, cols)[1] == lows
 
 
 @given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))
@@ -501,7 +503,7 @@ def test_field_reduction_matches_rref_oracle(system):
     rank = rref_rank(F, M)
     assert field_rank(F, M) == rank
     assert column_space_basis(F, M) == rref_column_space_basis(F, M)
-    K = field_kernel(F, M)
+    K = kernel(F, M)
     assert (K.rows, K.cols) == (M.cols, M.cols - rank)
     assert (Mf @ K).map(F.coerce) == Mat.zero(M.rows, K.cols) and rref_rank(F, K) == K.cols
     X = field_solve(F, M, B)

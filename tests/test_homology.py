@@ -479,7 +479,7 @@ class TestPersistentHomology:
         read = bound = dense = 0
         for at, src, tgt in zip(H.module.values, H.stages, H.stages[1:]):
             below, above = K.simplices_of_dim(0, at=at), K.simplices_of_dim(2, at=at)
-            q = exact.LatticeQuotient(exact.int_kernel(boundary_matrix(below, tgt.k_simplices)),
+            q = exact.LatticeQuotient(exact.kernel(exact.ZZ, boundary_matrix(below, tgt.k_simplices)),
                                       boundary_matrix(tgt.k_simplices, above))
             pos = {s: i for i, s in enumerate(tgt.k_simplices)}
             for g in src.gen_reps:
@@ -632,7 +632,7 @@ def _first_non_unit_lead(K, k):
     value = dict(zip(K.simplices, K.values))
     ks, above = (sorted(K.simplices_of_dim(d), key=value.get) for d in (k, k + 1))
     cols = [{i: x for i, x in enumerate(c) if x} for c in boundary_matrix(ks, above).columns()]
-    R, lows, _ = exact.field_reduce(exact.QQ, cols)
+    R, lows, _ = exact.column_reduce(exact.QQ, cols)
     leads = [value[above[j]] for low, j in lows.items() if abs(R[j][low]) != 1]
     return K.critical_values.index(min(leads)) if leads else len(K.critical_values)
 
@@ -737,10 +737,10 @@ def test_field_stage_reduces_once(monkeypatch):
     the whole filtration runs two (boundaries, then cycles with
     clearing), and coordinates reuse its table."""
     calls = []
-    real = exact.field_reduce
+    real = exact.column_reduce
     counting = lambda *args, **kw: calls.append(args) or real(*args, **kw)  # noqa: E731
-    monkeypatch.setattr(exact, "field_reduce", counting)
-    monkeypatch.setattr(homology, "field_reduce", counting)
+    monkeypatch.setattr(exact, "column_reduce", counting)
+    monkeypatch.setattr(homology, "column_reduce", counting)
     K = parse_filtration((DATA / "torus.flt").read_text())
     dims = []
     for coeffs in ("Q", "Fp:2"):
@@ -919,31 +919,32 @@ def test_coords_refuse_a_chain_outside_the_stage(coeffs):
 
 @pytest.mark.parametrize("coeffs", ["Q", "Fp:2", "Z"])
 def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch, coeffs):
-    """A connecting map of the module between two stages below `lead_stop` is
-    read off `born` and `death` and coerces nothing; one into a stage
-    from `lead_stop` on coerces at most one entry per nonzero of its source
-    generators' chains, not one per k-simplex of the target.  Each
-    direction of an interleaving clears a source chain once, however
-    many of its maps read it: it coerces at most one entry per nonzero
-    of its distinct source chains.  `make_mor` coerces the finished
-    matrix on its own, after the map is built, and is not counted."""
+    """A connecting map coerces at most one entry per nonzero of its
+    source generators' chains, not one per k-simplex of the target.  The
+    maps of a module, and each direction of an interleaving, clear a
+    chain once, however many of their maps read it: together they
+    coerce at most one entry per nonzero of their distinct source
+    chains, and the generators that stages below `lead_stop` share are
+    such chains.  `make_mor` coerces the finished matrix on its own,
+    after the map is built, and is not counted."""
     cls = type(homology.parse_coeffs(coeffs)[1])
     real = cls.coerce
     coerced, per_map = [], []
     monkeypatch.setattr(cls, "coerce", lambda self, x: coerced.append(x) or real(self, x))
+    build = homology._induced_payload
 
-    def counting(build):
-        def wrapped(src, tgt, *rest):
-            before = len(coerced)
-            M = build(src, tgt, *rest)
-            per_map.append((build, _is_table_stage(tgt), len(coerced) - before,
-                            sum(len(g) for g in src.gen_reps)))
-            return M
-        return wrapped
+    def counting(src, tgt, *rest):
+        before = len(coerced)
+        M = build(src, tgt, *rest)
+        per_map.append((src, _is_table_stage(tgt), len(coerced) - before))
+        return M
 
-    for name in ("_induced_payload", "_partial_identity"):
-        monkeypatch.setattr(homology, name, counting(getattr(homology, name)))
-    targets = Counter()
+    def distinct(maps) -> int:
+        """The nonzeros of the distinct source chains of `maps`."""
+        return sum({id(g): len(g) for src, _, _ in maps for g in src.gen_reps}.values())
+
+    monkeypatch.setattr(homology, "_induced_payload", counting)
+    targets, shared = Counter(), 0  # shared: modules whose maps read a chain twice
     for name in ("torus.flt", "klein_bottle.flt"):
         K = parse_filtration((DATA / name).read_text())
         for k in range(3):
@@ -951,20 +952,23 @@ def test_induced_maps_coerce_only_the_nonzeros_of_the_source_chains(monkeypatch,
             H = persistent_homology(K, k, coeffs)
             assert H.module.objects
             assert len(per_map) == len(K.critical_values)
-            for build, table, n, nonzeros in per_map:
-                assert (build.__name__ == "_partial_identity") == table
-                assert n == 0 if table else n <= nonzeros
+            for src, table, n in per_map:
+                assert n <= sum(len(g) for g in src.gen_reps)
                 targets[table] += 1
+            n = sum(n for _, _, n in per_map)
+            assert n <= distinct(per_map)
+            assert n > 0 or not any(src.gen_reps for src, _, _ in per_map)
+            shared += distinct(per_map) < sum(len(g) for src, _, _ in per_map for g in src.gen_reps)
         K2 = perturb(K, Fr(1, 8), seed=1)
         H, H2 = persistent_homology(K, 1, coeffs), persistent_homology(K2, 1, coeffs)
         H.module, H2.module
         per_map.clear()
         interleaving_from_perturbation(H, H2, Fr(1, 8))
-        distinct = {id(g): len(g) for L in (H, H2) for stage in L.stages for g in stage.gen_reps}
-        n = sum(n for _, _, n, _ in per_map)
-        assert n <= sum(distinct.values())
-        assert n > 0 or not any(table and nonzeros for _, table, _, nonzeros in per_map)
+        n = sum(n for _, _, n in per_map)
+        assert n <= distinct(per_map)
+        assert n > 0 or not any(src.gen_reps for src, _, _ in per_map)
     assert targets[True] and bool(targets[False]) == (coeffs == "Z")  # Z: Klein bottle H_1
+    assert shared
 
 
 def test_rational_stage_on_integer_path_clears_fractional_cycles():
@@ -988,8 +992,8 @@ def test_rational_stages_reduce_once_over_the_rationals(monkeypatch):
     its number of stages, also on the Klein bottle, whose pivots do not
     all divide; the dimensions are those of the dense oracle."""
     rings, quotients = [], []
-    real, div = exact.field_reduce, exact.QQ.div
-    monkeypatch.setattr(homology, "field_reduce",
+    real, div = exact.column_reduce, exact.QQ.div
+    monkeypatch.setattr(homology, "column_reduce",
                         lambda F, *args, **kw: rings.append(F) or real(F, *args, **kw))
     monkeypatch.setattr(exact.QQ, "div", lambda a, b: quotients.append(div(a, b)) or div(a, b))
     for name in ("torus.flt", "klein_bottle.flt"):

@@ -150,12 +150,14 @@ def test_every_public_function_has_a_caller():
 
 def test_homology_uses_no_lattice_quotient():
     """Every stage, over Z/m too, is read off the one column reduction:
-    homology imports none of the lattice routines of exact."""
+    homology imports none of the lattice routines of exact, and
+    `column_reduce` is the only reduction it imports."""
     tree = ast.parse((ROOT / "src" / "gpd" / "homology.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "smith_normal_form" in imported
-    assert not imported & {"LatticeQuotient", "preimage_lattice", "int_kernel"}
+    assert not imported & {"LatticeQuotient", "kernel", "preimage"}
+    assert {name for name in imported if name.endswith("reduce")} == {"column_reduce"}
 
 
 def _layers_imported(path: Path) -> set:
