@@ -22,8 +22,9 @@ from .exact import (
     field_rank,
     field_solve,
     jordan_type,
+    smith_normal_form,
 )
-from .grothendieck import GroupElem, _make_elem, add
+from .grothendieck import GroupElem, _make_elem
 from .matrix import Mat, Value, _set
 
 FINSET = "finset"
@@ -336,28 +337,6 @@ def iso_from_invariants(cat: Category, rank: int, invs) -> GroupElem:
     return _make_elem("A", cat, counter)
 
 
-def invariants_from_iso(c: GroupElem) -> tuple[int, tuple[int, ...]]:
-    """Rebuild (free rank, invariant-factor chain) from a primary multiset."""
-    rank = 0
-    primary: dict = {}
-    for d, cnt in c.coeffs:
-        if d == "Z":
-            rank = cnt
-        else:
-            _, p, m = d
-            primary.setdefault(p, []).extend([m] * cnt)
-    chains: list[int] = []
-    for p, ms in primary.items():
-        ms.sort(reverse=True)
-        for i, m in enumerate(ms):
-            if i < len(chains):
-                chains[i] *= p ** m
-            else:
-                chains.append(p ** m)
-    chains.sort()
-    return rank, tuple(chains)
-
-
 def iso_class(a: Obj) -> GroupElem:
     cat = a.cat
     if cat.kind == FINSET:
@@ -391,9 +370,7 @@ def image_iso_class(f: Mor) -> GroupElem:
         return iso_from_invariants(cat, field_rank(QQ, f.payload), ())
     if cat.kind in (AB, FINAB):
         R = ab_relations(f.tgt)
-        q = LatticeQuotient(f.payload.hstack(R), R)
-        rank, invs = q.iso()
-        return iso_from_invariants(cat, rank, invs)
+        return iso_from_invariants(cat, *LatticeQuotient(f.payload.hstack(R), R).iso())
     # repn: the endomorphism of the target restricted to the image
     F = cat.field
     return iso_class(make_obj(cat, _restrict_endo(F, f.tgt.data, column_space_basis(F, f.payload))))
@@ -413,20 +390,14 @@ def _restrict_endo(F, A: Mat, W: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 def direct_sum_obj(a: Obj, b: Obj) -> Obj:
+    """a (+) b: over ab and finab the group presented by the block sum of
+    the two relation lattices, read off its Smith normal form, over repn
+    the block sum of the endomorphisms."""
     cat = a.cat
     if cat != b.cat:
         raise CategoryError("direct sum across categories")
     if cat.kind in (FINSET, VECT):
         return Obj(cat, a.data + b.data)
     if cat.kind in (AB, FINAB):
-        rank, invs = invariants_from_iso(add(iso_class(a), iso_class(b)))
-        return make_obj(cat, (rank, invs))
-    A, B = a.data, b.data
-    n, m = A.rows, B.rows
-    F = cat.field
-    rows = []
-    for i in range(n):
-        rows.append(tuple(A[i, j] for j in range(n)) + tuple(F.zero for _ in range(m)))
-    for i in range(m):
-        rows.append(tuple(F.zero for _ in range(n)) + tuple(B[i, j] for j in range(m)))
-    return Obj(cat, Mat.from_rows(rows, ncols=n + m))
+        return make_obj(cat, smith_normal_form(ab_relations(a).block_sum(ab_relations(b))).cokernel)
+    return Obj(cat, a.data.block_sum(b.data))

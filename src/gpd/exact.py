@@ -4,7 +4,8 @@ Everything here is total on exact inputs: arbitrary-precision integers,
 rationals (ints while integral, else Fractions), or residues modulo a
 prime.  Smith normal form is the engine behind all
 finitely-generated-abelian-group computations; it builds U and its
-inverse, the side every caller reads.  A `LatticeQuotient` builds the
+inverse, and every caller reads the group off it through
+`SnfResult.cokernel` and `canonical`.  A `LatticeQuotient` builds the
 sparse columns of U only when `coords` is first called, so a caller
 that only asks `iso` does not pay for them, and quotient coordinates
 follow the nonzeros of the vector.  One sparse column
@@ -40,7 +41,8 @@ class NonSplitError(Exception):
 class SnfResult(Value):
     """U @ M @ V = D for some unimodular V, with U unimodular, Uinv its
     inverse and D diagonal, d_1 | d_2 | ... | d_r.  Every caller reads the
-    row side, so V is not built."""
+    row side, so V is not built.  Every caller reads Z^m / im M off D
+    through `cokernel` and `canonical`."""
 
     U: Mat
     D: Mat
@@ -52,8 +54,20 @@ class SnfResult(Value):
         return tuple(self.D[i, i] for i in range(n) if self.D[i, i] != 0)
 
     @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
+    def cokernel(self) -> tuple[int, tuple[int, ...]]:
+        """(free rank, invariant factors) of Z^m / im M: m less the rank
+        of M, and each d_i > 1, as a d_i = 1 kills its generator."""
+        d = self.invariant_factors
+        return self.D.rows - len(d), tuple(di for di in d if di > 1)
+
+    @property
+    def canonical(self) -> list[tuple[int, int]]:
+        """(i, order, 0 if free) per canonical generator of Z^m / im M,
+        free ones first: column i of Uinv, on which x has coordinate
+        (U x)_i, mod the order if torsion."""
+        d = self.invariant_factors
+        return [(i, 0) for i in range(len(d), self.D.rows)] + \
+            [(i, di) for i, di in enumerate(d) if di > 1]
 
 
 def _elimination(a: int, b: int) -> tuple[int, int, int, int]:
@@ -335,20 +349,20 @@ def _sub_multiple(F, c: dict, f, col: dict):
             del c[r]  # f != 0, so c[r] = f * x was nonzero
 
 
-def _clear(F, c: dict, R: list, lows: dict) -> list:
-    """Subtract multiples of the reduced columns R from the dict column c,
-    in place, until c is zero or its lowest row is not in `lows` (lowest
-    row -> index into R).  Returns the steps (index, multiple); each
-    index appears once, since every step clears c's lowest row."""
+def _clear(F, c: dict, pivots: dict) -> list:
+    """Subtract multiples of the reduced columns `pivots` (lowest row ->
+    column) from the dict column c, in place, until c is zero or its
+    lowest row is not a key.  Returns the steps (lowest row, multiple);
+    each row appears once, since every step clears c's lowest row."""
     steps = []
     while c:
         low = max(c)
-        j = lows.get(low)
-        if j is None:
+        col = pivots.get(low)
+        if col is None:
             break
-        f = F.div(c[low], R[j][low])
-        _sub_multiple(F, c, f, R[j])
-        steps.append((j, f))
+        f = F.div(c[low], col[low])
+        _sub_multiple(F, c, f, col)
+        steps.append((low, f))
     return steps
 
 
@@ -430,11 +444,12 @@ def field_solve(F, M: Mat, B: Mat) -> Mat | None:
     """One solution X of M X = B over F, or None.  X is zero outside the
     rows of the columns of M that `column_space_basis` picks."""
     R, lows, V = column_reduce(F, _columns(F, M), track=True)
+    pivots = {low: R[j] for low, j in lows.items()}
     X = []
     for b in _columns(F, B):
         x: dict = {}
-        for j, f in _clear(F, b, R, lows):
-            _sub_multiple(F, x, -f, V[j])
+        for low, f in _clear(F, b, pivots):
+            _sub_multiple(F, x, -f, V[lows[low]])
         if b:
             return None
         X.append(x)
@@ -457,29 +472,15 @@ def _char_poly_roots(F, A: Mat) -> dict:
 
     x = sympy.Symbol("x")
     n = A.rows
+    poly = sympy.Matrix(n, n, lambda i, j: sympy.Rational(F.coerce(A[i, j]))).charpoly(x)
     if isinstance(F, PrimeField):
-        SA = sympy.Matrix(n, n, lambda i, j: sympy.Integer(A[i, j] % F.p))
-        poly = SA.charpoly(x)
-        factors = sympy.Poly(poly.as_expr(), x, modulus=F.p).factor_list()[1]
-        roots: dict = {}
-        for p, mult in factors:
-            if p.degree() > 1:
-                raise NonSplitError(str(p.as_expr()))
-            # monic linear factor x - root
-            a1, a0 = p.all_coeffs() if p.degree() == 1 else (1, 0)
-            root = F.coerce(-int(a0) * pow(int(a1), F.p - 2, F.p))
-            roots[root] = roots.get(root, 0) + mult
-        return roots
-    SA = sympy.Matrix(n, n, lambda i, j: sympy.Rational(Fraction(A[i, j])))
-    poly = SA.charpoly(x)
-    factors = sympy.factor_list(poly.as_expr(), x)[1]
-    roots = {}
-    for fac, mult in factors:
-        p = sympy.Poly(fac, x)
+        poly = sympy.Poly(poly.as_expr(), x, modulus=F.p)
+    roots: dict = {}
+    for p, mult in poly.factor_list()[1]:  # over Q, primitive integer factors
         if p.degree() > 1:
-            raise NonSplitError(str(fac))
+            raise NonSplitError(str(p.as_expr()))
         a1, a0 = p.all_coeffs()
-        root = Fraction(sympy.Rational(-a0 / a1).p, sympy.Rational(-a0 / a1).q)
+        root = F.div(F.coerce(-int(a0)), F.coerce(int(a1)))
         roots[root] = roots.get(root, 0) + mult
     return roots
 
@@ -536,8 +537,9 @@ class LatticeQuotient:
     basis of L whose columns are d_i * Uinv[:, i]: x lies in L iff d_i
     divides (U x)_i for i < rank and (U x)_i = 0 beyond, and then its
     coordinates are (U x)_i / d_i.  A second one, of the coordinates of
-    B, gives the canonical generators.  Containment of B in L is
-    checked; a violation reports the offending column of B_gens.
+    B, presents L/B, and `iso` and `coords` read its `canonical`
+    generators.  Containment of B in L is checked; a violation reports
+    the offending column of B_gens.
 
     The constructor computes only what `iso` answers; the nonzeros of
     each column of U are built on the first `coords` call.  `coords` then
@@ -556,13 +558,7 @@ class LatticeQuotient:
         C = Mat.from_cols([self._divide(w, j) for j, w in enumerate(W.columns())],
                           nrows=len(self._d))
         s = smith_normal_form(C)
-        self._P = s.U
-        rho = s.rank
-        ds = list(s.invariant_factors)
-        self.free_rows = list(range(rho, len(self._d)))
-        self.torsion_rows = [i for i in range(rho) if ds[i] >= 2]
-        self.torsion_orders = [ds[i] for i in self.torsion_rows]
-        self.free_rank = len(self.free_rows)
+        self._P, self._canonical = s.U, s.canonical
 
     @cached_property
     def _U_columns(self) -> list:
@@ -584,7 +580,8 @@ class LatticeQuotient:
         return u
 
     def iso(self) -> tuple[int, list[int]]:
-        return self.free_rank, list(self.torsion_orders)
+        orders = [d for _, d in self._canonical]
+        return orders.count(0), [d for d in orders if d]
 
     def coords(self, x) -> list[int]:
         """Coordinates of an ambient vector x of L in the canonical generators."""
@@ -596,7 +593,8 @@ class LatticeQuotient:
                     w[i] += a * xk
         nonzero = [(k, v) for k, v in enumerate(self._divide(w, -1)) if v]
         P = self._P.data
-        out = [sum(P[i][k] * v for k, v in nonzero) for i in self.free_rows]
-        out += [sum(P[i][k] * v for k, v in nonzero) % d
-                for i, d in zip(self.torsion_rows, self.torsion_orders)]
+        out = []
+        for i, d in self._canonical:
+            y = sum(P[i][k] * v for k, v in nonzero)
+            out.append(y % d if d else y)
         return out

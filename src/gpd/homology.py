@@ -300,7 +300,6 @@ class PersistentHomology:
         table.update((p, {kept[i]: x for i, x in v.items()})
                      for p, c, v in zip(kept, R, V) if not c)
         self.table = dict(sorted(table.items()))
-        self.lows = {p: p for p in self.table}  # the lowest row of each column, for _clear
         self.index = {s: i for i, s in enumerate(self.k_simplices)}
         self.chains = {p: {self.k_simplices[i]: x for i, x in c.items()}
                        for p, c in self.table.items()}
@@ -308,7 +307,7 @@ class PersistentHomology:
         # (k+1)-cells from lead_stop on, cleared against the table
         late = [e for e in above if self.lead_stop <= e[1]]
         cols = _boundary_columns(self.k_simplices, [s for s, _ in late], int, m)
-        self.core_columns = [(i, dict(_clear(F, c, self.table, self.lows)))
+        self.core_columns = [(i, dict(_clear(F, c, self.table)))
                              for (_, i), c in zip(late, cols)]
 
     @cached_property
@@ -342,12 +341,12 @@ class _Stage:
     kills, as that pair's column is its R_j.  Below `lead_stop` they are
     the generators, and a coordinate is the multiple of a generator's
     column that clearing subtracts.  From `lead_stop` on the core's
-    columns are the cleared boundaries of the
-    (k+1)-cells born since (`H.core_columns`), and its Smith normal
-    form U C V = D gives the rest: generator i combines the table chains
-    by column i of U^-1, free ones first, and a coordinate is a row of U
-    applied to the core rows of the cleared chain, mod its invariant
-    factor if torsion (`_core`: those rows and factors, 0 if free).
+    columns are the cleared boundaries of the (k+1)-cells born since
+    (`H.core_columns`), and its Smith normal form U C V = D gives the
+    rest: the object is its `cokernel`, and each `canonical` generator
+    (i, order) combines the table chains by column i of U^-1 and has
+    row i of U, applied to the core rows of the cleared chain, mod the
+    order if torsion, as coordinate (`_core`: those rows and orders).
     """
 
     def __init__(self, H: PersistentHomology, at):
@@ -355,7 +354,7 @@ class _Stage:
         n = bisect_right(H.complex.critical_values, at)
         m = bisect_left(H.born, n)
         self._index, self.k_simplices = H.index, H.k_simplices[:m]
-        self._clearing = H.field, H.table, H.lows  # not H: no cycle through H.stages
+        self._clearing = H.field, H.table  # not H: no cycle through H.stages
         dead = min(n, H.lead_stop)  # a pair dying before this kills its row
         self._gens = [p for p in H.table if p < m and H.death.get(p, dead) >= dead]
         self.gen_reps = [H.chains[p] for p in self._gens]
@@ -366,12 +365,11 @@ class _Stage:
         cols = [c for i, c in H.core_columns if i < n]
         s = smith_normal_form(Mat.from_rows([[c.get(p, 0) for c in cols] for p in self._gens],
                                             len(cols)))
-        r, d = len(self._gens), s.invariant_factors
-        keep = list(range(len(d), r)) + [i for i, di in enumerate(d) if di > 1]  # free first
-        self._core = [({p: a for p, a in zip(self._gens, s.U.data[i]) if a},
-                       d[i] if i < len(d) else 0) for i in keep]
-        self.gen_reps = [_combination(zip(s.Uinv.col(i), self.gen_reps)) for i in keep]
-        self.obj = make_obj(cat, (r - len(d), tuple(di for di in d if di > 1)))
+        canonical = s.canonical
+        self._core = [({p: a for p, a in zip(self._gens, s.U.data[i]) if a}, d)
+                      for i, d in canonical]
+        self.gen_reps = [_combination(zip(s.Uinv.col(i), self.gen_reps)) for i, _ in canonical]
+        self.obj = make_obj(cat, s.cokernel)
 
     def coords(self, chain: dict, cleared: dict | None = None) -> list:
         """Canonical homology coordinates of a cycle chain of this stage;
@@ -379,12 +377,12 @@ class _Stage:
         one that is not a cycle.  A chain clears against the table alike
         at every stage, and `cleared` keeps that, by id, for other stages
         of H."""
-        F, table, lows = self._clearing
+        F, table = self._clearing
         cleared = {} if cleared is None else cleared
         if id(chain) not in cleared:
             at = {self._index.get(s, len(self._index)): v for s, v in chain.items()}
             c = {i: x for i, v in at.items() if (x := F.coerce(v))}
-            cleared[id(chain)] = chain, max(at, default=-1), dict(_clear(F, c, table, lows)), c
+            cleared[id(chain)] = chain, max(at, default=-1), dict(_clear(F, c, table)), c
         _, top, steps, rest = cleared[id(chain)]  # the chain keeps its id unique
         if top >= len(self.k_simplices):
             raise FiltrationError("chain has a simplex outside this stage")

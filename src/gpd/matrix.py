@@ -144,6 +144,13 @@ class Mat(Value):
         return Mat(self.rows, self.cols + other.cols,
                    tuple(self.data[i] + other.data[i] for i in range(self.rows)))
 
+    def block_sum(self, other: "Mat") -> "Mat":
+        """The block diagonal matrix with self above and left of other,
+        zeros elsewhere."""
+        right, left = (0,) * other.cols, (0,) * self.cols
+        return Mat(self.rows + other.rows, self.cols + other.cols,
+                   tuple(r + right for r in self.data) + tuple(left + r for r in other.data))
+
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         return Mat(self.rows, len(idx),

@@ -119,7 +119,10 @@ class DenseSnf(Value):
     V: Mat
     Uinv: Mat
     invariant_factors = SnfResult.invariant_factors
-    rank = SnfResult.rank
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
 
 def dense_smith_normal_form(M: Mat) -> DenseSnf:
@@ -417,6 +420,30 @@ def cyclic_decomposition_by_profile(table: FiniteGroupTable, subset) -> list[int
         if FiniteGroupTable(cand).order_profile() == target:
             return list(cand)
     raise AssertionError("no abelian group matches the order profile")
+
+
+def invariants_from_iso(c: GroupElem) -> tuple[int, tuple[int, ...]]:
+    """(free rank, invariant-factor chain) of an isomorphism class of ab
+    or finab, rebuilt from its primary multiset: the i-th largest power
+    of each prime goes into the i-th largest invariant factor."""
+    rank = 0
+    primary: dict = {}
+    for d, cnt in c.coeffs:
+        if d == "Z":
+            rank = cnt
+        else:
+            _, p, m = d
+            primary.setdefault(p, []).extend([m] * cnt)
+    chains: list[int] = []
+    for p, ms in primary.items():
+        ms.sort(reverse=True)
+        for i, m in enumerate(ms):
+            if i < len(chains):
+                chains[i] *= p ** m
+            else:
+                chains.append(p ** m)
+    chains.sort()
+    return rank, tuple(chains)
 
 
 def _factor_chains(n: int):

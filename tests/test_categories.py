@@ -22,7 +22,6 @@ from gpd.categories import (
     identity_mor,
     identity_obj,
     image_iso_class,
-    invariants_from_iso,
     is_isomorphism,
     iso_class,
     iso_from_invariants,
@@ -41,6 +40,7 @@ from oracles import (
     cyclic_decomposition_by_profile,
     compose_oracle,
     image_iso_class_oracle,
+    invariants_from_iso,
     is_isomorphism_oracle,
     is_unimodular,
     rref_rank,
@@ -147,7 +147,7 @@ class TestAb:
                     for j in range(f.payload.cols)]
             sub = table.subgroup_generated(gens)
             expected = cyclic_decomposition_by_profile(table, sub)
-            assert list(invariants_from_iso(img)[1]) == expected
+            assert img == iso_from_invariants(c, 0, expected)
 
 
 # [[1, 1], [2, 3]] and [[2, 3], [4, 6]] meet a pivot that does not divide,
@@ -239,6 +239,35 @@ class TestGeneric:
             b = random_obj(cat, rng)
             s = direct_sum_obj(a, b)
             assert iso_class(s) == add(iso_class(a), iso_class(b))
+
+
+def _random_chain(rng) -> tuple:
+    """A divisibility chain d_1 | d_2 | ... of up to three factors >= 2."""
+    chain = [rng.choice([2, 3, 4, 5, 6, 9])]
+    for _ in range(rng.randint(0, 2)):
+        chain.append(chain[-1] * rng.choice([1, 2, 3, 5]))
+    return tuple(chain[:rng.randint(0, len(chain))])
+
+
+@pytest.mark.parametrize("cat", [ab(), finab()], ids=["ab", "finab"])
+def test_direct_sum_matches_the_primary_decomposition_oracle(cat):
+    """Over ab and finab a direct sum, read off the Smith normal form of
+    the block sum of the relations, is the group that the invariant
+    factors rebuilt from the sum of the primary classes present
+    (Krull-Schmidt), merging cyclic factors of coprime orders."""
+    def z(*invs):
+        return make_obj(cat, (0, invs))
+
+    assert direct_sum_obj(z(2), z(3)) == z(6)
+    assert direct_sum_obj(z(4), z(6)) == z(2, 12)
+    assert direct_sum_obj(z(2), z(2)) == z(2, 2)
+    assert direct_sum_obj(z(), z(2, 4)) == z(2, 4)
+    rng = random.Random(37)
+    for _ in range(300):
+        a, b = (make_obj(cat, (0 if cat == finab() else rng.randint(0, 2), _random_chain(rng)))
+                if rng.random() < 0.5 else random_obj(cat, rng) for _ in range(2))
+        expected = make_obj(cat, invariants_from_iso(add(iso_class(a), iso_class(b))))
+        assert direct_sum_obj(a, b) == expected, (a, b)
 
 
 def _raw_payload(m: Mor, rng) -> Mor:

@@ -65,11 +65,15 @@ class TestSmithNormalForm:
     def test_known_invariants(self):
         s = smith_normal_form(Mat.from_rows([[2, 4], [6, 8]]))
         assert s.invariant_factors == (2, 4)
+        assert s.cokernel == (0, (2, 4)) and s.canonical == [(0, 2), (1, 4)]
+        s = smith_normal_form(Mat.from_rows([[1, 0], [0, 2], [0, 0]]))
+        assert s.cokernel == (1, (2,)) and s.canonical == [(2, 0), (1, 2)]
 
     def test_zero_matrix(self):
         s = smith_normal_form(Mat.zero(3, 2))
         assert s.D == Mat.zero(3, 2)
-        assert s.rank == 0
+        assert s.invariant_factors == ()
+        assert s.cokernel == (3, ()) and s.canonical == [(0, 0), (1, 0), (2, 0)]
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
@@ -89,7 +93,9 @@ class TestSmithNormalForm:
     @given(small_matrices)
     def test_invariants_match_minor_gcd_oracle(self, M):
         s = smith_normal_form(M)
-        assert list(s.invariant_factors) == invariants_from_minor_gcds(M)
+        invs = invariants_from_minor_gcds(M)
+        assert list(s.invariant_factors) == invs
+        assert s.cokernel == (M.rows - len(invs), tuple(d for d in invs if d > 1))
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)

@@ -160,6 +160,15 @@ def test_homology_uses_no_lattice_quotient():
     assert {name for name in imported if name.endswith("reduce")} == {"column_reduce"}
 
 
+def test_only_exact_reads_invariant_factors():
+    """An abelian group is read off its Smith normal form in one place:
+    every other module of src/gpd takes `SnfResult.cokernel` or
+    `canonical`, and none reads the attribute `invariant_factors`."""
+    readers = {path.stem for path in (ROOT / "src" / "gpd").glob("*.py")
+               if _attributes_read(ast.parse(path.read_text()))["invariant_factors"]}
+    assert readers <= {"exact"}
+
+
 def _layers_imported(path: Path) -> set:
     """The gpd modules a module of src/gpd imports at module level."""
     return {node.module.removeprefix("gpd.") for node in ast.parse(path.read_text()).body
